@@ -15,21 +15,23 @@ more likely to set a new peak next year, than communities long past their peak.
 
 from pathlib import Path
 
-from rcforecast import SynthConfig, generate, load_corpus, lifecycle_report
+from rcforecast import Panel, SynthConfig, generate, load_corpus, lifecycle_report
 from rcforecast.cluster import Partition
-from rcforecast.indicators import IndicatorEngine, transform_and_standardize
+from rcforecast.indicators import transform_and_standardize
 
 OUT = Path("demo_output/synth")
 result = generate(SynthConfig(rng_seed=42, n_communities=800), OUT)
 corpus = load_corpus(result.papers_path, result.ranks_path)
 
-# indicators work against any partition; here, the planted truth
+# indicators work against any partition; here, the planted truth. The panel
+# folds the papers into (community, year) cells once; every forecast year's
+# indicators and the lifecycle table are read off it.
 partition = Partition(dict(result.paper_community), model_year=2009,
                       rc_count=result.n_communities, extended_through=2014)
-engine = IndicatorEngine(corpus, partition)
+panel = Panel(corpus, partition)
 
 FY = 2010
-raw = engine.rows(FY)
+raw = panel.rows(FY)
 std = transform_and_standardize(raw)
 print(f"fy={FY}: {len(raw)} communities with papers in the ten-year window\n")
 
@@ -46,7 +48,7 @@ for name in ("stage", "cvit", "rvit", "ntopj"):
 
 print("\nlifecycle table (gap = fy - peak year):")
 print("gap  stage   #RC   %RC    %xg(fy+3)  %new-peak(fy+1)")
-for row in lifecycle_report(partition, corpus, FY, min_papers=2):
+for row in lifecycle_report(panel, FY, min_papers=2):
     stage = f"{row.stage:.3f}" if row.stage is not None else "  -  "
     xg = f"{row.pct_xg:6.1f}" if row.pct_xg is not None else "     -"
     npk = f"{row.pct_new_peak:6.1f}" if row.pct_new_peak is not None else "     -"

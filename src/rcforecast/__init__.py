@@ -8,10 +8,8 @@ from .corpus import (  # noqa: F401
     CorpusMeta,
     JournalRank,
     PaperRecord,
-    ShareTable,
     load_corpus,
     normalize_terms,
-    publication_share,
     save_corpus,
 )
 from .citegraph import CitationGraph, build_graph  # noqa: F401
@@ -29,11 +27,9 @@ from .cluster import (  # noqa: F401
 from .assign import RcDocumentStats, assign_new_papers, bm25_relatedness  # noqa: F401
 from .indicators import (  # noqa: F401
     INDICATOR_NAMES,
-    IndicatorEngine,
+    Panel,
     RawIndicators,
     StandardizedIndicators,
-    compute_raw,
-    peak_year,
     transform_and_standardize,
 )
 from .regression import (  # noqa: F401

@@ -25,7 +25,7 @@ from .evaluate import (
     write_lifecycle_tsv,
 )
 from .forecast import CompositeModel, write_forecast_tsv
-from .indicators import write_indicator_tsv
+from .indicators import Panel, write_indicator_tsv
 from .manifest import write_manifest
 from .pipeline import (
     PipelineConfig,
@@ -53,12 +53,17 @@ def _load_model(model_dir) -> tuple[Path, Path]:
     return d / "partition.tsv", d / "partition.json"
 
 
+def _load_panel(args) -> Panel:
+    partition = load_partition(*_load_model(args.model))
+    return Panel(_load_corpus_args(args), partition, window=args.window)
+
+
 def _fy_range(text: str) -> list[int]:
     if ":" in text:
         a, b = text.split(":", 1)
         lo, hi = int(a), int(b)
         if hi < lo:
-            raise argparse.ArgumentTypeError(f"empty fy range {text!r}")
+            raise ValueError(f"empty fy range {text!r}")
         return list(range(lo, hi + 1))
     return [int(text)]
 
@@ -135,9 +140,7 @@ def cmd_model_extend(args) -> int:
 
 
 def cmd_indicators(args) -> int:
-    corpus = _load_corpus_args(args)
-    partition = load_partition(*_load_model(args.model))
-    raw, std = indicator_table(corpus, partition, args.fy, window=args.window)
+    raw, std = indicator_table(_load_panel(args), args.fy)
     write_indicator_tsv(args.out, raw, std)
     write_manifest(str(args.out) + ".manifest.json", "indicators", vars(args).copy(),
                    {"papers": args.corpus, "journals": args.journals})
@@ -146,14 +149,10 @@ def cmd_indicators(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    corpus = _load_corpus_args(args)
-    partition = load_partition(*_load_model(args.model))
-    try:
-        model = fit_composite(corpus, partition, _fy_range(args.fy_range),
-                              min_papers=args.min_papers,
-                              z_threshold=args.z_threshold, window=args.window)
-    except ValueError as e:
-        return _fail(str(e))
+    panel = _load_panel(args)
+    tables = {fy: indicator_table(panel, fy) for fy in _fy_range(args.fy_range)}
+    model = fit_composite(panel, tables, min_papers=args.min_papers,
+                          z_threshold=args.z_threshold)
     model.to_json(args.out)
     write_manifest(str(args.out) + ".manifest.json", "fit", vars(args).copy(),
                    {"papers": args.corpus, "journals": args.journals})
@@ -163,16 +162,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    corpus = _load_corpus_args(args)
-    partition = load_partition(*_load_model(args.model))
+    panel = _load_panel(args)
     model = (CompositeModel.from_json(args.composite) if args.composite
              else CompositeModel.default())
-    try:
-        records = forecast_year(corpus, partition, model, args.fy,
-                                min_papers=args.min_papers, top_n=args.top,
-                                oracle=args.oracle_n, window=args.window)
-    except ValueError as e:
-        return _fail(str(e))
+    records = forecast_year(panel, indicator_table(panel, args.fy), model,
+                            min_papers=args.min_papers, top_n=args.top,
+                            oracle=args.oracle_n)
     write_forecast_tsv(args.out, records)
     write_manifest(str(args.out) + ".manifest.json", "forecast", vars(args).copy(),
                    {"papers": args.corpus, "journals": args.journals,
@@ -183,16 +178,15 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    corpus = _load_corpus_args(args)
-    partition = load_partition(*_load_model(args.model))
+    panel = _load_panel(args)
     model = (CompositeModel.from_json(args.composite) if args.composite
              else CompositeModel.default())
     taxonomy = TaxonomyMap.load(args.taxonomy) if args.taxonomy else None
     records = []
     missing_ty = []
     for fy in _fy_range(args.fy_range):
-        recs = forecast_year(corpus, partition, model, fy,
-                             min_papers=args.min_papers, window=args.window)
+        recs = forecast_year(panel, indicator_table(panel, fy), model,
+                             min_papers=args.min_papers)
         with_outcome = [r for r in recs if r.outcome is not None]
         if not with_outcome:
             missing_ty.append(fy + 3)
@@ -217,10 +211,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_lifecycle(args) -> int:
-    corpus = _load_corpus_args(args)
-    partition = load_partition(*_load_model(args.model))
-    rows = lifecycle_report(partition, corpus, args.fy, min_papers=args.min_papers,
-                            window=args.window)
+    rows = lifecycle_report(_load_panel(args), args.fy, min_papers=args.min_papers)
     write_lifecycle_tsv(args.out, rows)
     write_manifest(str(args.out) + ".manifest.json", "lifecycle", vars(args).copy(),
                    {"papers": args.corpus})
@@ -245,13 +236,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg = PipelineConfig.from_json(args.config)
-    if args.threads is not None:
-        cfg.threads = args.threads
-    try:
-        summary = run_pipeline(cfg)
-    except (CorpusError, ClusterError, ValueError) as e:
-        return _fail(str(e))
+    summary = run_pipeline(PipelineConfig.from_json(args.config))
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -291,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--no-extended", action="store_true",
                          help="drop external cited items from the graph")
     p_build.add_argument("--dump-graph", action="store_true")
-    p_build.add_argument("--threads", type=int, default=None,
-                         help="worker cap (results are identical for any value)")
     p_build.add_argument("--out", required=True, help="model directory")
     p_build.set_defaults(func=cmd_model_build)
 
@@ -376,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pl = sub.add_parser("pipeline", help="run the full pipeline from a config")
     p_pl.add_argument("--config", required=True, help="PipelineConfig JSON")
-    p_pl.add_argument("--threads", type=int, default=None,
-                      help="worker cap (results are identical for any value)")
     p_pl.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -395,6 +376,8 @@ def run(argv=None) -> int:
         return _fail(str(e))
     except FileNotFoundError as e:
         return _fail(f"missing input: {e.filename}")
+    except ValueError as e:
+        return _fail(str(e))
 
 
 def main() -> None:

@@ -427,8 +427,7 @@ def leiden_best_of(graph: CitationGraph, config: ClusterConfig, restarts: int) -
     """Best-quality partition over ``restarts`` runs with consecutive seeds."""
     best = None
     for i in range(restarts):
-        part = leiden(graph, replace(config, seed_assignment=config.seed_assignment,
-                                     rng_seed=config.rng_seed + i))
+        part = leiden(graph, replace(config, rng_seed=config.rng_seed + i))
         if best is None or part.quality > best.quality + _EPS:
             best = part
     return best

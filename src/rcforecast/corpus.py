@@ -1,4 +1,4 @@
-"""Bibliographic corpus: paper records, journal ranks, yearly totals and publication shares.
+"""Bibliographic corpus: paper records, journal ranks and yearly totals.
 
 Input formats: papers as JSON-lines (one object per paper), journal ranks as CSV
 with header ``journal_id,citescore_rank,eigenfactor_rank``.
@@ -11,8 +11,6 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 DOC_TYPES = ("article", "review", "other")
 
@@ -230,73 +228,3 @@ def save_corpus(corpus: Corpus, papers_path, journals_path=None) -> None:
                         "" if r.eigenfactor_rank is None else r.eigenfactor_rank,
                     ]
                 )
-
-
-def _assignment_of(partition) -> dict[int, int]:
-    return partition.assignment if hasattr(partition, "assignment") else partition
-
-
-class ShareTable:
-    """Per-RC yearly paper counts and publication shares for one partition.
-
-    Shares use the corpus-wide yearly totals as denominator: the share of an RC
-    in a year is its paper count divided by all papers published that year.
-    """
-
-    def __init__(self, corpus: Corpus, partition):
-        assignment = _assignment_of(partition)
-        y0, y1 = corpus.meta.first_year, corpus.meta.last_year
-        self.first_year = y0
-        self.last_year = y1
-        self.totals = np.array(
-            [corpus.meta.yearly_totals.get(y, 0) for y in range(y0, y1 + 1)], dtype=np.int64
-        )
-        rc_ids = sorted(set(assignment.values()))
-        self.rc_ids = rc_ids
-        self._row = {rc: i for i, rc in enumerate(rc_ids)}
-        counts = np.zeros((len(rc_ids), y1 - y0 + 1), dtype=np.int64)
-        for pid, rc in assignment.items():
-            try:
-                year = corpus.papers[pid].year
-            except KeyError:
-                raise CorpusError(f"partition references unknown paper {pid}", paper_id=pid)
-            counts[self._row[rc], year - y0] += 1
-        self.counts = counts
-
-    def papers_in(self, rc_id: int, year: int) -> int:
-        row = self._row.get(rc_id)
-        if row is None or not (self.first_year <= year <= self.last_year):
-            return 0
-        return int(self.counts[row, year - self.first_year])
-
-    def share(self, rc_id: int, year: int) -> float:
-        if not (self.first_year <= year <= self.last_year):
-            raise CorpusError(f"year {year} outside corpus span")
-        total = int(self.totals[year - self.first_year])
-        if total == 0:
-            raise CorpusError(f"empty year {year}")
-        return self.papers_in(rc_id, year) / total
-
-    def shares(self, rc_id: int) -> dict[int, float]:
-        """Year -> share over the corpus span, zeros included (empty years skipped)."""
-        out = {}
-        for y in range(self.first_year, self.last_year + 1):
-            total = int(self.totals[y - self.first_year])
-            if total > 0:
-                out[y] = self.papers_in(rc_id, y) / total
-        return out
-
-
-def publication_share(corpus: Corpus, partition, rc_id: int, year: int) -> float:
-    """Share of ``rc_id`` in ``year``: its papers divided by all papers that year."""
-    if not (corpus.meta.first_year <= year <= corpus.meta.last_year):
-        raise CorpusError(f"year {year} outside corpus span")
-    total = corpus.meta.yearly_totals.get(year, 0)
-    if total == 0:
-        raise CorpusError(f"empty year {year}")
-    assignment = _assignment_of(partition)
-    n = 0
-    for pid in corpus.papers_in_year(year):
-        if assignment.get(pid) == rc_id:
-            n += 1
-    return n / total

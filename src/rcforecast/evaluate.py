@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cluster import Partition
-from .corpus import Corpus, ShareTable
 from .forecast import (
     HORIZON,
     ForecastRecord,
@@ -21,7 +22,7 @@ from .forecast import (
     oracle_n,
     select_top_n,
 )
-from .indicators import peak_year
+from .indicators import Panel
 
 CSI_THRESHOLD = 0.25
 
@@ -223,56 +224,42 @@ class LifecycleRow:
     pct_new_peak: float | None = None
 
 
-def lifecycle_report(partition, corpus: Corpus, fy: int, min_papers: int = 0,
-                     window: int = 10) -> list[LifecycleRow]:
+def lifecycle_report(panel: Panel, fy: int, min_papers: int = 0) -> list[LifecycleRow]:
     """Distribution of (fy - peak year) gaps with, where the corpus allows,
     the share of RCs achieving exceptional growth by fy+3 and the share
     reaching a new peak in fy+1."""
-    shares = ShareTable(corpus, partition)
-    extended = getattr(partition, "extended_through", None)
+    extended = getattr(panel.partition, "extended_through", None)
     if extended is None:
-        extended = corpus.meta.last_year
-    can_xg = fy + HORIZON <= min(corpus.meta.last_year, extended)
-    can_peak = fy + 1 <= min(corpus.meta.last_year, extended)
+        extended = panel.last_year
+    can_xg = fy + HORIZON <= min(panel.last_year, extended)
+    can_peak = fy + 1 <= min(panel.last_year, extended)
 
-    buckets: dict[str, list[tuple[int, int]]] = {str(g): [] for g in range(6)}
-    buckets[">5"] = []
-    for rc in shares.rc_ids:
-        papers_fy = shares.papers_in(rc, fy)
-        if papers_fy < min_papers:
-            continue
-        in_window = sum(shares.papers_in(rc, y) for y in range(fy - window, fy + 1))
-        if in_window == 0:
-            continue
-        pk = peak_year(shares.shares(rc), fy)
-        gap = fy - pk
-        buckets["%d" % gap if gap <= 5 else ">5"].append((rc, pk))
+    rows = panel.in_window(fy)
+    rows = rows[panel.papers_in(fy)[rows] >= min_papers]
+    pk = panel.peak_years(fy, rows)
+    gap = fy - pk
 
-    total = sum(len(v) for v in buckets.values())
-    rows = []
-    for gap_label in [str(g) for g in range(6)] + [">5"]:
-        members = buckets[gap_label]
-        n_rc = len(members)
-        stage = 1.0 / (int(gap_label) + 1) if gap_label != ">5" else None
+    out = []
+    for g in list(range(6)) + [None]:
+        members = gap > 5 if g is None else gap == g
+        member_rows, member_pk = rows[members], pk[members]
+        n_rc = len(member_rows)
         n_xg = pct_xg = n_new = pct_new = None
         if n_rc and can_xg:
-            n_xg = 0
-            for rc, pk in members:
-                gr = growth_rate(shares.shares(rc), pk, fy + HORIZON)
-                n_xg += label_exceptional(gr)
+            n_xg = sum(label_exceptional(growth_rate(panel.shares_of(panel.rc_ids[r]), p,
+                                                     fy + HORIZON))
+                       for r, p in zip(member_rows.tolist(), member_pk.tolist()))
             pct_xg = 100.0 * n_xg / n_rc
         if n_rc and can_peak:
-            n_new = 0
-            for rc, pk in members:
-                if shares.share(rc, fy + 1) > shares.share(rc, pk):
-                    n_new += 1
+            at_peak = panel.shares[member_rows, member_pk - panel.first_year]
+            n_new = int(np.sum(panel.share_column(fy + 1)[member_rows] > at_peak))
             pct_new = 100.0 * n_new / n_rc
-        rows.append(LifecycleRow(
-            gap=gap_label, stage=stage, n_rc=n_rc,
-            pct_rc=(100.0 * n_rc / total) if total else 0.0,
+        out.append(LifecycleRow(
+            gap=">5" if g is None else str(g), stage=None if g is None else 1.0 / (g + 1),
+            n_rc=n_rc, pct_rc=(100.0 * n_rc / len(rows)) if len(rows) else 0.0,
             n_xg=n_xg, pct_xg=pct_xg, n_new_peak=n_new, pct_new_peak=pct_new,
         ))
-    return rows
+    return out
 
 
 def write_lifecycle_tsv(path, rows: list[LifecycleRow]) -> None:

@@ -12,8 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .corpus import Corpus, ShareTable
-from .indicators import RawIndicators, StandardizedIndicators
+from .indicators import Panel, RawIndicators, StandardizedIndicators
 
 GROWTH_THRESHOLD = 1.08
 HORIZON = 3
@@ -125,7 +124,7 @@ def select_top_n(records: list[ForecastRecord], n: int) -> list[ForecastRecord]:
     return [replace(r, predicted=1 if i < n else 0) for i, r in enumerate(ranked)]
 
 
-def build_forecasts(corpus: Corpus, partition, raw_rows: list[RawIndicators],
+def build_forecasts(panel: Panel, raw_rows: list[RawIndicators],
                     std_rows: list[StandardizedIndicators], model: CompositeModel,
                     min_papers: int = 0) -> list[ForecastRecord]:
     """Score one forecast year's rows and attach outcomes where the corpus and
@@ -135,11 +134,10 @@ def build_forecasts(corpus: Corpus, partition, raw_rows: list[RawIndicators],
     """
     if len(raw_rows) != len(std_rows):
         raise ValueError("raw and standardized rows misaligned")
-    model_year = getattr(partition, "model_year", None)
+    model_year = getattr(panel.partition, "model_year", None)
     if model_year is None:
         raise ValueError("partition has no model_year; cannot compute relative year")
-    extended = getattr(partition, "extended_through", model_year)
-    shares = ShareTable(corpus, partition)
+    extended = getattr(panel.partition, "extended_through", model_year)
     out = []
     for raw, std in zip(raw_rows, std_rows):
         if (raw.rc_id, raw.fy) != (std.rc_id, std.fy):
@@ -149,8 +147,8 @@ def build_forecasts(corpus: Corpus, partition, raw_rows: list[RawIndicators],
         ty = raw.fy + HORIZON
         outcome = None
         gr = None
-        if ty <= corpus.meta.last_year and ty <= extended:
-            gr = growth_rate(shares.shares(raw.rc_id), raw.pk, ty)
+        if ty <= panel.last_year and ty <= extended:
+            gr = growth_rate(panel.shares_of(raw.rc_id), raw.pk, ty)
             outcome = label_exceptional(gr)
         out.append(ForecastRecord(
             rc_id=raw.rc_id, fy=raw.fy, ty=ty, ry=raw.fy - model_year,

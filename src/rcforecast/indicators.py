@@ -1,4 +1,5 @@
-"""Per-(RC, forecast-year) indicators: raw values, transforms, yearly standardization.
+"""The RC x year panel of a partition and the per-(RC, forecast-year) indicators
+read off it: raw values, transforms, yearly standardization.
 
 Ten indicators per row. Life cycle: stage (reciprocal time since the peak
 publication-share year), cvit (mean reciprocal paper age over a ten-year
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, JournalRank, ShareTable
+from .corpus import Corpus, CorpusError, JournalRank
 
 INDICATOR_NAMES = ("stage", "cvit", "rvit", "delta_rvit",
                    "ntopj", "ctopj", "eigen", "nart", "nrev", "nref")
@@ -86,142 +87,185 @@ class StandardizedIndicators:
         return {name: getattr(self, name + "_s") for name in INDICATOR_NAMES}
 
 
-def peak_year(shares: dict[int, float], fy: int) -> int:
-    """Latest year through ``fy`` at which the share attains its maximum."""
-    candidates = {y: s for y, s in shares.items() if y <= fy}
-    if not candidates or max(candidates.values()) <= 0.0:
-        raise ValueError(f"RC has no papers through {fy}")
-    peak = max(candidates.values())
-    return max(y for y, s in candidates.items() if s == peak)
+class Panel:
+    """The per-RC, per-year record of one partition of a corpus.
 
+    Built once per (corpus, partition), and the only place that aggregates
+    papers into (rc, year) cells. Per-paper arrays in (year, paper_id) order
+    fold into (rc, year) cubes with ``np.bincount``; counts, shares, peak
+    years and the raw indicators of every forecast year are read off them.
+    ``bincount`` adds weights in input order, so every float sum accumulates
+    paper by paper, and reference by reference, as a plain loop would.
 
-class IndicatorEngine:
-    """Bulk indicator computation for one (corpus, partition) pair.
-
-    Caches per-RC yearly membership and per-year rvit values so the ten-year
-    delta_rvit history costs each year once.
+    ``partition`` is a Partition or a plain paper -> rc mapping. Shares use
+    the corpus-wide yearly totals as denominator; an empty year has share 0.
     """
 
-    def __init__(self, corpus: Corpus, partition, ranks: dict[int, JournalRank] | None = None,
-                 window: int = DEFAULT_WINDOW, top_rank: int = TOP_RANK):
-        self.corpus = corpus
-        self.partition = partition
-        self.ranks = corpus.ranks if ranks is None else ranks
-        self.window = window
-        self.top_rank = top_rank
-        self.shares = ShareTable(corpus, partition)
+    def __init__(self, corpus: Corpus, partition, window: int = DEFAULT_WINDOW):
         assignment = partition.assignment if hasattr(partition, "assignment") else partition
-        members: dict[int, dict[int, list[int]]] = {}
-        for pid in sorted(assignment):
-            rc = assignment[pid]
-            year = corpus.papers[pid].year
-            members.setdefault(rc, {}).setdefault(year, []).append(pid)
-        self._members = members
-        self._rvit_cache: dict[tuple[int, int], float | None] = {}
+        unknown = next((pid for pid in assignment if pid not in corpus.papers), None)
+        if unknown is not None:
+            raise CorpusError(f"partition references unknown paper {unknown}",
+                              paper_id=unknown)
+        self.partition = partition
+        self.window = window
+        y0, y1 = corpus.meta.first_year, corpus.meta.last_year
+        self.first_year, self.last_year = y0, y1
+        self.rc_ids = sorted(set(assignment.values()))
+        self._row = {rc: i for i, rc in enumerate(self.rc_ids)}
+        n_rc, n_years = len(self.rc_ids), y1 - y0 + 1
 
-    def rc_ids(self) -> list[int]:
-        return sorted(self._members)
+        # per-paper arrays over the whole corpus, in (year, paper_id) order
+        papers = corpus.papers
+        order = [pid for y in range(y0, y1 + 1) for pid in corpus.papers_in_year(y)]
+        index = {pid: i for i, pid in enumerate(order)}
+        n = len(order)
+        year = np.fromiter((papers[p].year for p in order), np.int64, n)
+        journal = [papers[p].journal_id for p in order]
+        top_cs = np.fromiter((_top(corpus.ranks.get(j), "citescore_rank") for j in journal),
+                             bool, n)
+        top_eigen = np.fromiter((_top(corpus.ranks.get(j), "eigenfactor_rank")
+                                 for j in journal), bool, n)
+        doc = [papers[p].doc_type for p in order]
+        article = np.fromiter((d == "article" for d in doc), bool, n)
+        review = np.fromiter((d == "review" for d in doc), bool, n)
+        n_refs = np.fromiter((len(papers[p].references) for p in order), np.int64, n)
+        rc = np.fromiter((self._row.get(assignment.get(p), -1) for p in order), np.int64, n)
+        cell = np.where(rc >= 0, rc * n_years + (year - y0), -1)
 
-    def _papers(self, rc_id: int, year: int) -> list[int]:
-        return self._members.get(rc_id, {}).get(year, [])
+        # per-reference arrays: citing paper, and cited paper (-1 outside the corpus)
+        citing = np.repeat(np.arange(n), n_refs)
+        cited = np.fromiter((index.get(r, -1) for p in order for r in papers[p].references),
+                            np.int64, len(citing))
+        datable = (cited >= 0) & (cell[citing] >= 0)
+        citing, cited = citing[datable], cited[datable]
+        ref_cell = cell[citing]
+        reciprocal_age = 1.0 / (np.maximum(year[citing] - year[cited], 0) + 1)
 
-    def _in_top(self, journal_id, which: str) -> bool:
-        if journal_id is None:
-            return False
-        rank = self.ranks.get(journal_id)
-        if rank is None:
-            return False
-        value = rank.citescore_rank if which == "citescore" else rank.eigenfactor_rank
-        return value is not None and value <= self.top_rank
+        member = rc >= 0
+        size = n_rc * n_years
 
-    def _rvit(self, rc_id: int, year: int) -> float | None:
-        """Mean reciprocal reference age for papers published in ``year``.
+        def cube(cells, weights=None):
+            out = np.bincount(cells, weights=weights, minlength=size)
+            return out.reshape(n_rc, n_years)
 
-        References with unknown year (external items) are excluded; negative
-        ages clamp to zero.
+        self.counts = cube(cell[member])
+        self._cubes = {
+            "nart": cube(cell[member & article]),
+            "nrev": cube(cell[member & review]),
+            "ntopj": cube(cell[member & top_cs]),
+            "eigen": cube(cell[member & top_eigen]),
+            "nref": cube(cell[member], n_refs[member]).astype(np.int64),
+            "ctopj": cube(ref_cell[top_cs[cited]]),
+        }
+        rvit_n = cube(ref_cell)
+        rvit_sum = cube(ref_cell, reciprocal_age)
+        self._rvit = np.divide(rvit_sum, rvit_n, out=np.full(rvit_sum.shape, np.nan),
+                               where=rvit_n > 0)
+        self.totals = np.array([corpus.meta.yearly_totals.get(y, 0) for y in range(y0, y1 + 1)],
+                               dtype=np.int64)
+        self.shares = np.divide(self.counts, self.totals, out=np.zeros(self.counts.shape),
+                                where=self.totals > 0)
+        self._paper_rc, self._paper_year = rc[member], year[member]
+
+    # --- shares -----------------------------------------------------------------
+
+    def share_column(self, year: int) -> np.ndarray:
+        """Every RC's share in ``year``."""
+        if not (self.first_year <= year <= self.last_year):
+            raise CorpusError(f"year {year} outside corpus span")
+        if self.totals[year - self.first_year] == 0:
+            raise CorpusError(f"empty year {year}")
+        return self.shares[:, year - self.first_year]
+
+    def share(self, rc_id: int, year: int) -> float:
+        """Share of ``rc_id`` in ``year``: its papers over all papers that year."""
+        column = self.share_column(year)
+        row = self._row.get(rc_id)
+        return 0.0 if row is None else float(column[row])
+
+    def shares_of(self, rc_id: int) -> dict[int, float]:
+        """Year -> share of one RC over the corpus span, empty years skipped."""
+        years = range(self.first_year, self.last_year + 1)
+        values = self.shares[self._row[rc_id]].tolist()
+        return {y: s for y, s, t in zip(years, values, self.totals) if t > 0}
+
+    # --- per forecast year ------------------------------------------------------
+
+    def _years(self, lo: int, hi: int) -> slice:
+        """Columns of the years lo..hi that fall inside the corpus span."""
+        return slice(max(lo, self.first_year) - self.first_year,
+                     max(min(hi, self.last_year) + 1 - self.first_year, 0))
+
+    def _at(self, cube: np.ndarray, year: int, fill=0) -> np.ndarray:
+        if self.first_year <= year <= self.last_year:
+            return cube[:, year - self.first_year]
+        return np.full(len(self.rc_ids), fill, dtype=cube.dtype)
+
+    def in_window(self, fy: int) -> np.ndarray:
+        """Rows of the RCs with papers in [fy - window, fy]."""
+        return np.flatnonzero(self.counts[:, self._years(fy - self.window, fy)].sum(axis=1))
+
+    def papers_in(self, fy: int) -> np.ndarray:
+        """Every RC's paper count in ``fy``."""
+        return self._at(self.counts, fy)
+
+    def peak_years(self, fy: int, rows=None) -> np.ndarray:
+        """Latest year through ``fy`` at which each RC's share attains its maximum."""
+        shares = self.shares[:, self._years(self.first_year, fy)]
+        if rows is not None:
+            shares = shares[rows]
+        if len(shares) == 0:
+            return np.zeros(0, dtype=np.int64)
+        if shares.shape[1] == 0 or np.any(shares.max(axis=1) <= 0.0):
+            raise ValueError(f"RC has no papers through {fy}")
+        return self.first_year + shares.shape[1] - 1 - np.argmax(shares[:, ::-1], axis=1)
+
+    def _delta_rvit(self, fy: int, rvit: np.ndarray) -> np.ndarray:
+        """Z-score of rvit against each RC's own defined history in
+        [fy - window, fy), bounded at 5; 0 with fewer than 3 history years.
+
+        Histories of equal length are reduced together, row by row, as
+        np.mean and np.std reduce one RC's history.
         """
-        key = (rc_id, year)
-        if key in self._rvit_cache:
-            return self._rvit_cache[key]
-        total = 0.0
-        n = 0
-        for pid in self._papers(rc_id, year):
-            for ref in self.corpus.papers[pid].references:
-                target = self.corpus.papers.get(ref)
-                if target is None:
-                    continue
-                age = max(year - target.year, 0)
-                total += 1.0 / (age + 1)
-                n += 1
-        out = (total / n) if n else None
-        self._rvit_cache[key] = out
+        history = self._rvit[:, self._years(fy - self.window, fy - 1)]
+        defined = ~np.isnan(history)
+        length = defined.sum(axis=1)
+        out = np.zeros(len(rvit))
+        for k in np.unique(length[(length >= 3) & ~np.isnan(rvit)]):
+            rows = np.flatnonzero((length == k) & ~np.isnan(rvit))
+            values = history[rows][defined[rows]].reshape(len(rows), k)
+            mean, std = values.mean(axis=1), values.std(axis=1)
+            z = np.divide(rvit[rows] - mean, std, out=np.zeros(len(rows)), where=std >= 1e-12)
+            out[rows] = np.clip(z, -5.0, 5.0)
         return out
-
-    def raw(self, rc_id: int, fy: int) -> RawIndicators | None:
-        """Raw indicators for one (RC, forecast year); None if the RC has no
-        papers in the window [fy-window, fy]."""
-        window_papers = []
-        for y in range(fy - self.window, fy + 1):
-            window_papers.extend(self._papers(rc_id, y))
-        if not window_papers:
-            return None
-
-        pk = peak_year(self.shares.shares(rc_id), fy)
-        stage = 1.0 / (fy - pk + 1)
-
-        cvit = sum(
-            1.0 / (fy - self.corpus.papers[pid].year + 1) for pid in window_papers
-        ) / len(window_papers)
-
-        rvit = self._rvit(rc_id, fy)
-        history = [self._rvit(rc_id, y) for y in range(fy - self.window, fy)]
-        history = [h for h in history if h is not None]
-        if rvit is None or len(history) < 3:
-            delta_rvit = 0.0
-        else:
-            mean = float(np.mean(history))
-            std = float(np.std(history))
-            delta_rvit = 0.0 if std < 1e-12 else (rvit - mean) / std
-            delta_rvit = min(max(delta_rvit, -5.0), 5.0)
-
-        fy_papers = self._papers(rc_id, fy)
-        ntopj = eigen = ctopj = nart = nrev = nref = 0
-        for pid in fy_papers:
-            paper = self.corpus.papers[pid]
-            if self._in_top(paper.journal_id, "citescore"):
-                ntopj += 1
-            if self._in_top(paper.journal_id, "eigenfactor"):
-                eigen += 1
-            if paper.doc_type == "article":
-                nart += 1
-            elif paper.doc_type == "review":
-                nrev += 1
-            nref += len(paper.references)
-            for ref in paper.references:
-                target = self.corpus.papers.get(ref)
-                if target is not None and self._in_top(target.journal_id, "citescore"):
-                    ctopj += 1
-
-        return RawIndicators(
-            rc_id=rc_id, fy=fy, pk=pk, stage=stage, cvit=cvit, rvit=rvit,
-            delta_rvit=delta_rvit, ntopj=ntopj, ctopj=ctopj, eigen=eigen,
-            nart=nart, nrev=nrev, nref=nref, papers_in_fy=len(fy_papers),
-        )
 
     def rows(self, fy: int) -> list[RawIndicators]:
-        out = []
-        for rc in self.rc_ids():
-            row = self.raw(rc, fy)
-            if row is not None:
-                out.append(row)
-        return out
+        """Raw indicators of every RC with papers in [fy - window, fy], by rc_id."""
+        rows = self.in_window(fy)
+        pk = self.peak_years(fy, rows)
+        in_window = (self._paper_year >= fy - self.window) & (self._paper_year <= fy)
+        paper_rc = self._paper_rc[in_window]
+        reciprocal_age = 1.0 / (fy - self._paper_year[in_window] + 1)
+        n_rc = len(self.rc_ids)
+        cvit = (np.bincount(paper_rc, weights=reciprocal_age, minlength=n_rc)[rows]
+                / np.bincount(paper_rc, minlength=n_rc)[rows])
+        rvit = self._at(self._rvit, fy, fill=np.nan)
+        delta = self._delta_rvit(fy, rvit)[rows]
+        rvit = rvit[rows]
+        columns = {name: self._at(cube, fy)[rows].tolist() for name, cube in self._cubes.items()}
+        columns.update(
+            rc_id=[self.rc_ids[r] for r in rows], pk=pk.tolist(),
+            stage=(1.0 / (fy - pk + 1)).tolist(), cvit=cvit.tolist(),
+            rvit=[None if np.isnan(v) else v for v in rvit.tolist()],
+            delta_rvit=delta.tolist(), papers_in_fy=self.papers_in(fy)[rows].tolist())
+        return [RawIndicators(fy=fy, **dict(zip(columns, values)))
+                for values in zip(*columns.values())]
 
 
-def compute_raw(partition, corpus: Corpus, journal_ranks, rc_id: int, fy: int,
-                window: int = DEFAULT_WINDOW) -> RawIndicators | None:
-    """One-shot convenience; bulk callers should reuse an IndicatorEngine."""
-    engine = IndicatorEngine(corpus, partition, journal_ranks, window=window)
-    return engine.raw(rc_id, fy)
+def _top(rank: JournalRank | None, which: str) -> bool:
+    value = None if rank is None else getattr(rank, which)
+    return value is not None and value <= TOP_RANK
 
 
 def _transform(name: str, values: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ step is deterministic for fixed seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,7 @@ from .forecast import (
     select_top_n,
     write_forecast_tsv,
 )
-from .indicators import INDICATOR_NAMES, IndicatorEngine, transform_and_standardize, \
-    write_indicator_tsv
+from .indicators import INDICATOR_NAMES, Panel, transform_and_standardize, write_indicator_tsv
 from .manifest import write_manifest
 from .regression import stepwise_select
 
@@ -42,10 +41,7 @@ def build_model(corpus: Corpus, model_year: int, cluster_config: ClusterConfig,
     config = cluster_config
     if target_rcs is not None:
         resolution = tune_resolution(graph, target_rcs, config)
-        config = ClusterConfig(quality=config.quality, resolution=resolution,
-                               rng_seed=config.rng_seed,
-                               max_iterations=config.max_iterations,
-                               seed_assignment=config.seed_assignment)
+        config = replace(config, resolution=resolution)
     return leiden(graph, config), graph
 
 
@@ -68,12 +64,7 @@ def extend_model(corpus: Corpus, partition: Partition, through_year: int,
             if cluster_config is None:
                 raise ValueError("seeded extension needs a ClusterConfig")
             graph = build_graph(corpus, extended=extended_graph, year_cutoff=year)
-            config = ClusterConfig(quality=cluster_config.quality,
-                                   resolution=cluster_config.resolution,
-                                   rng_seed=cluster_config.rng_seed,
-                                   max_iterations=cluster_config.max_iterations,
-                                   seed_assignment=partition)
-            partition = leiden(graph, config)
+            partition = leiden(graph, replace(cluster_config, seed_assignment=partition))
             partition.model_year = root_my
             partition.extended_through = year
             n_new = sum(1 for pid in partition.assignment
@@ -85,30 +76,29 @@ def extend_model(corpus: Corpus, partition: Partition, through_year: int,
     return partition, reports
 
 
-def indicator_table(corpus: Corpus, partition: Partition, fy: int, window: int = 10):
+def indicator_table(panel: Panel, fy: int):
     """(raw_rows, std_rows) for one forecast year."""
-    engine = IndicatorEngine(corpus, partition, window=window)
-    raw = engine.rows(fy)
+    raw = panel.rows(fy)
     if len(raw) < 2:
         raise ValueError(f"fewer than 2 RC rows at fy={fy}; cannot standardize")
     return raw, transform_and_standardize(raw)
 
 
-def fit_composite(corpus: Corpus, partition: Partition, fys: list[int],
-                  min_papers: int = 20, z_threshold: float = 4.0,
-                  window: int = 10) -> CompositeModel:
+def fit_composite(panel: Panel, tables: dict, min_papers: int = 20,
+                  z_threshold: float = 4.0) -> CompositeModel:
     """Stepwise probit on standardized indicators pooled over forecast years.
 
-    Only (RC, fy) rows whose outcome is observable (corpus and partition extend
-    through fy+3) enter the fit.
+    ``tables`` maps each fit year to its ``indicator_table``. Only (RC, fy)
+    rows whose outcome is observable (corpus and partition extend through
+    fy+3) enter the fit.
     """
     default = CompositeModel.default()
+    fys = sorted(tables)
     xs: list[list[float]] = []
     ys: list[int] = []
-    for fy in sorted(fys):
-        raw, std = indicator_table(corpus, partition, fy, window=window)
-        records = build_forecasts(corpus, partition, raw, std, default,
-                                  min_papers=min_papers)
+    for fy in fys:
+        raw, std = tables[fy]
+        records = build_forecasts(panel, raw, std, default, min_papers=min_papers)
         by_rc = {r.rc_id: r for r in records}
         for raw_row, std_row in zip(raw, std):
             rec = by_rc.get(raw_row.rc_id)
@@ -122,19 +112,18 @@ def fit_composite(corpus: Corpus, partition: Partition, fys: list[int],
     X = np.asarray(xs)
     y = np.asarray(ys, dtype=float)
     model = stepwise_select(X, y, INDICATOR_NAMES, z_threshold=z_threshold)
-    model.meta.update({"fit_fys": sorted(fys), "min_papers": min_papers,
+    model.meta.update({"fit_fys": fys, "min_papers": min_papers,
                        "n_rows": len(ys), "positives": int(y.sum())})
     return model
 
 
-def forecast_year(corpus: Corpus, partition: Partition, model: CompositeModel,
-                  fy: int, min_papers: int = 20, top_n: int | None = None,
-                  oracle: bool = False, window: int = 10) -> list[ForecastRecord]:
-    """Scored records for one forecast year, ranked, with predicted flags set
-    when a selection rule (explicit top_n, or oracle sizing) applies."""
-    raw, std = indicator_table(corpus, partition, fy, window=window)
-    records = build_forecasts(corpus, partition, raw, std, model,
-                              min_papers=min_papers)
+def forecast_year(panel: Panel, table, model: CompositeModel, min_papers: int = 20,
+                  top_n: int | None = None, oracle: bool = False) -> list[ForecastRecord]:
+    """Scored records for one forecast year's ``indicator_table``, ranked, with
+    predicted flags set when a selection rule (explicit top_n, or oracle
+    sizing) applies."""
+    raw, std = table
+    records = build_forecasts(panel, raw, std, model, min_papers=min_papers)
     if top_n is not None:
         if top_n > len(records):
             raise ValueError(f"top_n={top_n} exceeds {len(records)} records")
@@ -169,13 +158,24 @@ class PipelineConfig:
     z_threshold: float = 4.0
     oracle_n: bool = True
     top_n: int | None = None
-    threads: int = 0                      # recorded only; execution is sequential
     lifecycle: bool = False
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
+        """Load a config; ValueError for malformed JSON or unknown or missing keys."""
         with open(path) as fh:
-            return cls(**json.load(fh))
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"config {path} must hold a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(obj) - set(known))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        missing = sorted(name for name, f in known.items() if name not in obj
+                         and f.default is MISSING and f.default_factory is MISSING)
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
+        return cls(**obj)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -208,10 +208,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     write_manifest(out / "partition.manifest.json", "pipeline:model", vars(cfg).copy(),
                    inputs, seeds)
 
+    panel = Panel(corpus, partition, window=cfg.window)
+    tables = {fy: indicator_table(panel, fy)
+              for fy in sorted(set(cfg.fit_fys) | set(cfg.forecast_fys))}
     if cfg.fit_fys:
-        model = fit_composite(corpus, partition, cfg.fit_fys,
-                              min_papers=cfg.fit_min_papers,
-                              z_threshold=cfg.z_threshold, window=cfg.window)
+        model = fit_composite(panel, {fy: tables[fy] for fy in cfg.fit_fys},
+                              min_papers=cfg.fit_min_papers, z_threshold=cfg.z_threshold)
     else:
         model = CompositeModel.default()
     model.to_json(out / "composite.json")
@@ -220,21 +222,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     all_records: list[ForecastRecord] = []
     for fy in sorted(cfg.forecast_fys):
-        raw, std = indicator_table(corpus, partition, fy, window=cfg.window)
-        write_indicator_tsv(out / f"indicators_{fy}.tsv", raw, std)
-        records = forecast_year(corpus, partition, model, fy,
-                                min_papers=cfg.min_papers, top_n=cfg.top_n,
-                                oracle=cfg.oracle_n and cfg.top_n is None,
-                                window=cfg.window)
+        write_indicator_tsv(out / f"indicators_{fy}.tsv", *tables[fy])
+        records = forecast_year(panel, tables[fy], model, min_papers=cfg.min_papers,
+                                top_n=cfg.top_n, oracle=cfg.oracle_n and cfg.top_n is None)
         write_forecast_tsv(out / f"forecast_{fy}.tsv", records)
         write_manifest(out / f"forecast_{fy}.manifest.json", "pipeline:forecast",
                        vars(cfg).copy(), inputs, seeds)
         all_records.extend(records)
         if cfg.lifecycle:
             write_lifecycle_tsv(out / f"lifecycle_{fy}.tsv",
-                                lifecycle_report(partition, corpus, fy,
-                                                 min_papers=cfg.min_papers,
-                                                 window=cfg.window))
+                                lifecycle_report(panel, fy, min_papers=cfg.min_papers))
 
     summary = {
         "papers": corpus.meta.paper_count,

@@ -27,7 +27,7 @@ from rcforecast.forecast import (
 )
 from rcforecast.indicators import (
     INDICATOR_NAMES,
-    IndicatorEngine,
+    Panel,
     RawIndicators,
     transform_and_standardize,
 )
@@ -219,27 +219,31 @@ def _raw_row(i, fy=2015, **kw):
     return RawIndicators(**base)
 
 
+def _rc_row(corpus, part, rc_id, fy):
+    return next(r for r in Panel(corpus, part).rows(fy) if r.rc_id == rc_id)
+
+
 def test_acceptance_7_indicator_exactness(tmp_path):
     # endpoint checks on real corpora
     papers = [paper(i, 2015) for i in range(1, 6)] + [paper(99, 2005)]
     path = write_papers(tmp_path / "a.jsonl", papers)
     corpus = load_corpus(path)
     part = Partition({i: 0 for i in range(1, 6)} | {99: 1}, model_year=2015, rc_count=2)
-    row = IndicatorEngine(corpus, part).raw(0, 2015)
+    row = _rc_row(corpus, part, 0, 2015)
     ok = row.cvit == 1.0
 
     papers = [paper(i, 2005) for i in range(1, 6)] + [paper(99, 2015)]
     path = write_papers(tmp_path / "b.jsonl", papers)
     corpus = load_corpus(path)
     part = Partition({i: 0 for i in range(1, 6)} | {99: 1}, model_year=2015, rc_count=2)
-    row = IndicatorEngine(corpus, part).raw(0, 2015)
+    row = _rc_row(corpus, part, 0, 2015)
     ok = ok and row.cvit == 1.0 / 11.0
 
     papers = [paper(i, 2010) for i in (1, 2, 3)] + [paper(4, 2015), paper(5, 2015)]
     path = write_papers(tmp_path / "c.jsonl", papers)
     corpus = load_corpus(path)
     part = Partition({1: 0, 2: 0, 3: 0, 4: 1, 5: 1}, model_year=2015, rc_count=2)
-    row = IndicatorEngine(corpus, part).raw(0, 2015)
+    row = _rc_row(corpus, part, 0, 2015)
     ok = ok and row.stage == 1.0 / 6.0          # gap of five years: 0.166...
 
     # moments and bounds on fuzzed rows
@@ -274,7 +278,7 @@ def test_acceptance_7_indicator_exactness(tmp_path):
                                    noise_sigma=0.25), tmp_path / f"fuzz{seed}")
         corpus = load_corpus(res.papers_path, res.ranks_path)
         part = Partition(dict(res.paper_community), model_year=2014, rc_count=150)
-        engine = IndicatorEngine(corpus, part)
+        engine = Panel(corpus, part)
         for fy in (2008, 2012):
             rows = engine.rows(fy)
             ok = ok and all(-5.0 <= r.delta_rvit <= 5.0 for r in rows)
@@ -326,15 +330,16 @@ def test_acceptance_8_end_to_end_csi(e2e_runs):
 def test_acceptance_9_leakage_bookkeeping(tmp_path):
     # model built mid-span: forecasts before the model year are circumstantial
     res = generate(SynthConfig(rng_seed=41, n_communities=400), tmp_path / "synth")
-    from rcforecast.pipeline import build_model, extend_model, forecast_year
+    from rcforecast.pipeline import build_model, extend_model, forecast_year, indicator_table
     corpus = load_corpus(res.papers_path, res.ranks_path)
     config = ClusterConfig(quality="cpm", resolution=0.02, rng_seed=0)
     partition, _ = build_model(corpus, 2009, config)
     partition, _ = extend_model(corpus, partition, 2014)
+    panel = Panel(corpus, partition)
     records = []
     for fy in (2008, 2009, 2010, 2011):
-        records.extend(forecast_year(corpus, partition, CompositeModel.default(),
-                                     fy, min_papers=3))
+        records.extend(forecast_year(panel, indicator_table(panel, fy),
+                                     CompositeModel.default(), min_papers=3))
     ok = all(r.ry == r.fy - 2009 for r in records)
     reports = {r.slice: r for r in evaluate_slices(
         records, min_papers=3, mode="reselect", by=("ry", "actionable"))}

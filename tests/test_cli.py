@@ -175,3 +175,28 @@ def test_pipeline_cli_small_fixture(synth_dir, tmp_path, capsys):
         assert (out_dir / name).exists(), name
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["extended_through"] == 2014
+
+
+def test_pipeline_config_unknown_key_exits_2(tmp_path, capsys):
+    # ``threads`` was accepted and ignored once; old configs now name it
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"papers": "p.jsonl", "out_dir": str(tmp_path / "o"),
+                                    "model_year": 2009, "threads": 4}))
+    assert run(["pipeline", "--config", str(cfg_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "threads" in err["error"]
+
+
+def test_pipeline_config_malformed_json_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"papers": "p.jsonl",')
+    assert run(["pipeline", "--config", str(cfg_path)]) == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_indicators_fy_without_rows_exits_2(synth_dir, model_dir, tmp_path, capsys):
+    assert run(["indicators", "--corpus", str(synth_dir / "papers.jsonl"),
+                "--model", str(model_dir), "--fy", "1900",
+                "--out", str(tmp_path / "ind.tsv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "fewer than 2 RC rows" in err["error"]

@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcforecast.corpus import (
-    CorpusError,
-    ShareTable,
-    load_corpus,
-    normalize_terms,
-    publication_share,
-    save_corpus,
-)
+from rcforecast.corpus import CorpusError, load_corpus, normalize_terms, save_corpus
+from rcforecast.indicators import Panel
 
 from conftest import paper, write_papers
 
@@ -85,24 +79,25 @@ def test_publication_share_basic(corpus_factory):
     papers = [paper(i, 2010) for i in range(1, 101)]
     corpus = corpus_factory(papers)
     assignment = {i: (0 if i <= 5 else 1) for i in range(1, 101)}
-    assert publication_share(corpus, assignment, 0, 2010) == pytest.approx(0.05)
-    assert publication_share(corpus, assignment, 99, 2010) == 0.0  # rc with no papers
+    panel = Panel(corpus, assignment)
+    assert panel.share(0, 2010) == pytest.approx(0.05)
+    assert panel.share(99, 2010) == 0.0  # rc with no papers
 
 
 def test_share_errors(corpus_factory):
     corpus = corpus_factory([paper(1, 2010), paper(2, 2012)])
-    assignment = {1: 0, 2: 0}
+    panel = Panel(corpus, {1: 0, 2: 0})
     with pytest.raises(CorpusError, match="empty year"):
-        publication_share(corpus, assignment, 0, 2011)
+        panel.share(0, 2011)
     with pytest.raises(CorpusError):
-        publication_share(corpus, assignment, 0, 1990)
+        panel.share(0, 1990)
 
 
 def test_shares_sum_to_one_over_complete_partition(corpus_factory):
     papers = [paper(i, 2010 + i % 3) for i in range(60)]
     corpus = corpus_factory(papers)
     assignment = {i: i % 7 for i in range(60)}
-    table = ShareTable(corpus, assignment)
+    table = Panel(corpus, assignment)
     for year in (2010, 2011, 2012):
         total = sum(table.share(rc, year) for rc in table.rc_ids)
         assert total == pytest.approx(1.0, abs=1e-12)

@@ -10,6 +10,7 @@ from rcforecast.evaluate import (
     write_lifecycle_tsv,
 )
 from rcforecast.forecast import ForecastRecord
+from rcforecast.indicators import Panel
 
 from conftest import paper
 
@@ -194,7 +195,7 @@ def _lifecycle_corpus(corpus_factory):
 
 def test_lifecycle_report_columns(corpus_factory):
     corpus, partition = _lifecycle_corpus(corpus_factory)
-    rows = lifecycle_report(partition, corpus, fy=2011, min_papers=0)
+    rows = lifecycle_report(Panel(corpus, partition), fy=2011, min_papers=0)
     by_gap = {r.gap: r for r in rows}
     assert by_gap["0"].n_rc == 1          # rc 1 peaked in 2011
     assert by_gap["1"].n_rc == 1          # rc 0 peaked in 2010
@@ -210,7 +211,7 @@ def test_lifecycle_report_columns(corpus_factory):
 
 def test_lifecycle_report_gap_zero_new_peak(corpus_factory):
     corpus, partition = _lifecycle_corpus(corpus_factory)
-    rows = lifecycle_report(partition, corpus, fy=2010, min_papers=0)
+    rows = lifecycle_report(Panel(corpus, partition), fy=2010, min_papers=0)
     by_gap = {r.gap: r for r in rows}
     # rc 0 and rc 1 both peak at 2010 from the 2010 perspective
     assert by_gap["0"].n_rc == 2

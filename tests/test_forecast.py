@@ -15,7 +15,7 @@ from rcforecast.forecast import (
     select_top_n,
     write_forecast_tsv,
 )
-from rcforecast.indicators import IndicatorEngine, transform_and_standardize
+from rcforecast.indicators import Panel, transform_and_standardize
 
 from conftest import paper
 
@@ -155,10 +155,10 @@ def _pipeline_rows(corpus_factory):
 
 def test_build_forecasts_attaches_outcomes_and_ry(corpus_factory):
     corpus, partition = _pipeline_rows(corpus_factory)
-    engine = IndicatorEngine(corpus, partition)
-    raw = engine.rows(2011)
+    panel = Panel(corpus, partition)
+    raw = panel.rows(2011)
     std = transform_and_standardize(raw)
-    records = build_forecasts(corpus, partition, raw, std, CompositeModel.default())
+    records = build_forecasts(panel, raw, std, CompositeModel.default())
     assert {r.rc_id for r in records} == {0, 1}
     for r in records:
         assert r.ty == 2014
@@ -169,20 +169,20 @@ def test_build_forecasts_attaches_outcomes_and_ry(corpus_factory):
 
 def test_build_forecasts_no_outcome_when_target_year_missing(corpus_factory):
     corpus, partition = _pipeline_rows(corpus_factory)
-    engine = IndicatorEngine(corpus, partition)
-    raw = engine.rows(2014)
+    panel = Panel(corpus, partition)
+    raw = panel.rows(2014)
     std = transform_and_standardize(raw)
-    records = build_forecasts(corpus, partition, raw, std, CompositeModel.default())
+    records = build_forecasts(panel, raw, std, CompositeModel.default())
     assert all(r.outcome is None and r.growth_rate is None for r in records)
     assert all(r.ry == 4 for r in records)
 
 
 def test_min_papers_filter(corpus_factory):
     corpus, partition = _pipeline_rows(corpus_factory)
-    engine = IndicatorEngine(corpus, partition)
-    raw = engine.rows(2011)
+    panel = Panel(corpus, partition)
+    raw = panel.rows(2011)
     std = transform_and_standardize(raw)
-    records = build_forecasts(corpus, partition, raw, std, CompositeModel.default(),
+    records = build_forecasts(panel, raw, std, CompositeModel.default(),
                               min_papers=2)
     assert {r.rc_id for r in records} == {1}  # rc 0 has one paper in 2011
 

@@ -4,18 +4,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcforecast.cluster import Partition
+from rcforecast.corpus import Corpus, PaperRecord
 from rcforecast.indicators import (
     INDICATOR_NAMES,
-    IndicatorEngine,
+    Panel,
     RawIndicators,
-    compute_raw,
-    peak_year,
     read_indicator_tsv,
     transform_and_standardize,
     write_indicator_tsv,
 )
 
 from conftest import paper
+
+
+def _shares_panel(shares, total=2000):
+    """A panel in which rc 0 holds ``shares`` (year -> share) of ``total``
+    papers a year and rc 1 the rest; years not listed are empty."""
+    papers, assignment = {}, {}
+    for year, share in shares.items():
+        k = round(share * total)
+        for i in range(total):
+            pid = len(papers)
+            papers[pid] = PaperRecord(pid, year, "article", None, (), ())
+            assignment[pid] = 0 if i < k else 1
+    return Panel(Corpus(papers, {}), assignment)
+
+
+def peak_year(shares, fy):
+    """Peak year of rc 0 (row 0) in a panel holding ``shares``."""
+    return int(_shares_panel(shares).peak_years(fy)[0])
 
 
 def test_peak_year_unique_maximum():
@@ -37,14 +54,25 @@ def test_peak_year_empty_rc_raises():
     with pytest.raises(ValueError):
         peak_year({2013: 0.1}, 2012)
     with pytest.raises(ValueError):
-        peak_year({2010: 0.0}, 2012)
+        peak_year({2010: 0.0, 2013: 0.1}, 2012)
+
+
+class _Rows:
+    """One RC's raw indicators at a time, read off a panel's rows."""
+
+    def __init__(self, corpus, partition):
+        self.corpus = corpus
+        self.panel = Panel(corpus, partition)
+
+    def raw(self, rc_id, fy):
+        return next((r for r in self.panel.rows(fy) if r.rc_id == rc_id), None)
 
 
 def _engine(corpus_factory, papers, assignment, journals=None):
     corpus = corpus_factory(papers, journals=journals)
     part = Partition(dict(assignment), model_year=corpus.meta.last_year,
                      rc_count=len(set(assignment.values())))
-    return IndicatorEngine(corpus, part)
+    return _Rows(corpus, part)
 
 
 def test_cvit_endpoints(corpus_factory):
@@ -148,7 +176,7 @@ def test_skip_record_when_rc_outside_window(corpus_factory):
     papers = [paper(1, 2000), paper(2, 2015)]
     eng = _engine(corpus_factory, papers, {1: 0, 2: 1})
     assert eng.raw(0, 2015) is None
-    assert compute_raw({1: 0, 2: 1}, eng.corpus, None, 0, 2015) is None
+    assert _Rows(eng.corpus, {1: 0, 2: 1}).raw(0, 2015) is None
 
 
 def _raw(rc, fy=2015, **kw):
@@ -255,14 +283,13 @@ def test_recompute_after_reload_is_bit_exact(tmp_path, corpus_factory):
     assignment = {pid: pid % 4 for pid in range(60)}
     part = Partition(dict(assignment), model_year=2015, rc_count=4)
 
-    eng = IndicatorEngine(corpus, part)
-    rows1 = eng.rows(2015)
+    rows1 = Panel(corpus, part).rows(2015)
 
     save_corpus(corpus, tmp_path / "c.jsonl", tmp_path / "r.csv")
     save_partition(part, tmp_path / "p.tsv", tmp_path / "p.json")
     corpus2 = load_corpus(tmp_path / "c.jsonl", tmp_path / "r.csv")
     part2 = load_partition(tmp_path / "p.tsv", tmp_path / "p.json")
-    rows2 = IndicatorEngine(corpus2, part2).rows(2015)
+    rows2 = Panel(corpus2, part2).rows(2015)
     assert rows1 == rows2
 
 

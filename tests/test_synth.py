@@ -6,7 +6,7 @@ import pytest
 from rcforecast.citegraph import build_graph, connected_components
 from rcforecast.cluster import Partition
 from rcforecast.corpus import load_corpus
-from rcforecast.indicators import IndicatorEngine
+from rcforecast.indicators import Panel
 from rcforecast.synth import SynthConfig, SynthError, generate, load_truth
 
 
@@ -104,7 +104,7 @@ def test_planted_communities_have_stronger_lifecycle_signals(small_synth):
     corpus = load_corpus(res.papers_path, res.ranks_path)
     partition = Partition(dict(res.paper_community), model_year=cfg.last_year,
                           rc_count=cfg.n_communities)
-    engine = IndicatorEngine(corpus, partition)
+    engine = Panel(corpus, partition)
     fy = 2008
     planted = {c for c, k in res.community_class.items() if k.endswith("+xg")}
     xg_now = {c for c in planted if res.xg_truth.get((c, fy)) == 1}
