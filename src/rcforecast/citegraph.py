@@ -9,6 +9,8 @@ weight 1.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .corpus import Corpus
 
@@ -164,16 +166,7 @@ def build_graph(corpus: Corpus, extended: bool = True, year_cutoff: int | None =
 
 def connected_components(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
     """Component label per node (labels are the smallest node index in each component)."""
-    label = np.full(n, -1, dtype=np.int64)
-    for seed in range(n):
-        if label[seed] >= 0:
-            continue
-        label[seed] = seed
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            for y in indices[indptr[x]:indptr[x + 1]].tolist():
-                if label[y] < 0:
-                    label[y] = seed
-                    stack.append(y)
-    return label
+    adjacency = sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    _, labels = csgraph.connected_components(adjacency, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return first[labels]

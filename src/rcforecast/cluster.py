@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
 from .citegraph import CitationGraph, connected_components
 
@@ -120,7 +121,13 @@ def partition_quality(graph: CitationGraph, partition, quality: str = "cpm",
 
 
 class _Level:
-    """One aggregation level: CSR adjacency plus per-node self weight and size."""
+    """One aggregation level: CSR adjacency plus per-node self weight and size.
+
+    ``ptr``, ``ind`` and ``wt`` are the CSR arrays as Python lists, built once
+    and shared by local moving and refinement. Edge weights are integer counts
+    (every graph edge weighs 1 and aggregation sums them), so ``wt`` holds ints
+    and needs no float object per edge.
+    """
 
     def __init__(self, indptr, indices, weights, self_w, sizes, strengths):
         self.indptr = indptr
@@ -130,6 +137,13 @@ class _Level:
         self.sizes = sizes
         self.strengths = strengths
         self.n = len(self_w)
+        self.ptr, self.ind = indptr.tolist(), indices.tolist()
+        self.wt = weights.astype(np.int64).tolist()
+
+
+# Both cores sum neighbour weights per community in a buffer, list each community
+# on first touch (weights are positive, so zero means untouched) and zero it after
+# the scan: the same scan order and float sums as a dict, hence the same ties.
 
 
 def _local_move(level: _Level, comm: list[int], use_cpm: bool, gamma: float,
@@ -140,8 +154,11 @@ def _local_move(level: _Level, comm: list[int], use_cpm: bool, gamma: float,
     changed are revisited. Mutates ``comm``; returns the number of moves.
     """
     n = level.n
-    indptr, indices, weights = level.indptr, level.indices, level.weights
-    attr = level.sizes if use_cpm else level.strengths
+    ptr, ind, wt = level.ptr, level.ind, level.wt
+    attr = (level.sizes if use_cpm else level.strengths).tolist()
+    # stay score / 2m but move scores * (1/2m), as the gains were always rounded
+    scale = 1.0 if use_cpm else 1.0 / two_m
+    div = 1.0 if use_cpm else two_m
     n_comm = max(comm) + 1
     cagg = [0.0] * n_comm
     members = [0] * n_comm
@@ -149,13 +166,11 @@ def _local_move(level: _Level, comm: list[int], use_cpm: bool, gamma: float,
         cagg[comm[v]] += attr[v]
         members[comm[v]] += 1
     free: list[int] = [c for c in range(n_comm) if members[c] == 0]
+    buf = [0.0] * n_comm
+    touched: list[int] = []
 
-    order = rng.permutation(n)
-    queue = deque(order.tolist())
+    queue = deque(rng.permutation(n).tolist())
     queued = bytearray([1]) * n
-    ind_list = indices.tolist()
-    wt_list = weights.tolist()
-    ptr = indptr.tolist()
     moves = 0
 
     while queue:
@@ -163,27 +178,30 @@ def _local_move(level: _Level, comm: list[int], use_cpm: bool, gamma: float,
         queued[v] = 0
         cv = comm[v]
         av = attr[v]
-        acc: dict[int, float] = {}
+        ga = gamma * av
         lo, hi = ptr[v], ptr[v + 1]
-        for k in range(lo, hi):
-            c = comm[ind_list[k]]
-            acc[c] = acc.get(c, 0.0) + wt_list[k]
-        if use_cpm:
-            cur = acc.get(cv, 0.0) - gamma * av * (cagg[cv] - av)
-        else:
-            cur = acc.get(cv, 0.0) - gamma * av * (cagg[cv] - av) / two_m
-        best_c, best = cv, cur
-        for c, w in acc.items():
-            if c == cv:
-                continue
-            score = w - gamma * av * cagg[c] * (1.0 if use_cpm else 1.0 / two_m)
-            if score > best + _EPS:
-                best_c, best = c, score
+        nb = ind[lo:hi]
+        for u, w in zip(nb, wt[lo:hi]):
+            c = comm[u]
+            b = buf[c]
+            if not b:
+                touched.append(c)
+            buf[c] = b + w
+        best_c = cv
+        best = buf[cv] - ga * (cagg[cv] - av) / div
+        for c in touched:
+            if c != cv:
+                score = buf[c] - ga * cagg[c] * scale
+                if score > best + _EPS:
+                    best_c, best = c, score
+            buf[c] = 0.0
+        touched.clear()
         if 0.0 > best + _EPS:  # an empty community beats every occupied one
             best_c = free.pop() if free else len(cagg)
             if best_c == len(cagg):
                 cagg.append(0.0)
                 members.append(0)
+                buf.append(0.0)
         if best_c == cv:
             continue
         cagg[cv] -= av
@@ -194,8 +212,7 @@ def _local_move(level: _Level, comm: list[int], use_cpm: bool, gamma: float,
         cagg[best_c] += av
         members[best_c] += 1
         moves += 1
-        for k in range(lo, hi):
-            u = ind_list[k]
+        for u in nb:
             if comm[u] != best_c and not queued[u]:
                 queued[u] = 1
                 queue.append(u)
@@ -203,6 +220,16 @@ def _local_move(level: _Level, comm: list[int], use_cpm: bool, gamma: float,
 
 
 _THETA = 0.01  # randomness scale for refinement merge selection
+
+
+def _draw(rng, gains: list[float]) -> int:
+    """Index drawn with probability proportional to exp(gain / theta): the
+    arithmetic and the one ``rng.random()`` of ``rng.choice(len(gains), p=p)``."""
+    g = np.array(gains)
+    p = np.exp((g - g.max()) / _THETA)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _refine(level: _Level, comm: list[int], use_cpm: bool, gamma: float,
@@ -216,43 +243,44 @@ def _refine(level: _Level, comm: list[int], use_cpm: bool, gamma: float,
     connected.
     """
     n = level.n
-    indptr, indices, weights = level.indptr, level.indices, level.weights
-    attr = level.sizes if use_cpm else level.strengths
+    ptr, ind, wt = level.ptr, level.ind, level.wt
+    attr = (level.sizes if use_cpm else level.strengths).tolist()
+    scale = 1.0 if use_cpm else 1.0 / two_m
     rcomm = list(range(n))
     ragg = [float(a) for a in attr]
     rmembers = [1] * n
-    ind_list = indices.tolist()
-    wt_list = weights.tolist()
-    ptr = indptr.tolist()
+    buf = [0.0] * n
+    touched: list[int] = []
 
     for v in rng.permutation(n).tolist():
-        if rmembers[rcomm[v]] != 1:
+        rv = rcomm[v]
+        if rmembers[rv] != 1:
             continue
         cv = comm[v]
         av = attr[v]
-        acc: dict[int, float] = {}
-        for k in range(ptr[v], ptr[v + 1]):
-            u = ind_list[k]
-            if comm[u] == cv and rcomm[u] != rcomm[v]:
+        ga = gamma * av
+        lo, hi = ptr[v], ptr[v + 1]
+        for u, w in zip(ind[lo:hi], wt[lo:hi]):
+            if comm[u] == cv:
                 r = rcomm[u]
-                acc[r] = acc.get(r, 0.0) + wt_list[k]
+                if r != rv:
+                    b = buf[r]
+                    if not b:
+                        touched.append(r)
+                    buf[r] = b + w
         cands: list[int] = []
         gains: list[float] = []
-        for r, w in acc.items():
-            score = w - gamma * av * ragg[r] * (1.0 if use_cpm else 1.0 / two_m)
+        for r in touched:
+            score = buf[r] - ga * ragg[r] * scale
+            buf[r] = 0.0
             if score > _EPS:
                 cands.append(r)
                 gains.append(score)
+        touched.clear()
         if not cands:
             continue
-        if len(cands) == 1:
-            target = cands[0]
-        else:
-            g = np.asarray(gains)
-            p = np.exp((g - g.max()) / _THETA)
-            target = cands[int(rng.choice(len(cands), p=p / p.sum()))]
-        old = rcomm[v]
-        rmembers[old] -= 1
+        target = cands[0] if len(cands) == 1 else cands[_draw(rng, gains)]
+        rmembers[rv] -= 1
         rcomm[v] = target
         ragg[target] += av
         rmembers[target] += 1
@@ -261,8 +289,7 @@ def _refine(level: _Level, comm: list[int], use_cpm: bool, gamma: float,
 
 def _aggregate(level: _Level, comm: list[int], rcomm: list[int]):
     """Collapse refined communities into super-nodes; carry sizes and self weight."""
-    rc = np.asarray(rcomm, dtype=np.int64)
-    uniq, inv = np.unique(rc, return_inverse=True)
+    uniq, inv = np.unique(rcomm, return_inverse=True)
     r = len(uniq)
     src = np.repeat(np.arange(level.n), np.diff(level.indptr))
     a = inv[src]
@@ -270,25 +297,13 @@ def _aggregate(level: _Level, comm: list[int], rcomm: list[int]):
     cross = a != b
     self_w = np.bincount(inv, weights=level.self_w, minlength=r)
     self_w += np.bincount(a[~cross], weights=level.weights[~cross], minlength=r) / 2.0
-    key = a[cross] * r + b[cross]
-    order = np.argsort(key, kind="stable")
-    key_s = key[order]
-    w_s = level.weights[cross][order]
-    if len(key_s):
-        starts = np.flatnonzero(np.concatenate(([True], key_s[1:] != key_s[:-1])))
-        uk = key_s[starts]
-        wsum = np.add.reduceat(w_s, starts)
-    else:
-        uk = np.empty(0, dtype=np.int64)
-        wsum = np.empty(0)
-    na = (uk // r).astype(np.int64)
-    nb = (uk % r).astype(np.int64)
-    indptr = np.zeros(r + 1, dtype=np.int64)
-    np.add.at(indptr, na + 1, 1)
-    indptr = np.cumsum(indptr)
+    # weights are integer counts (see _Level), so the order in which duplicates
+    # are summed cannot change them; rows come out with sorted column indices
+    adj = sparse.csr_array((level.weights[cross], (a[cross], b[cross])), shape=(r, r))
+    adj.sum_duplicates()
     sizes = np.bincount(inv, weights=level.sizes, minlength=r).astype(np.int64)
     strengths = np.bincount(inv, weights=level.strengths, minlength=r)
-    new_level = _Level(indptr, nb, wsum, self_w, sizes, strengths)
+    new_level = _Level(adj.indptr, adj.indices, adj.data, self_w, sizes, strengths)
     comm_next_arr = np.zeros(r, dtype=np.int64)
     comm_next_arr[inv] = np.asarray(comm, dtype=np.int64)
     return new_level, inv, comm_next_arr.tolist()
@@ -305,30 +320,8 @@ def _split_disconnected(graph: CitationGraph, labels: np.ndarray) -> np.ndarray:
     _, inv = np.unique(labels, return_inverse=True)
     src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
     intra = inv[src] == inv[graph.indices]
-    return _component_labels_subgraph(graph, intra, src)
-
-
-def _component_labels_subgraph(graph: CitationGraph, edge_mask: np.ndarray,
-                               src: np.ndarray) -> np.ndarray:
-    n = graph.n_nodes
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for s, d in zip(src[edge_mask].tolist(), graph.indices[edge_mask].tolist()):
-        adj[s].append(d)
-    label = np.full(n, -1, dtype=np.int64)
-    nxt = 0
-    for seed in range(n):
-        if label[seed] >= 0:
-            continue
-        label[seed] = nxt
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if label[y] < 0:
-                    label[y] = nxt
-                    stack.append(y)
-        nxt += 1
-    return label
+    indptr = np.searchsorted(src[intra], np.arange(graph.n_nodes + 1))  # src is sorted
+    return connected_components(indptr, graph.indices[intra], graph.n_nodes)
 
 
 def _initial_communities(graph: CitationGraph, seed: Partition | None) -> list[int]:

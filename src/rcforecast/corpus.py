@@ -115,36 +115,49 @@ class Corpus:
 
 
 def _parse_paper(obj: dict, line: int) -> PaperRecord:
-    try:
-        pid = int(obj["paper_id"])
-    except (KeyError, TypeError, ValueError):
+    # exact type checks: JSON true/false and floats are not integers here
+    pid = obj.get("paper_id") if type(obj) is dict else None
+    if type(pid) is not int:
         raise CorpusError("missing or non-integer paper_id", line=line)
     year = obj.get("year")
-    if not isinstance(year, int):
-        # papers with missing publication year are rejected rather than guessed
-        raise CorpusError(f"paper {pid}: missing or non-integer year", line=line, paper_id=pid)
     doc_type = obj.get("doc_type", "article")
-    if doc_type not in DOC_TYPES:
-        raise CorpusError(f"paper {pid}: unknown doc_type {doc_type!r}", line=line, paper_id=pid)
     jid = obj.get("journal_id")
-    if jid is not None:
-        jid = int(jid)
     refs = obj.get("references", [])
-    if not isinstance(refs, list):
-        raise CorpusError(f"paper {pid}: references must be a list", line=line, paper_id=pid)
-    refs = [int(r) for r in refs]
-    if len(set(refs)) != len(refs):
-        raise CorpusError(f"paper {pid}: duplicate references", line=line, paper_id=pid)
-    if pid in refs:
-        raise CorpusError(f"paper {pid}: cites itself", line=line, paper_id=pid)
-    terms = normalize_terms(obj.get("terms", []))
-    return PaperRecord(pid, year, doc_type, jid, tuple(refs), terms)
+    terms = obj.get("terms", [])
+    if type(year) is not int:
+        # papers with missing publication year are rejected rather than guessed
+        problem = "missing or non-integer year"
+    elif doc_type not in DOC_TYPES:
+        problem = f"unknown doc_type {doc_type!r}"
+    elif jid is not None and type(jid) is not int:
+        problem = f"non-integer journal_id {jid!r}"
+    elif type(refs) is not list or not all(type(r) is int for r in refs):
+        problem = "references must be a list of integers"
+    elif len(set(refs)) != len(refs):
+        problem = "duplicate references"
+    elif pid in refs:
+        problem = "cites itself"
+    elif type(terms) is not str and (type(terms) is not list
+                                     or not all(type(t) is str for t in terms)):
+        problem = "terms must be a string or a list of strings"
+    else:
+        return PaperRecord(pid, year, doc_type, jid, tuple(refs), normalize_terms(terms))
+    raise CorpusError(f"paper {pid}: {problem}", line=line, paper_id=pid)
+
+
+_CSV_INT = re.compile(r"\s*-?[0-9]+\s*")
+
+
+def _parse_csv_int(val, what: str, line: int) -> int:
+    if val is None or not _CSV_INT.fullmatch(val):
+        raise CorpusError(f"non-integer {what} {val!r}", line=line)
+    return int(val)
 
 
 def _parse_rank(val: str, line: int) -> int | None:
     if val is None or val.strip() == "":
         return None
-    rank = int(val)
+    rank = _parse_csv_int(val, "journal rank", line)
     if rank < 1:
         raise CorpusError(f"journal rank must be >= 1, got {rank}", line=line)
     return rank
@@ -158,7 +171,7 @@ def load_journal_ranks(path) -> dict[int, JournalRank]:
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise CorpusError(f"journal file must have header {sorted(expected)}")
         for i, row in enumerate(reader, start=2):
-            jid = int(row["journal_id"])
+            jid = _parse_csv_int(row["journal_id"], "journal_id", i)
             if jid in ranks:
                 raise CorpusError(f"duplicate journal_id {jid}", line=i)
             ranks[jid] = JournalRank(

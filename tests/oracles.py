@@ -5,11 +5,15 @@ recomputed from edge lists with dictionaries, and optima come from exhaustive
 enumeration over all set partitions (Bell(8) = 4140, so n <= 8 stays fast).
 Indicators, growth labels and the lifecycle table are recomputed by loops over
 papers and references; only the result types and the scalar growth rule come
-from the library.
+from the library. The dict-based Leiden cores and the stack-walk connected
+components that the library replaced are kept here as references too.
 """
+
+from collections import deque
 
 import numpy as np
 
+from rcforecast.cluster import _EPS, _THETA, _Level
 from rcforecast.corpus import CorpusError
 from rcforecast.evaluate import LifecycleRow
 from rcforecast.forecast import HORIZON, growth_rate, label_exceptional
@@ -126,6 +130,173 @@ def small_graph_fixtures(min_count=50, seed=2024):
         if edges and len({x for e in edges for x in e}) == n:
             add(name, edges)
     return graphs
+
+
+# --- the dict-based Leiden cores and the stack-walk components, replaced -----
+#
+# Same signatures as ``rcforecast.cluster._local_move``, ``_refine``,
+# ``_aggregate`` and ``connected_components``, so a test can swap them in. The
+# cores read only the level's CSR arrays and draw with ``Generator.choice``.
+
+
+def local_move(level, comm, use_cpm, gamma, two_m, rng):
+    n = level.n
+    indptr, indices, weights = level.indptr, level.indices, level.weights
+    attr = level.sizes if use_cpm else level.strengths
+    n_comm = max(comm) + 1
+    cagg = [0.0] * n_comm
+    members = [0] * n_comm
+    for v in range(n):
+        cagg[comm[v]] += attr[v]
+        members[comm[v]] += 1
+    free = [c for c in range(n_comm) if members[c] == 0]
+
+    order = rng.permutation(n)
+    queue = deque(order.tolist())
+    queued = bytearray([1]) * n
+    ind_list = indices.tolist()
+    wt_list = weights.tolist()
+    ptr = indptr.tolist()
+    moves = 0
+
+    while queue:
+        v = queue.popleft()
+        queued[v] = 0
+        cv = comm[v]
+        av = attr[v]
+        acc = {}
+        lo, hi = ptr[v], ptr[v + 1]
+        for k in range(lo, hi):
+            c = comm[ind_list[k]]
+            acc[c] = acc.get(c, 0.0) + wt_list[k]
+        if use_cpm:
+            cur = acc.get(cv, 0.0) - gamma * av * (cagg[cv] - av)
+        else:
+            cur = acc.get(cv, 0.0) - gamma * av * (cagg[cv] - av) / two_m
+        best_c, best = cv, cur
+        for c, w in acc.items():
+            if c == cv:
+                continue
+            score = w - gamma * av * cagg[c] * (1.0 if use_cpm else 1.0 / two_m)
+            if score > best + _EPS:
+                best_c, best = c, score
+        if 0.0 > best + _EPS:
+            best_c = free.pop() if free else len(cagg)
+            if best_c == len(cagg):
+                cagg.append(0.0)
+                members.append(0)
+        if best_c == cv:
+            continue
+        cagg[cv] -= av
+        members[cv] -= 1
+        if members[cv] == 0:
+            free.append(cv)
+        comm[v] = best_c
+        cagg[best_c] += av
+        members[best_c] += 1
+        moves += 1
+        for k in range(lo, hi):
+            u = ind_list[k]
+            if comm[u] != best_c and not queued[u]:
+                queued[u] = 1
+                queue.append(u)
+    return moves
+
+
+def refine(level, comm, use_cpm, gamma, two_m, rng):
+    n = level.n
+    indptr, indices, weights = level.indptr, level.indices, level.weights
+    attr = level.sizes if use_cpm else level.strengths
+    rcomm = list(range(n))
+    ragg = [float(a) for a in attr]
+    rmembers = [1] * n
+    ind_list = indices.tolist()
+    wt_list = weights.tolist()
+    ptr = indptr.tolist()
+
+    for v in rng.permutation(n).tolist():
+        if rmembers[rcomm[v]] != 1:
+            continue
+        cv = comm[v]
+        av = attr[v]
+        acc = {}
+        for k in range(ptr[v], ptr[v + 1]):
+            u = ind_list[k]
+            if comm[u] == cv and rcomm[u] != rcomm[v]:
+                r = rcomm[u]
+                acc[r] = acc.get(r, 0.0) + wt_list[k]
+        cands = []
+        gains = []
+        for r, w in acc.items():
+            score = w - gamma * av * ragg[r] * (1.0 if use_cpm else 1.0 / two_m)
+            if score > _EPS:
+                cands.append(r)
+                gains.append(score)
+        if not cands:
+            continue
+        if len(cands) == 1:
+            target = cands[0]
+        else:
+            g = np.asarray(gains)
+            p = np.exp((g - g.max()) / _THETA)
+            target = cands[int(rng.choice(len(cands), p=p / p.sum()))]
+        old = rcomm[v]
+        rmembers[old] -= 1
+        rcomm[v] = target
+        ragg[target] += av
+        rmembers[target] += 1
+    return rcomm
+
+
+def aggregate(level, comm, rcomm):
+    rc = np.asarray(rcomm, dtype=np.int64)
+    uniq, inv = np.unique(rc, return_inverse=True)
+    r = len(uniq)
+    src = np.repeat(np.arange(level.n), np.diff(level.indptr))
+    a = inv[src]
+    b = inv[level.indices]
+    cross = a != b
+    self_w = np.bincount(inv, weights=level.self_w, minlength=r)
+    self_w += np.bincount(a[~cross], weights=level.weights[~cross], minlength=r) / 2.0
+    key = a[cross] * r + b[cross]
+    order = np.argsort(key, kind="stable")
+    key_s = key[order]
+    w_s = level.weights[cross][order]
+    if len(key_s):
+        starts = np.flatnonzero(np.concatenate(([True], key_s[1:] != key_s[:-1])))
+        uk = key_s[starts]
+        wsum = np.add.reduceat(w_s, starts)
+    else:
+        uk = np.empty(0, dtype=np.int64)
+        wsum = np.empty(0)
+    na = (uk // r).astype(np.int64)
+    nb = (uk % r).astype(np.int64)
+    indptr = np.zeros(r + 1, dtype=np.int64)
+    np.add.at(indptr, na + 1, 1)
+    indptr = np.cumsum(indptr)
+    sizes = np.bincount(inv, weights=level.sizes, minlength=r).astype(np.int64)
+    strengths = np.bincount(inv, weights=level.strengths, minlength=r)
+    new_level = _Level(indptr, nb, wsum, self_w, sizes, strengths)
+    comm_next_arr = np.zeros(r, dtype=np.int64)
+    comm_next_arr[inv] = np.asarray(comm, dtype=np.int64)
+    return new_level, inv, comm_next_arr.tolist()
+
+
+def connected_components_bfs(indptr, indices, n):
+    """Component label per node: the smallest node index in its component."""
+    label = np.full(n, -1, dtype=np.int64)
+    for seed in range(n):
+        if label[seed] >= 0:
+            continue
+        label[seed] = seed
+        stack = [seed]
+        while stack:
+            x = stack.pop()
+            for y in indices[indptr[x]:indptr[x + 1]].tolist():
+                if label[y] < 0:
+                    label[y] = seed
+                    stack.append(y)
+    return label
 
 
 # --- the per-paper indicator engine the RC x year panel replaced -------------

@@ -4,6 +4,7 @@ import pytest
 from rcforecast.citegraph import CitationGraph, build_graph, connected_components
 
 from conftest import paper
+from oracles import connected_components_bfs
 
 
 def test_minimal_citation(corpus_factory):
@@ -102,3 +103,17 @@ def test_from_edges_helper():
     assert g.n_nodes == 4          # 0,1,2,5; self-loop dropped; duplicate collapsed
     assert g.n_edges == 2
     assert g.degrees().tolist() == [1, 2, 1, 0]
+
+
+def test_connected_components_match_stack_walk():
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        n = int(rng.integers(0, 40))
+        m = int(rng.integers(0, 2 * n + 1))
+        edges = rng.integers(0, max(n, 1), size=(m, 2)).tolist() if n else []
+        # nodes=range(n) keeps isolated nodes; n == 0 gives the empty graph
+        g = CitationGraph.from_edges(edges, nodes=range(n))
+        got = connected_components(g.indptr, g.indices, g.n_nodes)
+        want = connected_components_bfs(g.indptr, g.indices, g.n_nodes)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()

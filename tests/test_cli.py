@@ -200,3 +200,49 @@ def test_indicators_fy_without_rows_exits_2(synth_dir, model_dir, tmp_path, caps
                 "--out", str(tmp_path / "ind.tsv")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "fewer than 2 RC rows" in err["error"]
+
+
+def _validate_error(tmp_path, capsys, records, journal_rows=None):
+    papers = write_papers(tmp_path / "p.jsonl", records)
+    argv = ["corpus", "validate", str(papers)]
+    if journal_rows is not None:
+        journals = tmp_path / "ranks.csv"
+        journals.write_text("journal_id,citescore_rank,eigenfactor_rank\n"
+                            + "".join(row + "\n" for row in journal_rows))
+        argv += ["--journals", str(journals)]
+    assert run(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1      # one JSON report, no traceback
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("terms", 5),
+    ("year", True),
+    ("references", [1, "x"]),
+    ("references", [1.0]),
+    ("journal_id", 3.5),
+])
+def test_validate_rejects_wrong_field_type(tmp_path, capsys, field, value):
+    bad = paper(9, 2011)
+    bad[field] = value
+    err = _validate_error(tmp_path, capsys, [paper(1, 2010), bad])
+    assert err["line"] == 2
+    assert err["paper_id"] == 9
+    assert field in err["error"]
+
+
+def test_validate_rejects_float_paper_id(tmp_path, capsys):
+    err = _validate_error(tmp_path, capsys, [paper(1, 2010), paper(2.7, 2011)])
+    assert err == {"error": "missing or non-integer paper_id", "line": 2}
+
+
+@pytest.mark.parametrize("row,what", [
+    ("x7,1,2", "journal_id"),
+    ("7,1.5,2", "journal rank"),
+    ("7,1,two", "journal rank"),
+])
+def test_validate_rejects_non_integer_journal_fields(tmp_path, capsys, row, what):
+    err = _validate_error(tmp_path, capsys, [paper(1, 2010)], ["5,1,1", row])
+    assert err["line"] == 3
+    assert f"non-integer {what}" in err["error"]

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rcforecast.citegraph import CitationGraph, connected_components
+import oracles
+from rcforecast import cluster
+from rcforecast.citegraph import CitationGraph, build_graph, connected_components
 from rcforecast.cluster import (
     ClusterConfig,
     ClusterError,
@@ -13,6 +17,8 @@ from rcforecast.cluster import (
     save_partition,
     tune_resolution,
 )
+from rcforecast.corpus import load_corpus
+from rcforecast.synth import SynthConfig, generate
 
 from oracles import exhaustive_best_modularity
 
@@ -179,3 +185,104 @@ def test_partition_round_trip(tmp_path):
     save_partition(part, tsv, meta)
     loaded = load_partition(tsv, meta)
     assert loaded == part
+
+
+# --- equivalence with the dict-based cores kept in tests/oracles.py ----------
+
+
+def _oracle_leiden(graph, config):
+    """``leiden`` with the replaced local-move, refinement, aggregation and
+    components code."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster, "_local_move", oracles.local_move)
+        mp.setattr(cluster, "_refine", oracles.refine)
+        mp.setattr(cluster, "_aggregate", oracles.aggregate)
+        mp.setattr(cluster, "connected_components", oracles.connected_components_bfs)
+        return leiden(graph, config)
+
+
+def _assert_same_partition(got, want):
+    assert got.assignment == want.assignment
+    assert got.external_assignment == want.external_assignment
+    assert got.rc_count == want.rc_count
+    assert got.quality == want.quality
+
+
+@pytest.fixture(scope="module")
+def synth_graphs(tmp_path_factory):
+    graphs = []
+    for seed, n_comm in ((5, 120), (21, 200)):
+        res = generate(SynthConfig(rng_seed=seed, n_communities=n_comm),
+                       tmp_path_factory.mktemp(f"leiden_synth_{seed}"))
+        graphs.append(build_graph(load_corpus(res.papers_path), extended=True,
+                                  year_cutoff=2009))
+    return graphs
+
+
+@pytest.mark.parametrize("quality,resolution", [("cpm", 0.02), ("modularity", 1.0)])
+def test_leiden_matches_oracle_on_synth_graphs(synth_graphs, monkeypatch, quality,
+                                               resolution):
+    levels = []
+    aggregate = cluster._aggregate
+    monkeypatch.setattr(cluster, "_aggregate",
+                        lambda *a: levels.append(1) or aggregate(*a))
+    for graph in synth_graphs:
+        for rng_seed in (0, 7):
+            cfg = ClusterConfig(quality=quality, resolution=resolution, rng_seed=rng_seed)
+            got = leiden(graph, cfg)
+            _assert_same_partition(got, _oracle_leiden(graph, cfg))
+        # warm start from a partition found with another seed
+        warm = ClusterConfig(quality=quality, resolution=resolution, rng_seed=3,
+                             seed_assignment=got)
+        _assert_same_partition(leiden(graph, warm), _oracle_leiden(graph, warm))
+    # the graphs exercise aggregation, not only the first level
+    assert len(levels) >= 2 * len(synth_graphs)
+
+
+@st.composite
+def _small_graphs(draw):
+    """Planted blocks plus random edges and isolated nodes; may be edgeless."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=0, max_size=6))
+    n = sum(sizes) + draw(st.integers(0, 4))
+    edges = []
+    start = 0
+    for size in sizes:
+        block = range(start, start + size)
+        edges += [(i, j) for i in block for j in block if i < j
+                  and draw(st.booleans())]
+        start += size
+    if n >= 2:
+        edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=12))
+    return CitationGraph.from_edges(edges, nodes=range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=_small_graphs(),
+       quality_res=st.sampled_from([("cpm", 0.1), ("cpm", 0.5), ("cpm", 1.5),
+                                    ("modularity", 0.5), ("modularity", 1.0)]),
+       rng_seed=st.integers(0, 2**16), warm=st.booleans())
+def test_leiden_matches_oracle_on_small_graphs(graph, quality_res, rng_seed, warm):
+    quality, resolution = quality_res
+    cfg = ClusterConfig(quality=quality, resolution=resolution, rng_seed=rng_seed)
+    got = leiden(graph, cfg)
+    _assert_same_partition(got, _oracle_leiden(graph, cfg))
+    if warm:
+        cfg = ClusterConfig(quality=quality, resolution=resolution,
+                            rng_seed=rng_seed + 1, seed_assignment=got)
+        _assert_same_partition(leiden(graph, cfg), _oracle_leiden(graph, cfg))
+
+
+def test_refinement_draw_matches_generator_choice():
+    src = np.random.default_rng(2024)
+    for case in range(3000):
+        n = int(src.integers(2, 13))
+        gains = (src.random(n) * 10.0 ** src.integers(-5, 1) + 1e-12).tolist()
+        if case % 5 == 0:
+            gains[-1] = gains[0]    # exact ties
+        seed = int(src.integers(2**32))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = np.asarray(gains)
+        p = np.exp((g - g.max()) / cluster._THETA)
+        assert cluster._draw(ours, gains) == int(ref.choice(n, p=p / p.sum()))
+        assert ours.random() == ref.random()
