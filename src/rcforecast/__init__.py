@@ -24,7 +24,7 @@ from .cluster import (  # noqa: F401
     save_partition,
     tune_resolution,
 )
-from .assign import RcDocumentStats, assign_new_papers, bm25_relatedness  # noqa: F401
+from .assign import assign_new_papers  # noqa: F401
 from .indicators import (  # noqa: F401
     INDICATOR_NAMES,
     Panel,

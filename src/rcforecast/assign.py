@@ -6,7 +6,8 @@ the RC holding the plurality of those references; papers without usable
 references but with terms take the RC whose aggregate document is most related
 under BM25. Assignments are computed against the partition frozen at the
 previous year, so same-year papers never see each other and the result is
-independent of processing order.
+independent of processing order. A year's BM25 queries are scored together,
+as sparse products over the corpus's paper x term matrix.
 """
 
 from __future__ import annotations
@@ -15,92 +16,80 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+from scipy import sparse
+
 from .cluster import ClusterError, Partition
-from .corpus import Corpus
+from .corpus import Corpus, CorpusError
 
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
+K1 = 1.2
+B = 0.75
+_TIE_EPS = 1e-15
+_BLOCK_CELLS = 1 << 20      # scores held densely per block of queries
 
 
-class RcDocumentStats:
-    """Per-RC aggregate documents (concatenated member-paper terms) for BM25.
+def rc_documents(corpus: Corpus, assignment: dict[int, int]
+                 ) -> tuple[np.ndarray, sparse.csr_array]:
+    """Sorted RC ids and the RC x term counts of their aggregate documents
+    (the concatenated terms of their member papers), one row per RC."""
+    n, ids = len(assignment), corpus.paper_ids
+    pids = np.fromiter(assignment, np.int64, n)
+    rc_ids, rc_row = np.unique(np.fromiter(assignment.values(), np.int64, n),
+                               return_inverse=True)
+    row = np.searchsorted(ids, pids)
+    unknown = pids[ids.take(row, mode="clip") != pids].tolist()
+    if unknown:
+        raise CorpusError(f"partition references unknown paper {unknown[0]}",
+                          paper_id=unknown[0])
+    members = sparse.csr_array((np.ones(n, np.int32), (rc_row, row)),
+                               shape=(len(rc_ids), len(ids)))
+    return rc_ids, members @ corpus.term_matrix
 
-    ``n_docs`` is the number of RC documents, ``df`` counts RCs containing each
-    term, and postings map term -> [(rc_id, tf), ...] for sparse scoring.
+
+def bm25_score_blocks(docs: sparse.csr_array, queries: sparse.csr_array):
+    """Yield dense (query block x document) arrays of Okapi BM25 scores.
+
+    ``docs`` and ``queries`` count terms over the same columns. A score sums
+    qtf*idf*tf*(K1+1)/(tf+norm), idf = ln(1 + (N - df + 0.5)/(df + 0.5)), over
+    the query row's terms in stored order: each distinct (term, qtf) gets one
+    weight row, qtf*idf first, and scipy adds a row's terms in stored order.
     """
-
-    def __init__(self, doc_tf: dict[int, Counter]):
-        self.doc_tf = doc_tf
-        self.doc_len = {rc: sum(tf.values()) for rc, tf in doc_tf.items()}
-        self.n_docs = len(doc_tf)
-        self.avgdl = (sum(self.doc_len.values()) / self.n_docs) if self.n_docs else 0.0
-        df: Counter = Counter()
-        postings: dict[str, list[tuple[int, int]]] = {}
-        for rc in sorted(doc_tf):
-            for term, tf in doc_tf[rc].items():
-                df[term] += 1
-                postings.setdefault(term, []).append((rc, tf))
-        self.df = dict(df)
-        self.postings = postings
-
-    @classmethod
-    def from_partition(cls, corpus: Corpus, partition) -> "RcDocumentStats":
-        assignment = partition.assignment if hasattr(partition, "assignment") else partition
-        doc_tf: dict[int, Counter] = {}
-        for pid in sorted(assignment):
-            rc = assignment[pid]
-            terms = corpus.papers[pid].terms
-            if rc not in doc_tf:
-                doc_tf[rc] = Counter()
-            doc_tf[rc].update(terms)
-        return cls(doc_tf)
-
-    def idf(self, term: str) -> float:
-        # non-negative IDF variant
-        df = self.df.get(term, 0)
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+    n_docs = docs.shape[0]
+    doc_len = docs.sum(axis=1)
+    avgdl = int(doc_len.sum()) / n_docs if n_docs else 0.0
+    norm = K1 * (1.0 - B + B * doc_len / avgdl) if avgdl > 0 else np.full(n_docs, K1)
+    base = int(queries.data.max(initial=0)) + 1
+    pairs, col = np.unique(queries.indices.astype(np.int64) * base + queries.data,
+                           return_inverse=True)
+    term, qtf = np.divmod(pairs, base)
+    post = docs[:, term].T.tocsr()          # one row per pair: its term's (doc, tf)
+    df = np.diff(post.indptr)
+    idf = np.array([math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5)) for d in df.tolist()])
+    qidf = np.repeat(qtf * idf, df)
+    weights = sparse.csr_array(
+        (qidf * post.data * (K1 + 1.0) / (post.data + norm[post.indices]),
+         post.indices, post.indptr), shape=(len(pairs), n_docs))
+    ones = sparse.csr_array((np.ones(len(col)), col, queries.indptr),
+                            shape=(queries.shape[0], len(pairs)))
+    step = max(1, _BLOCK_CELLS // max(n_docs, 1))
+    for lo in range(0, queries.shape[0], step):
+        yield (ones[lo:lo + step] @ weights).toarray()
 
 
-def bm25_relatedness(query_terms, stats: RcDocumentStats, rc_id: int,
-                     k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> float:
-    """Okapi BM25 score of one RC aggregate document against a query term bag."""
-    tf_doc = stats.doc_tf.get(rc_id)
-    if tf_doc is None:
-        raise KeyError(f"rc {rc_id} has no aggregate document")
-    dl = stats.doc_len[rc_id]
-    norm = k1 * (1.0 - b + b * dl / stats.avgdl) if stats.avgdl > 0 else k1
-    score = 0.0
-    for term, qtf in Counter(query_terms).items():
-        tf = tf_doc.get(term, 0)
-        if tf == 0:
-            continue
-        score += qtf * stats.idf(term) * tf * (k1 + 1.0) / (tf + norm)
-    return score
-
-
-def bm25_best_rc(query_terms, stats: RcDocumentStats,
-                 k1: float = DEFAULT_K1, b: float = DEFAULT_B):
-    """(rc_id, score) with the highest positive BM25 score, or None.
-
-    Ties break toward the smaller rc_id.
+def best_columns(scores: np.ndarray) -> list[int]:
+    """Per row of a score block, the column a scan in column order picks, or
+    -1: the first positive score becomes best, and a later score replaces it
+    only if it exceeds the best by more than 1e-15. A replacement beats every
+    score before it, so only the row's strict running-max records are scanned.
     """
-    scores: dict[int, float] = {}
-    for term, qtf in Counter(query_terms).items():
-        posting = stats.postings.get(term)
-        if not posting:
-            continue
-        idf = stats.idf(term)
-        for rc, tf in posting:
-            dl = stats.doc_len[rc]
-            norm = k1 * (1.0 - b + b * dl / stats.avgdl) if stats.avgdl > 0 else k1
-            scores[rc] = scores.get(rc, 0.0) + qtf * idf * tf * (k1 + 1.0) / (tf + norm)
-    best = None
-    for rc in sorted(scores):
-        if scores[rc] > 0.0 and (best is None or scores[rc] > scores[best] + 1e-15):
-            best = rc
-    if best is None:
-        return None
-    return best, scores[best]
+    record = scores > 0
+    record[:, 1:] &= scores[:, 1:] > np.maximum.accumulate(scores, axis=1)[:, :-1]
+    rows, cols = np.nonzero(record)
+    best, top = [-1] * len(scores), [-math.inf] * len(scores)
+    for r, c, s in zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist()):
+        if s > top[r] + _TIE_EPS:
+            best[r], top[r] = c, s
+    return best
 
 
 @dataclass
@@ -121,16 +110,15 @@ class AssignmentReport:
         }
 
 
-def assign_new_papers(partition: Partition, corpus: Corpus, new_year: int,
-                      k1: float = DEFAULT_K1, b: float = DEFAULT_B
+def assign_new_papers(partition: Partition, corpus: Corpus, new_year: int
                       ) -> tuple[Partition, AssignmentReport]:
     """Extend a partition by one year. Existing assignments never change.
 
     References are counted against the frozen prior partition; the plurality RC
     wins, ties toward the smaller rc_id. Papers with no usable references but
-    nonempty terms take the best-BM25 RC; a zero best score leaves the paper
-    unassigned (no relatedness signal), as do papers with neither references
-    nor terms.
+    nonempty terms take the best-BM25 RC, ties toward the smaller rc_id; a zero
+    best score leaves the paper unassigned (no relatedness signal), as do
+    papers with neither references nor terms.
     """
     if partition.extended_through is None:
         raise ClusterError("partition has no extended_through year")
@@ -139,11 +127,10 @@ def assign_new_papers(partition: Partition, corpus: Corpus, new_year: int,
             f"new_year must be {partition.extended_through + 1}, got {new_year}"
         )
     base = partition.assignment
-    stats = None  # built lazily; most corpora assign nearly everything by references
-    report = AssignmentReport(year=new_year)
-    added: dict[int, int] = {}
-    for pid in corpus.papers_in_year(new_year):
-        report.n_papers += 1
+    pids = corpus.papers_in_year(new_year)
+    chosen: dict[int, int] = {}
+    queries: list[int] = []
+    for pid in pids:
         paper = corpus.papers[pid]
         votes: Counter = Counter()
         for ref in paper.references:
@@ -152,20 +139,19 @@ def assign_new_papers(partition: Partition, corpus: Corpus, new_year: int,
                 votes[rc] += 1
         if votes:
             top = max(votes.values())
-            added[pid] = min(rc for rc, v in votes.items() if v == top)
-            report.by_references += 1
-            continue
-        if paper.terms:
-            if stats is None:
-                stats = RcDocumentStats.from_partition(corpus, partition)
-            hit = bm25_best_rc(paper.terms, stats, k1=k1, b=b)
-            if hit is not None:
-                added[pid] = hit[0]
-                report.by_bm25 += 1
-                continue
-        report.unassigned.append(pid)
-
-    new_assignment = dict(partition.assignment)
-    new_assignment.update(added)
+            chosen[pid] = min(rc for rc, v in votes.items() if v == top)
+        elif paper.terms:
+            queries.append(pid)
+    report = AssignmentReport(year=new_year, n_papers=len(pids), by_references=len(chosen))
+    if queries:
+        rc_ids, docs = rc_documents(corpus, base)
+        rows = corpus.term_matrix[np.searchsorted(corpus.paper_ids, queries)]
+        best = [i for block in bm25_score_blocks(docs, rows) for i in best_columns(block)]
+        hits = {pid: int(rc_ids[i]) for pid, i in zip(queries, best) if i >= 0}
+        chosen.update(hits)
+        report.by_bm25 = len(hits)
+    report.unassigned = [pid for pid in pids if pid not in chosen]
+    new_assignment = dict(base)
+    new_assignment.update((pid, chosen[pid]) for pid in pids if pid in chosen)
     updated = replace(partition, assignment=new_assignment, extended_through=new_year)
     return updated, report

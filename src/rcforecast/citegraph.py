@@ -40,10 +40,6 @@ class CitationGraph:
     def n_edges(self) -> int:
         return len(self.indices) // 2
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum()) / 2.0
-
     def index_of(self, node_id: int) -> int:
         i = int(np.searchsorted(self.node_ids, node_id))
         if i >= len(self.node_ids) or self.node_ids[i] != node_id:

@@ -69,11 +69,7 @@ def _fy_range(text: str) -> list[int]:
 
 
 def cmd_corpus_validate(args) -> int:
-    try:
-        corpus = load_corpus(args.papers, args.journals)
-    except CorpusError as e:
-        print(json.dumps(e.report()), file=sys.stderr)
-        return 2
+    corpus = load_corpus(args.papers, args.journals)
     print(json.dumps({
         "papers": corpus.meta.paper_count,
         "years": [corpus.meta.first_year, corpus.meta.last_year],
@@ -119,11 +115,8 @@ def cmd_model_extend(args) -> int:
             rng_seed=args.seed if args.seed is not None else base.get("rng_seed", 0),
             max_iterations=base.get("max_iterations", 10),
         )
-    try:
-        partition, reports = extend_model(corpus, partition, through,
-                                          seeded=args.seeded, cluster_config=config)
-    except ClusterError as e:
-        return _fail(str(e))
+    partition, reports = extend_model(corpus, partition, through,
+                                      seeded=args.seeded, cluster_config=config)
     save_partition(partition, tsv, meta)
     report_path = Path(args.model) / f"extension_{through}.json"
     with open(report_path, "w") as fh:

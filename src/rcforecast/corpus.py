@@ -9,8 +9,14 @@ from __future__ import annotations
 import csv
 import json
 import re
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
+from scipy import sparse
 
 DOC_TYPES = ("article", "review", "other")
 
@@ -102,10 +108,29 @@ class Corpus:
                 if r not in papers:
                     ext.add(r)
         self.external_ids = frozenset(ext)
-        by_year: dict[int, list[int]] = {}
-        for pid in sorted(papers):
-            by_year.setdefault(papers[pid].year, []).append(pid)
-        self.by_year = by_year
+        # sorted; row i of ``term_matrix`` is paper ``paper_ids[i]``
+        self.paper_ids = np.array(sorted(papers), dtype=np.int64)
+        self.by_year: dict[int, list[int]] = {}
+        for pid in self.paper_ids.tolist():
+            self.by_year.setdefault(papers[pid].year, []).append(pid)
+
+    @cached_property
+    def term_matrix(self) -> sparse.csr_array:
+        """Paper x term counts, built on first use. Each row stores its terms in
+        first-occurrence order, not sorted: BM25 sums a query's terms in it."""
+        vocab: dict[str, int] = {}
+        indices, counts, indptr = array("i"), array("i"), array("q", [0])
+        for pid in self.paper_ids.tolist():
+            bag = Counter(self.papers[pid].terms)
+            indices.extend([vocab.setdefault(t, len(vocab)) for t in bag])
+            counts.extend(bag.values())
+            indptr.append(len(indices))
+        matrix = sparse.csr_array((np.frombuffer(counts, np.int32),
+                                   np.frombuffer(indices, np.int32),
+                                   np.frombuffer(indptr, np.int64)),
+                                  shape=(len(self.papers), len(vocab)))
+        matrix.has_sorted_indices = False
+        return matrix
 
     def papers_in_year(self, year: int) -> list[int]:
         return self.by_year.get(year, [])
@@ -114,8 +139,13 @@ class Corpus:
         return ref_id not in self.papers
 
 
+def _is_int64(x) -> bool:
+    # exact type check: JSON true/false and floats are not integers here;
+    # ids and years go into numpy int64 arrays downstream, so they must fit one
+    return type(x) is int and -2**63 <= x < 2**63
+
+
 def _parse_paper(obj: dict, line: int) -> PaperRecord:
-    # exact type checks: JSON true/false and floats are not integers here
     pid = obj.get("paper_id") if type(obj) is dict else None
     if type(pid) is not int:
         raise CorpusError("missing or non-integer paper_id", line=line)
@@ -124,15 +154,17 @@ def _parse_paper(obj: dict, line: int) -> PaperRecord:
     jid = obj.get("journal_id")
     refs = obj.get("references", [])
     terms = obj.get("terms", [])
-    if type(year) is not int:
+    if not _is_int64(pid):
+        problem = "paper_id outside the signed 64-bit range"
+    elif not _is_int64(year):
         # papers with missing publication year are rejected rather than guessed
         problem = "missing or non-integer year"
     elif doc_type not in DOC_TYPES:
         problem = f"unknown doc_type {doc_type!r}"
-    elif jid is not None and type(jid) is not int:
-        problem = f"non-integer journal_id {jid!r}"
-    elif type(refs) is not list or not all(type(r) is int for r in refs):
-        problem = "references must be a list of integers"
+    elif jid is not None and not _is_int64(jid):
+        problem = f"non-integer or out-of-range journal_id {jid!r}"
+    elif type(refs) is not list or not all(_is_int64(r) for r in refs):
+        problem = "references must be a list of 64-bit integers"
     elif len(set(refs)) != len(refs):
         problem = "duplicate references"
     elif pid in refs:

@@ -4,6 +4,16 @@ import pytest
 
 from rcforecast.corpus import load_corpus
 
+#: ``ACCEPTANCE <n>: PASS|FAIL`` lines recorded by the acceptance suite
+ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance")
+        for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)
+
 
 def paper(pid, year, refs=(), doc_type="article", journal_id=None, terms=()):
     return {

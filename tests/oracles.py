@@ -6,14 +6,18 @@ enumeration over all set partitions (Bell(8) = 4140, so n <= 8 stays fast).
 Indicators, growth labels and the lifecycle table are recomputed by loops over
 papers and references; only the result types and the scalar growth rule come
 from the library. The dict-based Leiden cores and the stack-walk connected
-components that the library replaced are kept here as references too.
+components that the library replaced are kept here as references too, and so
+is the per-query BM25 scorer of the model extension.
 """
 
-from collections import deque
+import math
+from collections import Counter, deque
+from dataclasses import replace
 
 import numpy as np
 
-from rcforecast.cluster import _EPS, _THETA, _Level
+from rcforecast.assign import B, K1, AssignmentReport
+from rcforecast.cluster import _EPS, _THETA, ClusterError, _Level
 from rcforecast.corpus import CorpusError
 from rcforecast.evaluate import LifecycleRow
 from rcforecast.forecast import HORIZON, growth_rate, label_exceptional
@@ -529,3 +533,128 @@ def lifecycle_report(partition, corpus, fy, min_papers=0, window=DEFAULT_WINDOW)
             n_xg=n_xg, pct_xg=pct_xg, n_new_peak=n_new, pct_new_peak=pct_new,
         ))
     return rows
+
+
+# --- the per-query BM25 extension the sparse scorer replaced -----------------
+#
+# Dict-of-Counter RC documents rebuilt per year, a posting walk per query, and
+# a Python scan for the best RC. The sparse scorer is tested against it.
+
+
+class RcDocumentStats:
+    """Per-RC aggregate documents (concatenated member-paper terms) for BM25.
+
+    ``n_docs`` is the number of RC documents, ``df`` counts RCs containing each
+    term, and postings map term -> [(rc_id, tf), ...] for sparse scoring.
+    """
+
+    def __init__(self, doc_tf):
+        self.doc_tf = doc_tf
+        self.doc_len = {rc: sum(tf.values()) for rc, tf in doc_tf.items()}
+        self.n_docs = len(doc_tf)
+        self.avgdl = (sum(self.doc_len.values()) / self.n_docs) if self.n_docs else 0.0
+        df = Counter()
+        postings = {}
+        for rc in sorted(doc_tf):
+            for term, tf in doc_tf[rc].items():
+                df[term] += 1
+                postings.setdefault(term, []).append((rc, tf))
+        self.df = dict(df)
+        self.postings = postings
+
+    @classmethod
+    def from_partition(cls, corpus, partition):
+        assignment = _assignment_of(partition)
+        doc_tf = {}
+        for pid in sorted(assignment):
+            rc = assignment[pid]
+            if rc not in doc_tf:
+                doc_tf[rc] = Counter()
+            doc_tf[rc].update(corpus.papers[pid].terms)
+        return cls(doc_tf)
+
+    def idf(self, term):
+        # non-negative IDF variant
+        df = self.df.get(term, 0)
+        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+
+
+def bm25_relatedness(query_terms, stats, rc_id, k1=K1, b=B):
+    """Okapi BM25 score of one RC aggregate document against a query term bag."""
+    tf_doc = stats.doc_tf.get(rc_id)
+    if tf_doc is None:
+        raise KeyError(f"rc {rc_id} has no aggregate document")
+    dl = stats.doc_len[rc_id]
+    norm = k1 * (1.0 - b + b * dl / stats.avgdl) if stats.avgdl > 0 else k1
+    score = 0.0
+    for term, qtf in Counter(query_terms).items():
+        tf = tf_doc.get(term, 0)
+        if tf == 0:
+            continue
+        score += qtf * stats.idf(term) * tf * (k1 + 1.0) / (tf + norm)
+    return score
+
+
+def bm25_best_rc(query_terms, stats, k1=K1, b=B):
+    """(rc_id, score) with the highest positive BM25 score, or None.
+
+    Ties break toward the smaller rc_id.
+    """
+    scores = {}
+    for term, qtf in Counter(query_terms).items():
+        posting = stats.postings.get(term)
+        if not posting:
+            continue
+        idf = stats.idf(term)
+        for rc, tf in posting:
+            dl = stats.doc_len[rc]
+            norm = k1 * (1.0 - b + b * dl / stats.avgdl) if stats.avgdl > 0 else k1
+            scores[rc] = scores.get(rc, 0.0) + qtf * idf * tf * (k1 + 1.0) / (tf + norm)
+    best = None
+    for rc in sorted(scores):
+        if scores[rc] > 0.0 and (best is None or scores[rc] > scores[best] + 1e-15):
+            best = rc
+    if best is None:
+        return None
+    return best, scores[best]
+
+
+def assign_new_papers(partition, corpus, new_year, k1=K1, b=B):
+    """The extension step paper by paper: plurality vote, then BM25."""
+    if partition.extended_through is None:
+        raise ClusterError("partition has no extended_through year")
+    if new_year != partition.extended_through + 1:
+        raise ClusterError(
+            f"new_year must be {partition.extended_through + 1}, got {new_year}"
+        )
+    base = partition.assignment
+    stats = None  # built lazily; most corpora assign nearly everything by references
+    report = AssignmentReport(year=new_year)
+    added = {}
+    for pid in corpus.papers_in_year(new_year):
+        report.n_papers += 1
+        paper = corpus.papers[pid]
+        votes = Counter()
+        for ref in paper.references:
+            rc = base.get(ref)
+            if rc is not None:
+                votes[rc] += 1
+        if votes:
+            top = max(votes.values())
+            added[pid] = min(rc for rc, v in votes.items() if v == top)
+            report.by_references += 1
+            continue
+        if paper.terms:
+            if stats is None:
+                stats = RcDocumentStats.from_partition(corpus, partition)
+            hit = bm25_best_rc(paper.terms, stats, k1=k1, b=b)
+            if hit is not None:
+                added[pid] = hit[0]
+                report.by_bm25 += 1
+                continue
+        report.unassigned.append(pid)
+
+    new_assignment = dict(partition.assignment)
+    new_assignment.update(added)
+    updated = replace(partition, assignment=new_assignment, extended_through=new_year)
+    return updated, report

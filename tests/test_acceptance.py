@@ -1,13 +1,12 @@
 """Acceptance suite: one test per criterion, tolerances pinned.
 
-Each test prints a single ``ACCEPTANCE <n>: PASS|FAIL`` line (visible with
-``pytest -s tests/test_acceptance.py``). The end-to-end and determinism
-criteria build 10,000-community synthetic corpora and run the full pipeline;
-the whole module targets a sub-ten-minute wall clock.
+Each test records a single ``ACCEPTANCE <n>: PASS|FAIL`` line; the terminal
+summary of every run lists them. The end-to-end and determinism criteria
+build 10,000-community synthetic corpora and run the full pipeline; the whole
+module targets a sub-ten-minute wall clock.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -35,14 +34,14 @@ from rcforecast.pipeline import PipelineConfig, run_pipeline
 from rcforecast.regression import fit_probit, probit_gradient, probit_loglik, stepwise_select
 from rcforecast.synth import SynthConfig, generate
 
-from conftest import paper, write_papers
+from conftest import ACCEPTANCE_LINES, paper, write_papers
 from oracles import exhaustive_best_modularity, small_graph_fixtures
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
     line = f"ACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} - {detail}"
-    # bypass capture so the per-criterion line always reaches the terminal
-    print(line, file=sys.__stderr__, flush=True)
+    # printed at the end of the run by conftest.pytest_terminal_summary
+    ACCEPTANCE_LINES.append(line)
     assert ok, line
 
 

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcforecast.cli import run
+from rcforecast.corpus import load_corpus, normalize_terms
 from rcforecast.synth import SynthConfig, generate
 
 from conftest import paper, write_papers
@@ -246,3 +253,58 @@ def test_validate_rejects_non_integer_journal_fields(tmp_path, capsys, row, what
     err = _validate_error(tmp_path, capsys, [paper(1, 2010)], ["5,1,1", row])
     assert err["line"] == 3
     assert f"non-integer {what}" in err["error"]
+
+
+@pytest.mark.parametrize("command", [["corpus", "validate"], ["model", "build"]])
+def test_oversized_paper_id_exits_2(tmp_path, capsys, command):
+    # a paper id beyond int64 used to pass validation and crash graph building
+    papers = write_papers(tmp_path / "p.jsonl", [paper(1, 2010), paper(2**64, 2010, refs=[1])])
+    argv = command + [str(papers)] if command[0] == "corpus" else command + [
+        "--corpus", str(papers), "--through-year", "2010", "--out", str(tmp_path / "m")]
+    assert run(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["line"] == 2 and err["paper_id"] == 2**64
+    assert "64-bit" in err["error"]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers() | st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**64]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_FIELDS = ["paper_id", "year", "doc_type", "journal_id", "references", "terms", "extra"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FIELDS), st.booleans(), _JSON_VALUES)
+def test_one_field_mutation_loads_unchanged_or_exits_2(field, delete, value):
+    record = paper(9, 2011, refs=[1, 10**9], journal_id=5, terms=["Alpha beta", "gamma"])
+    if delete:
+        record.pop(field, None)
+    else:
+        record[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_papers(Path(tmp) / "p.jsonl", [paper(1, 2010), record])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["corpus", "validate", str(path)])
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and "error" in json.loads(lines[0])
+            return
+        assert code == 0 and err.getvalue() == ""
+        loaded = load_corpus(path).papers
+    # accepted: every field reads back as written, with no coercion
+    pid = record.get("paper_id")
+    rec = loaded[pid]
+    assert type(rec.paper_id) is int and type(rec.year) is int
+    assert (rec.paper_id, rec.year) == (pid, record["year"])
+    assert rec.doc_type == record.get("doc_type", "article")
+    jid = record.get("journal_id")
+    assert rec.journal_id == jid and type(rec.journal_id) is type(jid)
+    refs = record.get("references", [])
+    assert rec.references == tuple(refs) and all(type(r) is int for r in rec.references)
+    assert rec.terms == normalize_terms(record.get("terms", []))
