@@ -15,9 +15,11 @@ more likely to set a new peak next year, than communities long past their peak.
 
 from pathlib import Path
 
-from rcforecast import Panel, SynthConfig, generate, load_corpus, lifecycle_report
+import numpy as np
+
+from rcforecast import (Panel, SynthConfig, generate, indicator_table, lifecycle_report,
+                        load_corpus)
 from rcforecast.cluster import Partition
-from rcforecast.indicators import transform_and_standardize
 
 OUT = Path("demo_output/synth")
 result = generate(SynthConfig(rng_seed=42, n_communities=800), OUT)
@@ -25,25 +27,24 @@ corpus = load_corpus(result.papers_path, result.ranks_path)
 
 # indicators work against any partition; here, the planted truth. The panel
 # folds the papers into (community, year) cells once; every forecast year's
-# indicators and the lifecycle table are read off it.
+# indicator table (one array per column) and the lifecycle table are read off it.
 partition = Partition(dict(result.paper_community), model_year=2009,
                       rc_count=result.n_communities, extended_through=2014)
 panel = Panel(corpus, partition)
 
 FY = 2010
-raw = panel.rows(FY)
-std = transform_and_standardize(raw)
-print(f"fy={FY}: {len(raw)} communities with papers in the ten-year window\n")
+table = indicator_table(panel, FY)
+raw = table.raw
+print(f"fy={FY}: {len(table)} communities with papers in the ten-year window\n")
 
 print("community    stage   cvit   rvit  drvit  ntopj  papers")
-for r in sorted(raw, key=lambda r: -r.papers_in_fy)[:8]:
-    rv = f"{r.rvit:.3f}" if r.rvit is not None else "  -  "
-    print(f"{r.rc_id:9d}   {r.stage:.3f}  {r.cvit:.3f}  {rv}  "
-          f"{r.delta_rvit:+.2f}  {r.ntopj:5d}  {r.papers_in_fy:6d}")
+for i in np.argsort(-raw["papers_in_fy"], kind="stable")[:8]:
+    rv = f"{raw['rvit'][i]:.3f}" if not np.isnan(raw["rvit"][i]) else "  -  "
+    print(f"{raw['rc_id'][i]:9d}   {raw['stage'][i]:.3f}  {raw['cvit'][i]:.3f}  {rv}  "
+          f"{raw['delta_rvit'][i]:+.2f}  {raw['ntopj'][i]:5d}  {raw['papers_in_fy'][i]:6d}")
 
-import numpy as np
 for name in ("stage", "cvit", "rvit", "ntopj"):
-    vals = np.array([s.value(name) for s in std])
+    vals = table.std[name]
     print(f"standardized {name}: mean {vals.mean():+.2e}, stdev {vals.std():.6f}")
 
 print("\nlifecycle table (gap = fy - peak year):")

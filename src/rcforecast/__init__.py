@@ -27,10 +27,11 @@ from .cluster import (  # noqa: F401
 from .assign import assign_new_papers  # noqa: F401
 from .indicators import (  # noqa: F401
     INDICATOR_NAMES,
+    IndicatorTable,
     Panel,
     RawIndicators,
     StandardizedIndicators,
-    transform_and_standardize,
+    standardize,
 )
 from .regression import (  # noqa: F401
     CollinearityError,
@@ -64,5 +65,6 @@ from .pipeline import (  # noqa: F401
     extend_model,
     fit_composite,
     forecast_year,
+    indicator_table,
     run_pipeline,
 )

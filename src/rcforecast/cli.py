@@ -133,11 +133,11 @@ def cmd_model_extend(args) -> int:
 
 
 def cmd_indicators(args) -> int:
-    raw, std = indicator_table(_load_panel(args), args.fy)
-    write_indicator_tsv(args.out, raw, std)
+    table = indicator_table(_load_panel(args), args.fy)
+    write_indicator_tsv(args.out, table)
     write_manifest(str(args.out) + ".manifest.json", "indicators", vars(args).copy(),
                    {"papers": args.corpus, "journals": args.journals})
-    print(json.dumps({"rows": len(raw), "fy": args.fy}, sort_keys=True))
+    print(json.dumps({"rows": len(table), "fy": args.fy}, sort_keys=True))
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -526,30 +527,45 @@ def save_partition(partition: Partition, tsv_path, meta_path=None) -> None:
             fh.write("\n")
 
 
+_INT_TEXT = re.compile(r"-?[0-9]+")
+_META_TYPES = {"model_year": (int, type(None)), "extended_through": (int, type(None)),
+               "rc_count": (int,), "quality": (int, float), "config": (dict,),
+               "external_assignment": (dict,)}
+
+
 def load_partition(tsv_path, meta_path=None) -> Partition:
-    assignment: dict[int, int] = {}
+    """Read a partition written by ``save_partition``. ClusterError for a bad
+    row (naming its line), a repeated paper id, or a meta field of the wrong
+    type (checked exactly: JSON true/false and strings are not integers)."""
     with open(tsv_path) as fh:
         header = fh.readline()
         if header.strip() != "paper_id\trc_id":
             raise ClusterError(f"bad partition header: {header.strip()!r}")
-        for line in fh:
-            pid, rc = line.split()
-            assignment[int(pid)] = int(rc)
-    model_year = None
-    extended_through = None
-    quality = 0.0
-    external: dict[int, int] = {}
-    config_used: dict = {}
-    rc_count = len(set(assignment.values()))
+        assignment: dict[int, int] = {}
+        try:
+            for i, line in enumerate(fh, start=2):
+                pid, rc = line.split()
+                assignment[int(pid)] = int(rc)
+                if len(assignment) < i - 1:     # lines 2..i hold i - 1 rows
+                    raise ClusterError(f"partition line {i}: duplicate paper_id {pid}")
+        except ValueError:
+            raise ClusterError(f"partition line {i}: expected paper_id and rc_id, "
+                               f"got {line.strip()!r}") from None
+    meta = {}
     if meta_path is not None:
         with open(meta_path) as fh:
             meta = json.load(fh)
-        model_year = meta.get("model_year")
-        extended_through = meta.get("extended_through")
-        quality = meta.get("quality", 0.0)
-        rc_count = meta.get("rc_count", rc_count)
-        config_used = meta.get("config", {})
-        external = {int(k): v for k, v in meta.get("external_assignment", {}).items()}
-    return Partition(assignment, model_year=model_year, rc_count=rc_count, quality=quality,
-                     extended_through=extended_through, external_assignment=external,
-                     config_used=config_used)
+        if type(meta) is not dict:
+            raise ClusterError(f"partition meta {meta_path} must hold a JSON object")
+    wrong = [k for k, types in _META_TYPES.items() if k in meta and type(meta[k]) not in types]
+    external = meta.get("external_assignment", {})
+    if wrong or not all(_INT_TEXT.fullmatch(k) and type(v) is int
+                        for k, v in external.items()):
+        raise ClusterError(f"partition meta {meta_path}: "
+                           f"{(wrong or ['external_assignment'])[0]} has the wrong type")
+    return Partition(assignment, model_year=meta.get("model_year"),
+                     rc_count=meta.get("rc_count", len(set(assignment.values()))),
+                     quality=meta.get("quality", 0.0),
+                     extended_through=meta.get("extended_through"),
+                     external_assignment={int(k): v for k, v in external.items()},
+                     config_used=meta.get("config", {}))

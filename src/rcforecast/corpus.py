@@ -20,7 +20,7 @@ from scipy import sparse
 
 DOC_TYPES = ("article", "review", "other")
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]{2,}")
 
 
 class CorpusError(Exception):
@@ -49,13 +49,10 @@ def normalize_terms(raw) -> tuple[str, ...]:
 
     Accepts a single string or an iterable of strings.
     """
-    pieces = [raw] if isinstance(raw, str) else [str(t) for t in raw]
-    out = []
-    for piece in pieces:
-        for tok in _TOKEN_SPLIT.split(piece.lower()):
-            if len(tok) >= 2:
-                out.append(tok)
-    return tuple(out)
+    # a space separates like any other non-alphanumeric, and lowercasing is
+    # context-free wherever it yields [0-9a-z], so the pieces lower as one text
+    text = raw if isinstance(raw, str) else " ".join(map(str, raw))
+    return tuple(_TOKEN.findall(text.lower()))
 
 
 @dataclass(frozen=True)
@@ -145,6 +142,10 @@ def _is_int64(x) -> bool:
     return type(x) is int and -2**63 <= x < 2**63
 
 
+def _all_int64(xs: list) -> bool:
+    return not xs or set(map(type, xs)) == {int} and -2**63 <= min(xs) and max(xs) < 2**63
+
+
 def _parse_paper(obj: dict, line: int) -> PaperRecord:
     pid = obj.get("paper_id") if type(obj) is dict else None
     if type(pid) is not int:
@@ -163,14 +164,14 @@ def _parse_paper(obj: dict, line: int) -> PaperRecord:
         problem = f"unknown doc_type {doc_type!r}"
     elif jid is not None and not _is_int64(jid):
         problem = f"non-integer or out-of-range journal_id {jid!r}"
-    elif type(refs) is not list or not all(_is_int64(r) for r in refs):
+    elif type(refs) is not list or not _all_int64(refs):
         problem = "references must be a list of 64-bit integers"
     elif len(set(refs)) != len(refs):
         problem = "duplicate references"
     elif pid in refs:
         problem = "cites itself"
     elif type(terms) is not str and (type(terms) is not list
-                                     or not all(type(t) is str for t in terms)):
+                                     or not set(map(type, terms)) <= {str}):
         problem = "terms must be a string or a list of strings"
     else:
         return PaperRecord(pid, year, doc_type, jid, tuple(refs), normalize_terms(terms))

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import Partition
-from .forecast import (
-    HORIZON,
-    ForecastRecord,
-    growth_rate,
-    label_exceptional,
-    oracle_n,
-    select_top_n,
-)
+from .forecast import HORIZON, ForecastRecord, growth_labels, oracle_n, select_top_n
 from .indicators import Panel
 
 CSI_THRESHOLD = 0.25
@@ -246,9 +239,7 @@ def lifecycle_report(panel: Panel, fy: int, min_papers: int = 0) -> list[Lifecyc
         n_rc = len(member_rows)
         n_xg = pct_xg = n_new = pct_new = None
         if n_rc and can_xg:
-            n_xg = sum(label_exceptional(growth_rate(panel.shares_of(panel.rc_ids[r]), p,
-                                                     fy + HORIZON))
-                       for r, p in zip(member_rows.tolist(), member_pk.tolist()))
+            n_xg = sum(growth_labels(panel, member_rows, member_pk, fy + HORIZON)[1])
             pct_xg = 100.0 * n_xg / n_rc
         if n_rc and can_peak:
             at_peak = panel.shares[member_rows, member_pk - panel.first_year]

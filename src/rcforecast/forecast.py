@@ -12,7 +12,9 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .indicators import Panel, RawIndicators, StandardizedIndicators
+import numpy as np
+
+from .indicators import INDICATOR_NAMES, IndicatorTable, Panel
 
 GROWTH_THRESHOLD = 1.08
 HORIZON = 3
@@ -55,10 +57,31 @@ class CompositeModel:
 
     @classmethod
     def from_json(cls, path) -> "CompositeModel":
+        """Load a composite; ValueError unless the file holds an object whose
+        ``variables`` are indicator names, ``coefficients`` as many finite
+        numbers, and ``intercept`` null or a finite number."""
         with open(path) as fh:
             obj = json.load(fh)
-        return cls(tuple(obj["variables"]), tuple(obj["coefficients"]),
-                   intercept=obj.get("intercept"), meta=obj.get("meta", {}))
+        if type(obj) is not dict:
+            raise ValueError(f"composite {path} must hold a JSON object")
+        variables, coefficients = obj.get("variables"), obj.get("coefficients")
+        intercept = obj.get("intercept")
+        if type(variables) is not list or not all(v in INDICATOR_NAMES for v in variables):
+            raise ValueError(f"composite {path}: variables must be a list of indicator "
+                             f"names from {', '.join(INDICATOR_NAMES)}")
+        if type(coefficients) is not list or len(coefficients) != len(variables) \
+                or not all(map(_is_number, coefficients)):
+            raise ValueError(f"composite {path}: coefficients must be a list of "
+                             f"{len(variables)} numbers, one per variable")
+        if intercept is not None and not _is_number(intercept):
+            raise ValueError(f"composite {path}: intercept must be null or a number")
+        return cls(tuple(variables), tuple(coefficients), intercept=intercept,
+                   meta=obj.get("meta", {}))
+
+
+def _is_number(x) -> bool:
+    # exact types: JSON true/false are not numbers, nor are NaN and infinities
+    return type(x) in (int, float) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -95,17 +118,46 @@ def label_exceptional(gr: float, threshold: float = GROWTH_THRESHOLD) -> int:
     return 1 if gr > threshold else 0
 
 
-def composite_score(std, model: CompositeModel) -> float:
-    """Dot product of model coefficients with the named standardized values."""
-    if isinstance(std, StandardizedIndicators):
-        values = std.as_dict()
-    else:
-        values = dict(std)
+def growth_labels(panel: Panel, rows: np.ndarray, pk: np.ndarray,
+                  ty: int) -> tuple[list[float], list[int]]:
+    """Growth rates from each peak year ``pk`` to ``ty`` of the panel's RC
+    ``rows``, and their labels, by the scalar rule on the panel's shares."""
+    if len(rows) == 0:    # ty may then lie before the corpus span
+        return [], []
+    s_pk = panel.shares[rows, pk - panel.first_year].tolist()
+    s_ty = panel.shares[rows, ty - panel.first_year].tolist()
+    observed = panel.totals[ty - panel.first_year] > 0   # an empty year has no share
+    rates = [growth_rate({p: a, ty: b} if observed else {p: a}, p, ty)
+             for p, a, b in zip(pk.tolist(), s_pk, s_ty)]
+    return rates, [label_exceptional(gr) for gr in rates]
+
+
+def table_outcomes(panel: Panel, table: IndicatorTable, min_papers: int = 0
+                   ) -> tuple[np.ndarray, list[float] | None, list[int] | None]:
+    """The rows of ``table`` with at least ``min_papers`` papers in its fy, and
+    their growth rates and labels; both None when the corpus or the partition
+    ends before the target year fy + HORIZON."""
+    model_year = getattr(panel.partition, "model_year", None)
+    if model_year is None:
+        raise ValueError("partition has no model_year; cannot compute relative year")
+    extended = getattr(panel.partition, "extended_through", model_year)
+    kept = np.flatnonzero(table.raw["papers_in_fy"] >= min_papers)
+    ty = table.fy + HORIZON
+    if ty > panel.last_year or ty > extended:
+        return kept, None, None
+    rows = np.searchsorted(panel.rc_ids, table.raw["rc_id"][kept])
+    return kept, *growth_labels(panel, rows, table.raw["pk"][kept], ty)
+
+
+def composite_score(values, model: CompositeModel):
+    """Sum of model coefficients times the named standardized values, in model
+    order from 0.0. ``values`` maps names to numbers, or to arrays to score a
+    whole table; elementwise, each term rounds as the scalar sum does."""
     score = 0.0
     for name, coef in zip(model.variables, model.coefficients):
         if name not in values:
             raise KeyError(f"standardized indicator {name!r} missing")
-        score += coef * values[name]
+        score = score + coef * values[name]
     return score
 
 
@@ -124,38 +176,24 @@ def select_top_n(records: list[ForecastRecord], n: int) -> list[ForecastRecord]:
     return [replace(r, predicted=1 if i < n else 0) for i, r in enumerate(ranked)]
 
 
-def build_forecasts(panel: Panel, raw_rows: list[RawIndicators],
-                    std_rows: list[StandardizedIndicators], model: CompositeModel,
+def build_forecasts(panel: Panel, table: IndicatorTable, model: CompositeModel,
                     min_papers: int = 0) -> list[ForecastRecord]:
-    """Score one forecast year's rows and attach outcomes where the corpus and
+    """Score one forecast year's table and attach outcomes where the corpus and
     partition extend through the target year.
 
     ``predicted`` is left 0; run select_top_n (production n or oracle_n) after.
     """
-    if len(raw_rows) != len(std_rows):
-        raise ValueError("raw and standardized rows misaligned")
-    model_year = getattr(panel.partition, "model_year", None)
-    if model_year is None:
-        raise ValueError("partition has no model_year; cannot compute relative year")
-    extended = getattr(panel.partition, "extended_through", model_year)
-    out = []
-    for raw, std in zip(raw_rows, std_rows):
-        if (raw.rc_id, raw.fy) != (std.rc_id, std.fy):
-            raise ValueError("raw and standardized rows misaligned")
-        if raw.papers_in_fy < min_papers:
-            continue
-        ty = raw.fy + HORIZON
-        outcome = None
-        gr = None
-        if ty <= panel.last_year and ty <= extended:
-            gr = growth_rate(panel.shares_of(raw.rc_id), raw.pk, ty)
-            outcome = label_exceptional(gr)
-        out.append(ForecastRecord(
-            rc_id=raw.rc_id, fy=raw.fy, ty=ty, ry=raw.fy - model_year,
-            score=composite_score(std, model), predicted=0,
-            papers_in_fy=raw.papers_in_fy, outcome=outcome, growth_rate=gr,
-        ))
-    return out
+    kept, rates, labels = table_outcomes(panel, table, min_papers)
+    if rates is None:
+        rates = labels = [None] * len(kept)
+    # np.full broadcasts the scores; a model without variables scores 0.0
+    scores = np.full(len(table), composite_score(table.std, model))[kept]
+    fy, ty, ry = table.fy, table.fy + HORIZON, table.fy - panel.partition.model_year
+    return [ForecastRecord(rc_id=rc, fy=fy, ty=ty, ry=ry, score=score, predicted=0,
+                           papers_in_fy=n, outcome=label, growth_rate=gr)
+            for rc, score, n, label, gr in zip(
+                table.raw["rc_id"][kept].tolist(), scores.tolist(),
+                table.raw["papers_in_fy"][kept].tolist(), labels, rates)]
 
 
 # --- persistence -------------------------------------------------------------

@@ -44,6 +44,8 @@ _TRANSFORMS = {
 }
 
 
+# One row of an indicator TSV each, as ``read_indicator_tsv`` returns them; the
+# library itself keeps a forecast year's indicators as an ``IndicatorTable``.
 @dataclass(frozen=True)
 class RawIndicators:
     rc_id: int
@@ -83,9 +85,6 @@ class StandardizedIndicators:
     def value(self, name: str) -> float:
         return getattr(self, name + "_s")
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name + "_s") for name in INDICATOR_NAMES}
-
 
 class Panel:
     """The per-RC, per-year record of one partition of a corpus.
@@ -111,8 +110,8 @@ class Panel:
         self.window = window
         y0, y1 = corpus.meta.first_year, corpus.meta.last_year
         self.first_year, self.last_year = y0, y1
-        self.rc_ids = sorted(set(assignment.values()))
-        self._row = {rc: i for i, rc in enumerate(self.rc_ids)}
+        self.rc_ids = np.array(sorted(set(assignment.values())), dtype=np.int64)
+        self._row = {rc: i for i, rc in enumerate(self.rc_ids.tolist())}
         n_rc, n_years = len(self.rc_ids), y1 - y0 + 1
 
         # per-paper arrays over the whole corpus, in (year, paper_id) order
@@ -184,12 +183,6 @@ class Panel:
         row = self._row.get(rc_id)
         return 0.0 if row is None else float(column[row])
 
-    def shares_of(self, rc_id: int) -> dict[int, float]:
-        """Year -> share of one RC over the corpus span, empty years skipped."""
-        years = range(self.first_year, self.last_year + 1)
-        values = self.shares[self._row[rc_id]].tolist()
-        return {y: s for y, s, t in zip(years, values, self.totals) if t > 0}
-
     # --- per forecast year ------------------------------------------------------
 
     def _years(self, lo: int, hi: int) -> slice:
@@ -240,8 +233,10 @@ class Panel:
             out[rows] = np.clip(z, -5.0, 5.0)
         return out
 
-    def rows(self, fy: int) -> list[RawIndicators]:
-        """Raw indicators of every RC with papers in [fy - window, fy], by rc_id."""
+    def columns(self, fy: int) -> dict[str, np.ndarray]:
+        """Raw indicators of every RC with papers in [fy - window, fy], by rc_id:
+        ``rc_id``, ``pk``, ``papers_in_fy`` and the ten indicator columns, with
+        undefined rvit as NaN."""
         rows = self.in_window(fy)
         pk = self.peak_years(fy, rows)
         in_window = (self._paper_year >= fy - self.window) & (self._paper_year <= fy)
@@ -251,16 +246,29 @@ class Panel:
         cvit = (np.bincount(paper_rc, weights=reciprocal_age, minlength=n_rc)[rows]
                 / np.bincount(paper_rc, minlength=n_rc)[rows])
         rvit = self._at(self._rvit, fy, fill=np.nan)
-        delta = self._delta_rvit(fy, rvit)[rows]
-        rvit = rvit[rows]
-        columns = {name: self._at(cube, fy)[rows].tolist() for name, cube in self._cubes.items()}
-        columns.update(
-            rc_id=[self.rc_ids[r] for r in rows], pk=pk.tolist(),
-            stage=(1.0 / (fy - pk + 1)).tolist(), cvit=cvit.tolist(),
-            rvit=[None if np.isnan(v) else v for v in rvit.tolist()],
-            delta_rvit=delta.tolist(), papers_in_fy=self.papers_in(fy)[rows].tolist())
-        return [RawIndicators(fy=fy, **dict(zip(columns, values)))
-                for values in zip(*columns.values())]
+        columns = {"rc_id": self.rc_ids[rows], "pk": pk,
+                   "papers_in_fy": self.papers_in(fy)[rows],
+                   "stage": 1.0 / (fy - pk + 1), "cvit": cvit, "rvit": rvit[rows],
+                   "delta_rvit": self._delta_rvit(fy, rvit)[rows]}
+        columns.update((name, self._at(cube, fy)[rows]) for name, cube in self._cubes.items())
+        return columns
+
+
+@dataclass(frozen=True, eq=False)
+class IndicatorTable:
+    """One forecast year's indicators as columns, one entry per RC, by rc_id.
+
+    ``raw`` holds ``rc_id``, ``pk``, ``papers_in_fy`` and the ten raw
+    indicators (undefined rvit is NaN), as ``Panel.columns`` returns them;
+    ``std`` holds the ten standardized indicators.
+    """
+
+    fy: int
+    raw: dict[str, np.ndarray]
+    std: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.raw["rc_id"])
 
 
 def _top(rank: JournalRank | None, which: str) -> bool:
@@ -281,48 +289,36 @@ def _transform(name: str, values: np.ndarray) -> np.ndarray:
     raise ValueError(kind)
 
 
-def transform_and_standardize(rows: list[RawIndicators]) -> list[StandardizedIndicators]:
-    """Transform each indicator and standardize by the forecast-year population.
+def standardize(raw: dict[str, np.ndarray], fy: int) -> dict[str, np.ndarray]:
+    """Transform each indicator column and standardize it by the forecast-year
+    population.
 
-    All rows must share one forecast year. Uses population mean/stdev; a
-    constant column standardizes to all zeros with a warning. Undefined rvit
-    values standardize to 0 (the population mean) and rvit is clipped to
-    +/- 3 after standardization.
+    Uses population mean/stdev; a constant column standardizes to all zeros
+    with a warning. Undefined (NaN) rvit values standardize to 0 (the
+    population mean) and rvit is clipped to +/- 3 after standardization.
     """
-    if len(rows) < 2:
-        raise ValueError("standardization needs at least 2 rows")
-    fys = {r.fy for r in rows}
-    if len(fys) != 1:
-        raise ValueError(f"rows span multiple forecast years: {sorted(fys)}")
-
+    n = len(raw["rc_id"])
+    if n < 2:
+        raise ValueError(f"fewer than 2 RC rows at fy={fy}; cannot standardize")
     columns: dict[str, np.ndarray] = {}
     for name in INDICATOR_NAMES:
-        vals = np.array(
-            [math.nan if r.value(name) is None else float(r.value(name)) for r in rows]
-        )
+        vals = np.asarray(raw[name], dtype=float)
         defined = ~np.isnan(vals)
-        t = np.full(len(rows), math.nan)
+        t = np.full(n, math.nan)
         t[defined] = _transform(name, vals[defined])
         mean = float(np.mean(t[defined]))
         std = float(np.std(t[defined]))
         if std < 1e-12:
-            warnings.warn(f"indicator {name} is constant in fy={rows[0].fy}; "
+            warnings.warn(f"indicator {name} is constant in fy={fy}; "
                           "standardized values set to 0")
-            z = np.zeros(len(rows))
+            z = np.zeros(n)
         else:
             z = (t - mean) / std
             z[~defined] = 0.0
         if name == "rvit":
             z = np.clip(z, -3.0, 3.0)
         columns[name] = z
-
-    out = []
-    for i, r in enumerate(rows):
-        out.append(StandardizedIndicators(
-            rc_id=r.rc_id, fy=r.fy,
-            **{name + "_s": float(columns[name][i]) for name in INDICATOR_NAMES},
-        ))
-    return out
+    return columns
 
 
 # --- persistence -------------------------------------------------------------
@@ -332,22 +328,18 @@ _TSV_COLUMNS = (["rc_id", "fy", "pk", "papers_in_fy"]
                 + [name + "_s" for name in INDICATOR_NAMES])
 
 
-def write_indicator_tsv(path, raw_rows: list[RawIndicators],
-                        std_rows: list[StandardizedIndicators]) -> None:
-    """Raw and standardized columns side by side, one row per (rc_id, fy)."""
-    if len(raw_rows) != len(std_rows):
-        raise ValueError("raw and standardized row counts differ")
+def write_indicator_tsv(path, table: IndicatorTable) -> None:
+    """Raw and standardized columns side by side, one row per (rc_id, fy).
+
+    Counts print as integers and every float by its repr, undefined rvit as nan.
+    """
+    columns = ([table.raw["rc_id"], np.full(len(table), table.fy), table.raw["pk"],
+                table.raw["papers_in_fy"]] + [table.raw[name] for name in INDICATOR_NAMES]
+               + [table.std[name] for name in INDICATOR_NAMES])
     with open(path, "w") as fh:
         fh.write("\t".join(_TSV_COLUMNS) + "\n")
-        for raw, std in zip(raw_rows, std_rows):
-            if (raw.rc_id, raw.fy) != (std.rc_id, std.fy):
-                raise ValueError("raw and standardized rows misaligned")
-            cells = [str(raw.rc_id), str(raw.fy), str(raw.pk), str(raw.papers_in_fy)]
-            for name in INDICATOR_NAMES:
-                v = raw.value(name)
-                cells.append("nan" if v is None else repr(v) if isinstance(v, float) else str(v))
-            cells += [repr(std.value(name)) for name in INDICATOR_NAMES]
-            fh.write("\t".join(cells) + "\n")
+        for row in zip(*(column.tolist() for column in columns)):
+            fh.write("\t".join(map(repr, row)) + "\n")
 
 
 def read_indicator_tsv(path) -> tuple[list[RawIndicators], list[StandardizedIndicators]]:

@@ -25,9 +25,10 @@ from .forecast import (
     build_forecasts,
     oracle_n,
     select_top_n,
+    table_outcomes,
     write_forecast_tsv,
 )
-from .indicators import INDICATOR_NAMES, Panel, transform_and_standardize, write_indicator_tsv
+from .indicators import INDICATOR_NAMES, IndicatorTable, Panel, standardize, write_indicator_tsv
 from .manifest import write_manifest
 from .regression import stepwise_select
 
@@ -76,12 +77,10 @@ def extend_model(corpus: Corpus, partition: Partition, through_year: int,
     return partition, reports
 
 
-def indicator_table(panel: Panel, fy: int):
-    """(raw_rows, std_rows) for one forecast year."""
-    raw = panel.rows(fy)
-    if len(raw) < 2:
-        raise ValueError(f"fewer than 2 RC rows at fy={fy}; cannot standardize")
-    return raw, transform_and_standardize(raw)
+def indicator_table(panel: Panel, fy: int) -> IndicatorTable:
+    """Raw and standardized indicator columns of one forecast year."""
+    raw = panel.columns(fy)
+    return IndicatorTable(fy, raw, standardize(raw, fy))
 
 
 def fit_composite(panel: Panel, tables: dict, min_papers: int = 20,
@@ -92,24 +91,18 @@ def fit_composite(panel: Panel, tables: dict, min_papers: int = 20,
     rows whose outcome is observable (corpus and partition extend through
     fy+3) enter the fit.
     """
-    default = CompositeModel.default()
     fys = sorted(tables)
-    xs: list[list[float]] = []
+    xs: list[np.ndarray] = []
     ys: list[int] = []
     for fy in fys:
-        raw, std = tables[fy]
-        records = build_forecasts(panel, raw, std, default, min_papers=min_papers)
-        by_rc = {r.rc_id: r for r in records}
-        for raw_row, std_row in zip(raw, std):
-            rec = by_rc.get(raw_row.rc_id)
-            if rec is None or rec.outcome is None:
-                continue
-            xs.append([std_row.value(name) for name in INDICATOR_NAMES])
-            ys.append(rec.outcome)
-    if not xs:
+        kept, _, labels = table_outcomes(panel, tables[fy], min_papers)
+        if labels is not None:
+            xs.append(np.column_stack([tables[fy].std[name][kept] for name in INDICATOR_NAMES]))
+            ys.extend(labels)
+    if not ys:
         raise ValueError(f"no outcome-bearing rows for fys {fys}; "
                          "corpus or model does not extend 3 years past them")
-    X = np.asarray(xs)
+    X = np.vstack(xs)
     y = np.asarray(ys, dtype=float)
     model = stepwise_select(X, y, INDICATOR_NAMES, z_threshold=z_threshold)
     model.meta.update({"fit_fys": fys, "min_papers": min_papers,
@@ -117,13 +110,13 @@ def fit_composite(panel: Panel, tables: dict, min_papers: int = 20,
     return model
 
 
-def forecast_year(panel: Panel, table, model: CompositeModel, min_papers: int = 20,
-                  top_n: int | None = None, oracle: bool = False) -> list[ForecastRecord]:
+def forecast_year(panel: Panel, table: IndicatorTable, model: CompositeModel,
+                  min_papers: int = 20, top_n: int | None = None,
+                  oracle: bool = False) -> list[ForecastRecord]:
     """Scored records for one forecast year's ``indicator_table``, ranked, with
     predicted flags set when a selection rule (explicit top_n, or oracle
     sizing) applies."""
-    raw, std = table
-    records = build_forecasts(panel, raw, std, model, min_papers=min_papers)
+    records = build_forecasts(panel, table, model, min_papers=min_papers)
     if top_n is not None:
         if top_n > len(records):
             raise ValueError(f"top_n={top_n} exceeds {len(records)} records")
@@ -222,7 +215,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     all_records: list[ForecastRecord] = []
     for fy in sorted(cfg.forecast_fys):
-        write_indicator_tsv(out / f"indicators_{fy}.tsv", *tables[fy])
+        write_indicator_tsv(out / f"indicators_{fy}.tsv", tables[fy])
         records = forecast_year(panel, tables[fy], model, min_papers=cfg.min_papers,
                                 top_n=cfg.top_n, oracle=cfg.oracle_n and cfg.top_n is None)
         write_forecast_tsv(out / f"forecast_{fy}.tsv", records)

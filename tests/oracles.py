@@ -7,10 +7,14 @@ Indicators, growth labels and the lifecycle table are recomputed by loops over
 papers and references; only the result types and the scalar growth rule come
 from the library. The dict-based Leiden cores and the stack-walk connected
 components that the library replaced are kept here as references too, and so
-is the per-query BM25 scorer of the model extension.
+is the per-query BM25 scorer of the model extension, the row-based
+standardization, forecasts and composite fit that the indicator table replaced,
+and the split-then-filter term tokenizer.
 """
 
 import math
+import re
+import warnings
 from collections import Counter, deque
 from dataclasses import replace
 
@@ -20,8 +24,24 @@ from rcforecast.assign import B, K1, AssignmentReport
 from rcforecast.cluster import _EPS, _THETA, ClusterError, _Level
 from rcforecast.corpus import CorpusError
 from rcforecast.evaluate import LifecycleRow
-from rcforecast.forecast import HORIZON, growth_rate, label_exceptional
-from rcforecast.indicators import DEFAULT_WINDOW, TOP_RANK, RawIndicators
+from rcforecast.forecast import (
+    HORIZON,
+    CompositeModel,
+    ForecastRecord,
+    growth_rate,
+    label_exceptional,
+)
+from rcforecast.indicators import (
+    DEFAULT_WINDOW,
+    INDICATOR_NAMES,
+    TOP_RANK,
+    IndicatorTable,
+    RawIndicators,
+    StandardizedIndicators,
+    _transform,
+    standardize,
+)
+from rcforecast.regression import stepwise_select
 
 
 def set_partitions(items):
@@ -533,6 +553,157 @@ def lifecycle_report(partition, corpus, fy, min_papers=0, window=DEFAULT_WINDOW)
             n_xg=n_xg, pct_xg=pct_xg, n_new_peak=n_new, pct_new_peak=pct_new,
         ))
     return rows
+
+
+# --- the row-based standardization, forecasts and fit the table replaced -----
+#
+# One RawIndicators / StandardizedIndicators dataclass per (RC, fy), a share
+# dict per RC for each outcome, and a scalar composite score per row. The
+# array-backed table, records and composite are tested against these.
+
+
+def raw_rows(raw, fy):
+    """The RawIndicators rows of ``Panel.columns(fy)``, undefined rvit as None."""
+    columns = {name: raw[name].tolist() for name in raw}
+    columns["rvit"] = [None if math.isnan(v) else v for v in columns["rvit"]]
+    return [RawIndicators(fy=fy, **dict(zip(columns, values)))
+            for values in zip(*columns.values())]
+
+
+def table_of(rows):
+    """The IndicatorTable of hand-built RawIndicators rows of one forecast
+    year, standardized by the library; ValueError for rows of several fys."""
+    fys = {r.fy for r in rows}
+    if len(fys) > 1:
+        raise ValueError(f"rows span multiple forecast years: {sorted(fys)}")
+    raw = {name: np.array([math.nan if getattr(r, name) is None else getattr(r, name)
+                           for r in rows],
+                          dtype=float if name in ("stage", "cvit", "rvit", "delta_rvit")
+                          else np.int64)
+           for name in ("rc_id", "pk", "papers_in_fy", *INDICATOR_NAMES)}
+    fy = rows[0].fy if rows else 0
+    return IndicatorTable(fy, raw, standardize(raw, fy))
+
+
+def std_rows(table):
+    """The StandardizedIndicators rows of an IndicatorTable."""
+    columns = {name + "_s": table.std[name].tolist() for name in INDICATOR_NAMES}
+    return [StandardizedIndicators(rc_id=rc, fy=table.fy, **dict(zip(columns, values)))
+            for rc, *values in zip(table.raw["rc_id"].tolist(), *columns.values())]
+
+
+def transform_and_standardize(rows):
+    if len(rows) < 2:
+        raise ValueError("standardization needs at least 2 rows")
+    fys = {r.fy for r in rows}
+    if len(fys) != 1:
+        raise ValueError(f"rows span multiple forecast years: {sorted(fys)}")
+    columns = {}
+    for name in INDICATOR_NAMES:
+        vals = np.array(
+            [math.nan if r.value(name) is None else float(r.value(name)) for r in rows]
+        )
+        defined = ~np.isnan(vals)
+        t = np.full(len(rows), math.nan)
+        t[defined] = _transform(name, vals[defined])
+        mean = float(np.mean(t[defined]))
+        std = float(np.std(t[defined]))
+        if std < 1e-12:
+            warnings.warn(f"indicator {name} is constant in fy={rows[0].fy}; "
+                          "standardized values set to 0")
+            z = np.zeros(len(rows))
+        else:
+            z = (t - mean) / std
+            z[~defined] = 0.0
+        if name == "rvit":
+            z = np.clip(z, -3.0, 3.0)
+        columns[name] = z
+    return [StandardizedIndicators(
+        rc_id=r.rc_id, fy=r.fy,
+        **{name + "_s": float(columns[name][i]) for name in INDICATOR_NAMES})
+        for i, r in enumerate(rows)]
+
+
+def composite_score(std, model):
+    values = {name: std.value(name) for name in INDICATOR_NAMES}
+    score = 0.0
+    for name, coef in zip(model.variables, model.coefficients):
+        if name not in values:
+            raise KeyError(f"standardized indicator {name!r} missing")
+        score += coef * values[name]
+    return score
+
+
+def _shares_of(panel, rc_id):
+    years = range(panel.first_year, panel.last_year + 1)
+    values = panel.shares[panel._row[rc_id]].tolist()
+    return {y: s for y, s, t in zip(years, values, panel.totals) if t > 0}
+
+
+def build_forecasts(panel, raw_rows, std_rows, model, min_papers=0):
+    if len(raw_rows) != len(std_rows):
+        raise ValueError("raw and standardized rows misaligned")
+    model_year = getattr(panel.partition, "model_year", None)
+    if model_year is None:
+        raise ValueError("partition has no model_year; cannot compute relative year")
+    extended = getattr(panel.partition, "extended_through", model_year)
+    out = []
+    for raw, std in zip(raw_rows, std_rows):
+        if (raw.rc_id, raw.fy) != (std.rc_id, std.fy):
+            raise ValueError("raw and standardized rows misaligned")
+        if raw.papers_in_fy < min_papers:
+            continue
+        ty = raw.fy + HORIZON
+        outcome = None
+        gr = None
+        if ty <= panel.last_year and ty <= extended:
+            gr = growth_rate(_shares_of(panel, raw.rc_id), raw.pk, ty)
+            outcome = label_exceptional(gr)
+        out.append(ForecastRecord(
+            rc_id=raw.rc_id, fy=raw.fy, ty=ty, ry=raw.fy - model_year,
+            score=composite_score(std, model), predicted=0,
+            papers_in_fy=raw.papers_in_fy, outcome=outcome, growth_rate=gr,
+        ))
+    return out
+
+
+def fit_composite(panel, tables, min_papers=20, z_threshold=4.0):
+    """``tables`` maps each fit year to its (raw_rows, std_rows)."""
+    default = CompositeModel.default()
+    fys = sorted(tables)
+    xs, ys = [], []
+    for fy in fys:
+        raw, std = tables[fy]
+        records = build_forecasts(panel, raw, std, default, min_papers=min_papers)
+        by_rc = {r.rc_id: r for r in records}
+        for raw_row, std_row in zip(raw, std):
+            rec = by_rc.get(raw_row.rc_id)
+            if rec is None or rec.outcome is None:
+                continue
+            xs.append([std_row.value(name) for name in INDICATOR_NAMES])
+            ys.append(rec.outcome)
+    if not xs:
+        raise ValueError(f"no outcome-bearing rows for fys {fys}; "
+                         "corpus or model does not extend 3 years past them")
+    X = np.asarray(xs)
+    y = np.asarray(ys, dtype=float)
+    model = stepwise_select(X, y, INDICATOR_NAMES, z_threshold=z_threshold)
+    model.meta.update({"fit_fys": fys, "min_papers": min_papers,
+                       "n_rows": len(ys), "positives": int(y.sum())})
+    return model
+
+
+_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+
+
+def normalize_terms(raw):
+    pieces = [raw] if isinstance(raw, str) else [str(t) for t in raw]
+    out = []
+    for piece in pieces:
+        for tok in _TOKEN_SPLIT.split(piece.lower()):
+            if len(tok) >= 2:
+                out.append(tok)
+    return tuple(out)
 
 
 # --- the per-query BM25 extension the sparse scorer replaced -----------------

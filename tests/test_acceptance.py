@@ -24,18 +24,13 @@ from rcforecast.forecast import (
     label_exceptional,
     oracle_n,
 )
-from rcforecast.indicators import (
-    INDICATOR_NAMES,
-    Panel,
-    RawIndicators,
-    transform_and_standardize,
-)
-from rcforecast.pipeline import PipelineConfig, run_pipeline
+from rcforecast.indicators import INDICATOR_NAMES, Panel, RawIndicators
+from rcforecast.pipeline import PipelineConfig, indicator_table, run_pipeline
 from rcforecast.regression import fit_probit, probit_gradient, probit_loglik, stepwise_select
 from rcforecast.synth import SynthConfig, generate
 
 from conftest import ACCEPTANCE_LINES, paper, write_papers
-from oracles import exhaustive_best_modularity, small_graph_fixtures
+from oracles import exhaustive_best_modularity, raw_rows, small_graph_fixtures, std_rows, table_of
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -219,7 +214,7 @@ def _raw_row(i, fy=2015, **kw):
 
 
 def _rc_row(corpus, part, rc_id, fy):
-    return next(r for r in Panel(corpus, part).rows(fy) if r.rc_id == rc_id)
+    return next(r for r in raw_rows(Panel(corpus, part).columns(fy), fy) if r.rc_id == rc_id)
 
 
 def test_acceptance_7_indicator_exactness(tmp_path):
@@ -259,7 +254,7 @@ def test_acceptance_7_indicator_exactness(tmp_path):
                      nrev=int(rng.integers(0, 12)), nref=int(rng.integers(0, 400)))
             for i in range(int(rng.integers(5, 60)))
         ]
-        std = transform_and_standardize(rows)
+        std = std_rows(table_of(rows))
         for name in INDICATOR_NAMES:
             vals = np.array([s.value(name) for s in std])
             if name == "rvit":
@@ -279,9 +274,10 @@ def test_acceptance_7_indicator_exactness(tmp_path):
         part = Partition(dict(res.paper_community), model_year=2014, rc_count=150)
         engine = Panel(corpus, part)
         for fy in (2008, 2012):
-            rows = engine.rows(fy)
+            table = indicator_table(engine, fy)
+            rows = raw_rows(table.raw, fy)
             ok = ok and all(-5.0 <= r.delta_rvit <= 5.0 for r in rows)
-            std = transform_and_standardize(rows)
+            std = std_rows(table)
             ok = ok and all(-3.0 <= s.rvit_s <= 3.0 for s in std)
             for name in INDICATOR_NAMES:
                 vals = np.array([s.value(name) for s in std])
@@ -329,7 +325,7 @@ def test_acceptance_8_end_to_end_csi(e2e_runs):
 def test_acceptance_9_leakage_bookkeeping(tmp_path):
     # model built mid-span: forecasts before the model year are circumstantial
     res = generate(SynthConfig(rng_seed=41, n_communities=400), tmp_path / "synth")
-    from rcforecast.pipeline import build_model, extend_model, forecast_year, indicator_table
+    from rcforecast.pipeline import build_model, extend_model, forecast_year
     corpus = load_corpus(res.papers_path, res.ranks_path)
     config = ClusterConfig(quality="cpm", resolution=0.02, rng_seed=0)
     partition, _ = build_model(corpus, 2009, config)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcforecast.cli import run
+from rcforecast.cluster import ClusterError, load_partition
+from rcforecast.forecast import CompositeModel
 from rcforecast.corpus import load_corpus, normalize_terms
 from rcforecast.synth import SynthConfig, generate
 
@@ -207,6 +210,86 @@ def test_indicators_fy_without_rows_exits_2(synth_dir, model_dir, tmp_path, caps
                 "--out", str(tmp_path / "ind.tsv")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "fewer than 2 RC rows" in err["error"]
+
+
+def _one_line_error(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1      # one JSON report, no traceback
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("composite,problem", [
+    ({"coefficients": [0.5]}, "variables"),
+    ([], "JSON object"),
+    ({"variables": ["stage", "bogus"], "coefficients": [0.5, 0.1]}, "variables"),
+    ({"variables": "stage", "coefficients": [0.5]}, "variables"),
+    ({"variables": ["stage", "cvit"], "coefficients": [0.5]}, "coefficients"),
+    ({"variables": ["stage"], "coefficients": ["0.5"]}, "coefficients"),
+    ({"variables": ["stage"], "coefficients": [True]}, "coefficients"),
+    ({"variables": ["stage"], "coefficients": 0.5}, "coefficients"),
+    ({"variables": ["stage"], "coefficients": [0.5], "intercept": "1"}, "intercept"),
+])
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_bad_composite_file_exits_2(synth_dir, model_dir, tmp_path, capsys, composite,
+                                    problem, command):
+    path = tmp_path / "composite.json"
+    path.write_text(json.dumps(composite))
+    argv = [command, "--corpus", str(synth_dir / "papers.jsonl"), "--model", str(model_dir),
+            "--composite", str(path), "--out-json" if command == "evaluate" else "--out",
+            str(tmp_path / "out"), "--fy-range" if command == "evaluate" else "--fy", "2010"]
+    assert run(argv) == 2
+    assert problem in _one_line_error(capsys)["error"]
+
+
+def test_composite_file_with_int_coefficient_and_null_intercept_loads(tmp_path):
+    path = tmp_path / "composite.json"
+    path.write_text(json.dumps({"variables": ["stage", "nref"], "coefficients": [1, -0.5],
+                                "intercept": None}))
+    model = CompositeModel.from_json(path)
+    assert model.variables == ("stage", "nref") and model.coefficients == (1.0, -0.5)
+
+
+def _with_line(text, index, line):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:index] + [line + "\n"] + lines[index:])
+
+
+def _broken_model(model_dir, tmp_path, tsv=None, meta=None):
+    out = tmp_path / "model"
+    shutil.copytree(model_dir, out)
+    if tsv is not None:
+        (out / "partition.tsv").write_text(tsv((model_dir / "partition.tsv").read_text()))
+    if meta is not None:
+        (out / "partition.json").write_text(json.dumps(
+            meta(json.loads((model_dir / "partition.json").read_text()))))
+    return out
+
+
+@pytest.mark.parametrize("tsv,meta,problem", [
+    (None, lambda m: [], "JSON object"),
+    (None, lambda m: dict(m, model_year="2009"), "model_year"),
+    (None, lambda m: dict(m, extended_through=True), "extended_through"),
+    (None, lambda m: dict(m, rc_count=3.0), "rc_count"),
+    (None, lambda m: dict(m, external_assignment={"x": 1}), "external_assignment"),
+    (lambda t: _with_line(t, 2, "5"), None,
+     "partition line 3: expected paper_id and rc_id, got '5'"),
+    (lambda t: _with_line(t, 2, "7\t1.5"), None, "partition line 3: expected paper_id"),
+    (lambda t: _with_line(t, 3, t.splitlines()[1]), None, "partition line 4: duplicate"),
+])
+def test_bad_partition_file_exits_2(synth_dir, model_dir, tmp_path, capsys, tsv, meta,
+                                    problem):
+    model = _broken_model(model_dir, tmp_path, tsv, meta)
+    assert run(["lifecycle", "--corpus", str(synth_dir / "papers.jsonl"), "--model",
+                str(model), "--fy", "2010", "--out", str(tmp_path / "lc.tsv")]) == 2
+    assert problem in _one_line_error(capsys)["error"]
+
+
+def test_duplicate_partition_row_names_its_line(tmp_path):
+    (tmp_path / "p.tsv").write_text("paper_id\trc_id\n1\t0\n2\t0\n1\t3\n")
+    with pytest.raises(ClusterError, match="partition line 4: duplicate paper_id 1"):
+        load_partition(tmp_path / "p.tsv")
+    (tmp_path / "p.tsv").write_text("paper_id\trc_id\n1\t0\r\n 2 0\n-3\t7")
+    assert load_partition(tmp_path / "p.tsv").assignment == {1: 0, 2: 0, -3: 7}
 
 
 def _validate_error(tmp_path, capsys, records, journal_rows=None):

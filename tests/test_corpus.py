@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rcforecast.corpus import CorpusError, load_corpus, normalize_terms, save_corpus
 from rcforecast.indicators import Panel
 
+import oracles
 from conftest import paper, write_papers
 
 
@@ -73,6 +74,24 @@ def test_normalize_terms():
     assert normalize_terms("Deep-Learning, for NLP!") == ("deep", "learning", "for", "nlp")
     assert normalize_terms(["Graph", "x", "AB"]) == ("graph", "ab")
     assert normalize_terms("") == ()
+
+
+# characters whose lowercase is ASCII or longer than one character, or depends
+# on context (final sigma), next to ASCII letters, digits and separators
+_CASE_EDGES = "\u0130\u212a\u017f\u00df\u03a3\u03c3\u03c2\u0391\u0307aZk09 -'"
+_TEXT = st.text(st.characters() | st.sampled_from(_CASE_EDGES), max_size=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TEXT | st.lists(_TEXT, max_size=6))
+def test_normalize_terms_matches_split_then_filter(raw):
+    assert normalize_terms(raw) == oracles.normalize_terms(raw)
+
+
+def test_normalize_terms_case_edges():
+    for text in ["\u0130STANBUL", "\u212aelvin", "\u017ftra\u00dfe", "AB\u03a3", "\u03a3 ab"]:
+        assert normalize_terms(text) == oracles.normalize_terms(text)
+    assert normalize_terms(["\u0130x", "K\u212a"]) == ("kk",)   # "i\u0307x" splits at U+0307
 
 
 def test_publication_share_basic(corpus_factory):

@@ -15,7 +15,8 @@ from rcforecast.forecast import (
     select_top_n,
     write_forecast_tsv,
 )
-from rcforecast.indicators import Panel, transform_and_standardize
+from rcforecast.indicators import Panel
+from rcforecast.pipeline import indicator_table
 
 from conftest import paper
 
@@ -156,9 +157,7 @@ def _pipeline_rows(corpus_factory):
 def test_build_forecasts_attaches_outcomes_and_ry(corpus_factory):
     corpus, partition = _pipeline_rows(corpus_factory)
     panel = Panel(corpus, partition)
-    raw = panel.rows(2011)
-    std = transform_and_standardize(raw)
-    records = build_forecasts(panel, raw, std, CompositeModel.default())
+    records = build_forecasts(panel, indicator_table(panel, 2011), CompositeModel.default())
     assert {r.rc_id for r in records} == {0, 1}
     for r in records:
         assert r.ty == 2014
@@ -170,9 +169,7 @@ def test_build_forecasts_attaches_outcomes_and_ry(corpus_factory):
 def test_build_forecasts_no_outcome_when_target_year_missing(corpus_factory):
     corpus, partition = _pipeline_rows(corpus_factory)
     panel = Panel(corpus, partition)
-    raw = panel.rows(2014)
-    std = transform_and_standardize(raw)
-    records = build_forecasts(panel, raw, std, CompositeModel.default())
+    records = build_forecasts(panel, indicator_table(panel, 2014), CompositeModel.default())
     assert all(r.outcome is None and r.growth_rate is None for r in records)
     assert all(r.ry == 4 for r in records)
 
@@ -180,9 +177,7 @@ def test_build_forecasts_no_outcome_when_target_year_missing(corpus_factory):
 def test_min_papers_filter(corpus_factory):
     corpus, partition = _pipeline_rows(corpus_factory)
     panel = Panel(corpus, partition)
-    raw = panel.rows(2011)
-    std = transform_and_standardize(raw)
-    records = build_forecasts(panel, raw, std, CompositeModel.default(),
+    records = build_forecasts(panel, indicator_table(panel, 2011), CompositeModel.default(),
                               min_papers=2)
     assert {r.rc_id for r in records} == {1}  # rc 0 has one paper in 2011
 

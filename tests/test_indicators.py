@@ -10,11 +10,16 @@ from rcforecast.indicators import (
     Panel,
     RawIndicators,
     read_indicator_tsv,
-    transform_and_standardize,
     write_indicator_tsv,
 )
 
+import oracles
 from conftest import paper
+
+
+def _standardize_rows(rows):
+    """Standardized rows of hand-built raw rows, through the library's table."""
+    return oracles.std_rows(oracles.table_of(rows))
 
 
 def _shares_panel(shares, total=2000):
@@ -65,7 +70,8 @@ class _Rows:
         self.panel = Panel(corpus, partition)
 
     def raw(self, rc_id, fy):
-        return next((r for r in self.panel.rows(fy) if r.rc_id == rc_id), None)
+        return next((r for r in oracles.raw_rows(self.panel.columns(fy), fy)
+                     if r.rc_id == rc_id), None)
 
 
 def _engine(corpus_factory, papers, assignment, journals=None):
@@ -190,7 +196,7 @@ def _raw(rc, fy=2015, **kw):
 def test_standardize_two_rows_hand_arithmetic():
     # raw stage {1.0, 0.5}: population mean 0.75, stdev 0.25 -> {+1, -1}
     rows = [_raw(1, stage=1.0), _raw(2, stage=0.5)]
-    std = transform_and_standardize(rows)
+    std = _standardize_rows(rows)
     assert std[0].stage_s == pytest.approx(1.0)
     assert std[1].stage_s == pytest.approx(-1.0)
 
@@ -205,7 +211,7 @@ def test_standardized_moments_zero_one():
              nrev=int(rng.integers(0, 10)), nref=int(rng.integers(0, 300)))
         for i in range(200)
     ]
-    std = transform_and_standardize(rows)
+    std = _standardize_rows(rows)
     for name in INDICATOR_NAMES:
         vals = np.array([s.value(name) for s in std])
         if name == "rvit":
@@ -218,7 +224,7 @@ def test_standardized_moments_zero_one():
 def test_constant_column_standardizes_to_zero_with_warning():
     rows = [_raw(1, ntopj=3), _raw(2, ntopj=3)]
     with pytest.warns(UserWarning, match="ntopj"):
-        std = transform_and_standardize(rows)
+        std = _standardize_rows(rows)
     assert all(s.ntopj_s == 0.0 for s in std)
 
 
@@ -229,31 +235,31 @@ def test_scale_invariance_of_log_count_columns():
     # multiply every (value+1) by 7: log turns scale into shift, which
     # standardization removes
     rows_b = [_raw(i, ntopj=int(7 * (c + 1) - 1)) for i, c in enumerate(counts)]
-    std_a = transform_and_standardize(rows_a)
-    std_b = transform_and_standardize(rows_b)
+    std_a = _standardize_rows(rows_a)
+    std_b = _standardize_rows(rows_b)
     for a, b in zip(std_a, std_b):
         assert a.ntopj_s == pytest.approx(b.ntopj_s, abs=1e-9)
 
 
 def test_stage_standardized_monotone_in_gap():
     rows = [_raw(i, stage=1.0 / (gap + 1)) for i, gap in enumerate([0, 1, 2, 3, 5, 9])]
-    std = transform_and_standardize(rows)
+    std = _standardize_rows(rows)
     vals = [s.stage_s for s in std]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_rvit_undefined_imputes_zero():
     rows = [_raw(1, rvit=0.3), _raw(2, rvit=0.7), _raw(3, rvit=None)]
-    std = transform_and_standardize(rows)
+    std = _standardize_rows(rows)
     assert std[2].rvit_s == 0.0
     assert std[0].rvit_s < 0 < std[1].rvit_s
 
 
 def test_standardize_validations():
     with pytest.raises(ValueError):
-        transform_and_standardize([_raw(1)])
+        _standardize_rows([_raw(1)])
     with pytest.raises(ValueError):
-        transform_and_standardize([_raw(1, fy=2015), _raw(2, fy=2016)])
+        _standardize_rows([_raw(1, fy=2015), _raw(2, fy=2016)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -262,7 +268,7 @@ def test_standardize_validations():
 def test_bounds_hold_on_fuzzed_rows(vals):
     rows = [_raw(i, rvit=v, delta_rvit=max(-5.0, min(5.0, d)))
             for i, (v, d) in enumerate(vals)]
-    std = transform_and_standardize(rows)
+    std = _standardize_rows(rows)
     for s in std:
         assert -3.0 <= s.rvit_s <= 3.0
     for r in rows:
@@ -283,21 +289,22 @@ def test_recompute_after_reload_is_bit_exact(tmp_path, corpus_factory):
     assignment = {pid: pid % 4 for pid in range(60)}
     part = Partition(dict(assignment), model_year=2015, rc_count=4)
 
-    rows1 = Panel(corpus, part).rows(2015)
+    rows1 = oracles.raw_rows(Panel(corpus, part).columns(2015), 2015)
 
     save_corpus(corpus, tmp_path / "c.jsonl", tmp_path / "r.csv")
     save_partition(part, tmp_path / "p.tsv", tmp_path / "p.json")
     corpus2 = load_corpus(tmp_path / "c.jsonl", tmp_path / "r.csv")
     part2 = load_partition(tmp_path / "p.tsv", tmp_path / "p.json")
-    rows2 = Panel(corpus2, part2).rows(2015)
+    rows2 = oracles.raw_rows(Panel(corpus2, part2).columns(2015), 2015)
     assert rows1 == rows2
 
 
 def test_indicator_tsv_round_trip(tmp_path):
     rows = [_raw(1, rvit=None), _raw(2, stage=0.5, ntopj=4)]
-    std = transform_and_standardize(rows)
+    table = oracles.table_of(rows)
+    std = oracles.std_rows(table)
     path = tmp_path / "ind.tsv"
-    write_indicator_tsv(path, rows, std)
+    write_indicator_tsv(path, table)
     raw2, std2 = read_indicator_tsv(path)
     assert raw2 == rows
     assert std2 == std

@@ -5,6 +5,7 @@ table live on in ``oracles.py``. Integer fields, peak years and the pattern of
 undefined rvit must match exactly; floats within 1e-12.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from rcforecast.corpus import DOC_TYPES, Corpus, CorpusError, JournalRank, Paper
     load_corpus
 from rcforecast.evaluate import lifecycle_report
 from rcforecast.forecast import CompositeModel, build_forecasts
-from rcforecast.indicators import INDICATOR_NAMES, Panel, StandardizedIndicators
+from rcforecast.indicators import INDICATOR_NAMES, IndicatorTable, Panel
 from rcforecast.pipeline import PipelineConfig
 from rcforecast.synth import SynthConfig, generate
 
@@ -36,7 +37,8 @@ def _outcome(fn):
 
 def assert_matches_engine(corpus, partition, fy, window=10, min_papers=0):
     panel = Panel(corpus, partition, window=window)
-    raw = panel.rows(fy)
+    columns = panel.columns(fy)
+    raw = oracles.raw_rows(columns, fy)
     want = oracles.IndicatorEngine(corpus, partition, window=window).rows(fy)
     assert len(raw) == len(want)
     for got, ref in zip(raw, want):
@@ -46,10 +48,9 @@ def assert_matches_engine(corpus, partition, fy, window=10, min_papers=0):
             if getattr(ref, f) is not None:
                 assert getattr(got, f) == pytest.approx(getattr(ref, f), rel=0, abs=1e-12), f
 
-    zeros = [StandardizedIndicators(rc_id=r.rc_id, fy=r.fy,
-                                    **{n + "_s": 0.0 for n in INDICATOR_NAMES}) for r in raw]
+    zeros = IndicatorTable(fy, columns, {n: np.zeros(len(raw)) for n in INDICATOR_NAMES})
     labels = _outcome(lambda: [(r.rc_id, r.growth_rate, r.outcome) for r in build_forecasts(
-        panel, raw, zeros, CompositeModel.default())])
+        panel, zeros, CompositeModel.default())])
     assert labels == _outcome(lambda: oracles.growth_labels(corpus, partition, raw))
 
     assert _outcome(lambda: lifecycle_report(panel, fy, min_papers)) == _outcome(

@@ -9,6 +9,8 @@ from rcforecast.corpus import load_corpus
 from rcforecast.indicators import Panel
 from rcforecast.synth import SynthConfig, SynthError, generate, load_truth
 
+from oracles import raw_rows
+
 
 @pytest.fixture(scope="module")
 def small_synth(tmp_path_factory):
@@ -108,7 +110,7 @@ def test_planted_communities_have_stronger_lifecycle_signals(small_synth):
     fy = 2008
     planted = {c for c, k in res.community_class.items() if k.endswith("+xg")}
     xg_now = {c for c in planted if res.xg_truth.get((c, fy)) == 1}
-    rows = engine.rows(fy)
+    rows = raw_rows(engine.columns(fy), fy)
     xg_rows = [r for r in rows if r.rc_id in xg_now]
     other = [r for r in rows if r.rc_id not in planted]
     assert len(xg_rows) >= 5
