@@ -13,14 +13,13 @@ as sparse products over the corpus's paper x term matrix.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
 
 from .cluster import ClusterError, Partition
-from .corpus import Corpus, CorpusError
+from .corpus import Corpus
 
 K1 = 1.2
 B = 0.75
@@ -32,17 +31,9 @@ def rc_documents(corpus: Corpus, assignment: dict[int, int]
                  ) -> tuple[np.ndarray, sparse.csr_array]:
     """Sorted RC ids and the RC x term counts of their aggregate documents
     (the concatenated terms of their member papers), one row per RC."""
-    n, ids = len(assignment), corpus.paper_ids
-    pids = np.fromiter(assignment, np.int64, n)
-    rc_ids, rc_row = np.unique(np.fromiter(assignment.values(), np.int64, n),
-                               return_inverse=True)
-    row = np.searchsorted(ids, pids)
-    unknown = pids[ids.take(row, mode="clip") != pids].tolist()
-    if unknown:
-        raise CorpusError(f"partition references unknown paper {unknown[0]}",
-                          paper_id=unknown[0])
-    members = sparse.csr_array((np.ones(n, np.int32), (rc_row, row)),
-                               shape=(len(rc_ids), len(ids)))
+    row, rc_ids, rc_row = corpus.partition_rows(assignment)
+    members = sparse.csr_array((np.ones(len(row), np.int32), (rc_row, row)),
+                               shape=(len(rc_ids), len(corpus.paper_ids)))
     return rc_ids, members @ corpus.term_matrix
 
 
@@ -92,6 +83,24 @@ def best_columns(scores: np.ndarray) -> list[int]:
     return best
 
 
+def _plurality(corpus: Corpus, new_year: int, base: dict[int, int]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the ``new_year`` papers citing papers of ``base``, and for
+    each the RC most of those are in, ties toward the smaller rc_id."""
+    citing = np.repeat(np.arange(len(corpus.year)), np.diff(corpus.ref_ptr))
+    in_year = corpus.year[citing] == new_year
+    rcs = [base.get(ref) for ref in corpus.refs[in_year].tolist()]
+    voted = np.array([rc is not None for rc in rcs], bool)
+    rc_ids, rc_code = np.unique(np.array([rc for rc in rcs if rc is not None], np.int64),
+                                return_inverse=True)
+    pairs, votes = np.unique(citing[in_year][voted] * len(rc_ids) + rc_code,
+                             return_counts=True)
+    row, code = np.divmod(pairs, max(len(rc_ids), 1))
+    ranked = np.lexsort((code, -votes, row))     # by row, most votes, smaller rc
+    _, first = np.unique(row[ranked], return_index=True)
+    return row[ranked[first]], rc_ids[code[ranked[first]]]
+
+
 @dataclass
 class AssignmentReport:
     year: int
@@ -127,31 +136,25 @@ def assign_new_papers(partition: Partition, corpus: Corpus, new_year: int
             f"new_year must be {partition.extended_through + 1}, got {new_year}"
         )
     base = partition.assignment
-    pids = corpus.papers_in_year(new_year)
-    chosen: dict[int, int] = {}
-    queries: list[int] = []
-    for pid in pids:
-        paper = corpus.papers[pid]
-        votes: Counter = Counter()
-        for ref in paper.references:
-            rc = base.get(ref)
-            if rc is not None:
-                votes[rc] += 1
-        if votes:
-            top = max(votes.values())
-            chosen[pid] = min(rc for rc, v in votes.items() if v == top)
-        elif paper.terms:
-            queries.append(pid)
-    report = AssignmentReport(year=new_year, n_papers=len(pids), by_references=len(chosen))
-    if queries:
-        rc_ids, docs = rc_documents(corpus, base)
-        rows = corpus.term_matrix[np.searchsorted(corpus.paper_ids, queries)]
-        best = [i for block in bm25_score_blocks(docs, rows) for i in best_columns(block)]
-        hits = {pid: int(rc_ids[i]) for pid, i in zip(queries, best) if i >= 0}
-        chosen.update(hits)
-        report.by_bm25 = len(hits)
-    report.unassigned = [pid for pid in pids if pid not in chosen]
+    in_year = corpus.year == new_year
+    chosen, assigned = np.zeros(len(in_year), np.int64), np.zeros(len(in_year), bool)
+    voters, voted_rc = _plurality(corpus, new_year, base)
+    chosen[voters], assigned[voters] = voted_rc, True
+    report = AssignmentReport(year=new_year, n_papers=int(in_year.sum()),
+                              by_references=len(voters))
+    if (in_year & ~assigned).any():
+        terms = corpus.term_matrix
+        queries = np.flatnonzero(in_year & ~assigned & (np.diff(terms.indptr) > 0))
+        if len(queries):
+            rc_ids, docs = rc_documents(corpus, base)
+            best = np.array([i for block in bm25_score_blocks(docs, terms[queries])
+                             for i in best_columns(block)])
+            hits = queries[best >= 0]
+            chosen[hits], assigned[hits] = rc_ids[best[best >= 0]], True
+            report.by_bm25 = len(hits)
+    report.unassigned = corpus.paper_ids[in_year & ~assigned].tolist()
+    new = in_year & assigned
     new_assignment = dict(base)
-    new_assignment.update((pid, chosen[pid]) for pid in pids if pid in chosen)
+    new_assignment.update(zip(corpus.paper_ids[new].tolist(), chosen[new].tolist()))
     updated = replace(partition, assignment=new_assignment, extended_through=new_year)
     return updated, report

@@ -40,18 +40,9 @@ class CitationGraph:
     def n_edges(self) -> int:
         return len(self.indices) // 2
 
-    def index_of(self, node_id: int) -> int:
-        i = int(np.searchsorted(self.node_ids, node_id))
-        if i >= len(self.node_ids) or self.node_ids[i] != node_id:
-            raise KeyError(f"node {node_id} not in graph")
-        return i
-
     def neighbors(self, i: int):
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
     def strengths(self) -> np.ndarray:
         src = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
@@ -70,13 +61,9 @@ class CitationGraph:
     def from_edges(cls, edges, nodes=None, internal_ids=None, year_cutoff=None,
                    extended=False) -> "CitationGraph":
         """Build from an iterable of (u, v) id pairs; isolated nodes via ``nodes``."""
-        ids = set()
-        for u, v in edges:
-            ids.add(u)
-            ids.add(v)
-        if nodes is not None:
-            ids.update(nodes)
-        node_ids = np.array(sorted(ids), dtype=np.int64)
+        edges = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        node_ids = np.unique(np.concatenate([edges.ravel(), np.array(
+            [] if nodes is None else list(nodes), dtype=np.int64)]))
         if internal_ids is None:
             internal = np.ones(len(node_ids), dtype=bool)
         else:
@@ -87,32 +74,25 @@ class CitationGraph:
         return cls(node_ids, internal, indptr, indices, weights, year_cutoff, extended)
 
 
-def _canonical_pairs(edges, node_ids: np.ndarray) -> np.ndarray:
-    """Map id pairs to sorted-index pairs, drop self-loops, deduplicate."""
-    if not isinstance(edges, (list, tuple)):
-        edges = list(edges)
-    if len(edges) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    arr = np.asarray(edges, dtype=np.int64)
-    u = np.searchsorted(node_ids, arr[:, 0])
-    v = np.searchsorted(node_ids, arr[:, 1])
+def _canonical_pairs(edges: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
+    """Sorted index pairs of an (m, 2) array of id pairs, without self-loops or repeats."""
+    u = np.searchsorted(node_ids, edges[:, 0])
+    v = np.searchsorted(node_ids, edges[:, 1])
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     keep = lo != hi
     lo, hi = lo[keep], hi[keep]
-    key = lo * len(node_ids) + hi
-    key = np.unique(key)
+    # a sort, not np.unique: numpy 2.3 and later hash there, many times slower
+    key = np.sort(lo * len(node_ids) + hi)
+    key = key[np.diff(key, prepend=key[:1] - 1) != 0]
     return np.column_stack([key // len(node_ids), key % len(node_ids)])
 
 
 def _csr_from_pairs(pairs: np.ndarray, n: int):
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    dst = dst[np.argsort(src * n + dst)]
     return indptr, dst.astype(np.int64), np.ones(len(dst), dtype=np.float64)
 
 
@@ -130,32 +110,25 @@ def build_graph(corpus: Corpus, extended: bool = True, year_cutoff: int | None =
     if not (corpus.meta.first_year <= year_cutoff <= corpus.meta.last_year):
         raise ValueError(f"year_cutoff {year_cutoff} outside corpus span")
 
-    included = [pid for pid in sorted(corpus.papers) if corpus.papers[pid].year <= year_cutoff]
-    included_set = set(included)
-    raw_edges: list[tuple[int, int]] = []
-    for pid in included:
-        for ref in corpus.papers[pid].references:
-            if ref in corpus.papers:
-                if ref in included_set:
-                    raw_edges.append((pid, ref))
-            elif extended:
-                raw_edges.append((pid, ref))
+    included = corpus.year <= year_cutoff
+    citing = np.repeat(np.arange(len(included)), np.diff(corpus.ref_ptr))
+    kept = included[citing]
+    citing, cited, cited_row = citing[kept], corpus.refs[kept], corpus.ref_row[kept]
+    to_paper = cited_row >= 0
+    # references to corpus papers published after the cutoff are dropped; papers
+    # never cite an item twice, so occurrences count distinct citers, and
+    # external items with one citer cannot bridge anything
+    external_ids, inverse, citers = np.unique(cited[~to_paper], return_inverse=True,
+                                              return_counts=True)
+    kept = to_paper & included[cited_row]
+    kept[~to_paper] = extended & (citers[inverse] >= 2)
+    external_ids = external_ids[extended & (citers >= 2)]
 
-    external_ids: set[int] = set()
-    if extended:
-        cited_by: dict[int, int] = {}
-        seen: set[tuple[int, int]] = set()
-        for pid, ref in raw_edges:
-            if ref not in included_set and (pid, ref) not in seen:
-                seen.add((pid, ref))
-                cited_by[ref] = cited_by.get(ref, 0) + 1
-        # degree-1 external nodes cannot bridge anything
-        external_ids = {e for e, k in cited_by.items() if k >= 2}
-        raw_edges = [(p, r) for p, r in raw_edges if r in included_set or r in external_ids]
-
-    node_ids = np.array(sorted(included_set | external_ids), dtype=np.int64)
-    internal = np.isin(node_ids, np.array(included, dtype=np.int64))
-    pairs = _canonical_pairs(raw_edges, node_ids)
+    included_ids = corpus.paper_ids[included]
+    node_ids = np.sort(np.concatenate([included_ids, external_ids]))
+    internal = np.isin(node_ids, included_ids)
+    edges = np.column_stack([corpus.paper_ids[citing[kept]], cited[kept]])
+    pairs = _canonical_pairs(edges, node_ids)
     indptr, indices, weights = _csr_from_pairs(pairs, len(node_ids))
     return CitationGraph(node_ids, internal, indptr, indices, weights, year_cutoff, extended)
 

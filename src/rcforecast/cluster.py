@@ -226,9 +226,9 @@ _THETA = 0.01  # randomness scale for refinement merge selection
 def _draw(rng, gains: list[float]) -> int:
     """Index drawn with probability proportional to exp(gain / theta): the
     arithmetic and the one ``rng.random()`` of ``rng.choice(len(gains), p=p)``."""
-    g = np.array(gains)
-    p = np.exp((g - g.max()) / _THETA)
-    cdf = (p / p.sum()).cumsum()
+    p = np.exp((np.array(gains) - max(gains)) / _THETA)
+    p /= p.sum()
+    cdf = p.cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
 

@@ -11,7 +11,7 @@ import json
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -83,57 +83,96 @@ class CorpusMeta:
 
 
 class Corpus:
-    """Immutable after load; safe for concurrent reads."""
+    """Papers as columns, one row per paper in ascending ``paper_ids`` order,
+    built from per-paper sequences in any order (``refs`` holds ``n_refs[i]``
+    references of paper i, paper after paper). ``doc_type`` indexes
+    ``DOC_TYPES`` and ``journal`` the sorted ``journal_ids`` (-1 for none). Row
+    r cites ``refs[ref_ptr[r]:ref_ptr[r+1]]`` in stored order; ``ref_row`` is
+    each cited paper's row, -1 for an external item. Terms are tokenized on
+    first use of ``term_matrix``. Immutable after load; safe for concurrent
+    reads."""
 
-    def __init__(self, papers: dict[int, PaperRecord], ranks: dict[int, JournalRank]):
-        self.papers = papers
+    def __init__(self, ids, years, doc_types, journals, n_refs, refs, terms, ranks):
         self.ranks = ranks
-        years = [p.year for p in papers.values()]
-        totals: dict[int, int] = {}
-        for y in years:
-            totals[y] = totals.get(y, 0) + 1
-        self.meta = CorpusMeta(
-            first_year=min(years) if years else 0,
-            last_year=max(years) if years else 0,
-            paper_count=len(papers),
-            yearly_totals=totals,
-        )
-        # ids cited but absent from the corpus (external items)
-        ext = set()
-        for p in papers.values():
-            for r in p.references:
-                if r not in papers:
-                    ext.add(r)
-        self.external_ids = frozenset(ext)
-        # sorted; row i of ``term_matrix`` is paper ``paper_ids[i]``
-        self.paper_ids = np.array(sorted(papers), dtype=np.int64)
-        self.by_year: dict[int, list[int]] = {}
-        for pid in self.paper_ids.tolist():
-            self.by_year.setdefault(papers[pid].year, []).append(pid)
+        ids = np.array(ids, np.int64)
+        order = np.argsort(ids, kind="stable")
+        self.paper_ids = ids[order]
+        self.year = np.array(years, np.int64)[order]
+        self.doc_type = np.array(doc_types, np.int8)[order]
+        known = np.array([j is not None for j in journals], bool)
+        journal = np.array([0 if j is None else j for j in journals], np.int64)
+        self.journal_ids = np.unique(journal[known])
+        self.journal = np.where(known, np.searchsorted(self.journal_ids, journal), -1)[order]
+
+        # each reference moves with its paper, keeping its place in the paper's list
+        n_refs = np.array(n_refs, np.int64)
+        moved = np.repeat(np.argsort(order), n_refs)
+        self.refs = np.array(refs, np.int64)[np.argsort(moved, kind="stable")]
+        self.ref_ptr = np.concatenate([[0], np.cumsum(n_refs[order])])
+        row = np.searchsorted(self.paper_ids, self.refs)
+        internal = self.paper_ids.take(row, mode="clip") == self.refs
+        self.ref_row = np.where(internal, row, -1)
+        self.external_ids = np.unique(self.refs[~internal])
+        self._terms = [terms[i] for i in order.tolist()]
+
+        self.meta = CorpusMeta(first_year=int(self.year.min()), last_year=int(self.year.max()),
+                               paper_count=len(ids), yearly_totals=dict(Counter(years)))
+
+    @classmethod
+    def from_records(cls, records, ranks: dict[int, JournalRank]) -> "Corpus":
+        """A corpus of a non-empty collection of ``PaperRecord``s, unvalidated."""
+        scalars = zip(*[(p.paper_id, p.year, DOC_TYPES.index(p.doc_type), p.journal_id,
+                         len(p.references)) for p in records])
+        return cls(*scalars, [r for p in records for r in p.references],
+                   [p.terms for p in records], ranks)
+
+    @cached_property
+    def papers(self) -> dict[int, PaperRecord]:
+        """The papers as records by id, built on first use (no hot path does)."""
+        journals = [None] + self.journal_ids.tolist()
+        refs, bounds = self.refs.tolist(), self.ref_ptr.tolist()
+        return {pid: PaperRecord(pid, year, DOC_TYPES[doc], journals[j + 1],
+                                 tuple(refs[lo:hi]), normalize_terms(raw))
+                for pid, year, doc, j, lo, hi, raw in zip(
+                    self.paper_ids.tolist(), self.year.tolist(), self.doc_type.tolist(),
+                    self.journal.tolist(), bounds, bounds[1:], self._terms)}
 
     @cached_property
     def term_matrix(self) -> sparse.csr_array:
         """Paper x term counts, built on first use. Each row stores its terms in
         first-occurrence order, not sorted: BM25 sums a query's terms in it."""
         vocab: dict[str, int] = {}
-        indices, counts, indptr = array("i"), array("i"), array("q", [0])
-        for pid in self.paper_ids.tolist():
-            bag = Counter(self.papers[pid].terms)
-            indices.extend([vocab.setdefault(t, len(vocab)) for t in bag])
-            counts.extend(bag.values())
-            indptr.append(len(indices))
-        matrix = sparse.csr_array((np.frombuffer(counts, np.int32),
-                                   np.frombuffer(indices, np.int32),
-                                   np.frombuffer(indptr, np.int64)),
-                                  shape=(len(self.papers), len(vocab)))
+        terms, lengths = array("i"), []
+        for raw in self._terms:
+            tokens = normalize_terms(raw)
+            terms.extend([vocab.setdefault(t, len(vocab)) for t in tokens])
+            lengths.append(len(tokens))
+        terms = np.frombuffer(terms, np.int32)
+        row = np.repeat(np.arange(len(lengths)), lengths)
+        # one entry per (row, term), in the order of its first token
+        _, first, counts = np.unique(row * len(vocab) + terms, return_index=True,
+                                     return_counts=True)
+        order = np.argsort(first)
+        first, counts = first[order], counts[order]
+        indptr = np.searchsorted(row[first], np.arange(len(lengths) + 1))
+        matrix = sparse.csr_array((counts.astype(np.int32), terms[first], indptr),
+                                  shape=(len(self.paper_ids), len(vocab)))
         matrix.has_sorted_indices = False
         return matrix
 
-    def papers_in_year(self, year: int) -> list[int]:
-        return self.by_year.get(year, [])
-
-    def is_external(self, ref_id: int) -> bool:
-        return ref_id not in self.papers
+    def partition_rows(self, assignment: dict[int, int]
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows of a partition's papers in assignment order, its sorted RC ids and
+        each paper's index into them; CorpusError names a paper not in the corpus."""
+        ids = np.fromiter(assignment, np.int64, len(assignment))
+        rows = np.searchsorted(self.paper_ids, ids)
+        unknown = ids[self.paper_ids.take(rows, mode="clip") != ids].tolist()
+        if unknown:
+            raise CorpusError(f"partition references unknown paper {unknown[0]}",
+                              paper_id=unknown[0])
+        rc_ids, rc_index = np.unique(np.fromiter(assignment.values(), np.int64, len(ids)),
+                                     return_inverse=True)
+        return rows, rc_ids, rc_index
 
 
 def _is_int64(x) -> bool:
@@ -146,7 +185,8 @@ def _all_int64(xs: list) -> bool:
     return not xs or set(map(type, xs)) == {int} and -2**63 <= min(xs) and max(xs) < 2**63
 
 
-def _parse_paper(obj: dict, line: int) -> PaperRecord:
+def _parse_paper(obj: dict, line: int) -> tuple:
+    """The validated fields of one paper; terms are type-checked, not tokenized."""
     pid = obj.get("paper_id") if type(obj) is dict else None
     if type(pid) is not int:
         raise CorpusError("missing or non-integer paper_id", line=line)
@@ -174,7 +214,7 @@ def _parse_paper(obj: dict, line: int) -> PaperRecord:
                                      or not set(map(type, terms)) <= {str}):
         problem = "terms must be a string or a list of strings"
     else:
-        return PaperRecord(pid, year, doc_type, jid, tuple(refs), normalize_terms(terms))
+        return pid, year, doc_type, jid, refs, terms
     raise CorpusError(f"paper {pid}: {problem}", line=line, paper_id=pid)
 
 
@@ -222,7 +262,8 @@ def load_corpus(papers_path, journals_path=None) -> Corpus:
     from the corpus are kept and flagged external. A missing journals file
     yields an empty rank table.
     """
-    papers: dict[int, PaperRecord] = {}
+    years, doc_types, n_refs, refs = array("q"), array("b"), array("q"), array("q")
+    ids, journals, terms = {}, [], []       # ids: a dict of paper ids in file order
     with open(papers_path) as fh:
         for i, raw in enumerate(fh, start=1):
             raw = raw.strip()
@@ -232,35 +273,31 @@ def load_corpus(papers_path, journals_path=None) -> Corpus:
                 obj = json.loads(raw)
             except json.JSONDecodeError as e:
                 raise CorpusError(f"malformed JSON: {e.msg}", line=i) from e
-            rec = _parse_paper(obj, i)
-            if rec.paper_id in papers:
-                raise CorpusError(
-                    f"duplicate paper_id {rec.paper_id}", line=i, paper_id=rec.paper_id
-                )
-            papers[rec.paper_id] = rec
-    if not papers:
+            pid, year, doc_type, jid, cited, text = _parse_paper(obj, i)
+            if pid in ids:
+                raise CorpusError(f"duplicate paper_id {pid}", line=i, paper_id=pid)
+            ids[pid] = None
+            years.append(year)
+            doc_types.append(DOC_TYPES.index(doc_type))
+            journals.append(jid)
+            n_refs.append(len(cited))
+            refs.extend(cited)
+            # joined as normalize_terms would: no list per paper is left for the GC
+            terms.append(text if type(text) is str else " ".join(text))
+    if not ids:
         raise CorpusError("corpus is empty")
 
     ranks: dict[int, JournalRank] = {}
     if journals_path is not None and Path(journals_path).exists():
         ranks = load_journal_ranks(journals_path)
-    return Corpus(papers, ranks)
+    return Corpus(list(ids), years, doc_types, journals, n_refs, refs, terms, ranks)
 
 
 def save_corpus(corpus: Corpus, papers_path, journals_path=None) -> None:
     """Persist a corpus in the load formats; reload is content-identical."""
     with open(papers_path, "w") as fh:
-        for pid in sorted(corpus.papers):
-            p = corpus.papers[pid]
-            obj = {
-                "paper_id": p.paper_id,
-                "year": p.year,
-                "doc_type": p.doc_type,
-                "journal_id": p.journal_id,
-                "references": list(p.references),
-                "terms": list(p.terms),
-            }
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        for p in corpus.papers.values():        # in ascending paper_id order
+            fh.write(json.dumps(asdict(p), separators=(",", ":")) + "\n")
     if journals_path is not None:
         with open(journals_path, "w", newline="") as fh:
             writer = csv.writer(fh)

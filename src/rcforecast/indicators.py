@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, JournalRank
+from .corpus import DOC_TYPES, Corpus, CorpusError
 
 INDICATOR_NAMES = ("stage", "cvit", "rvit", "delta_rvit",
                    "ntopj", "ctopj", "eigen", "nart", "nrev", "nref")
@@ -90,11 +90,11 @@ class Panel:
     """The per-RC, per-year record of one partition of a corpus.
 
     Built once per (corpus, partition), and the only place that aggregates
-    papers into (rc, year) cells. Per-paper arrays in (year, paper_id) order
-    fold into (rc, year) cubes with ``np.bincount``; counts, shares, peak
-    years and the raw indicators of every forecast year are read off them.
-    ``bincount`` adds weights in input order, so every float sum accumulates
-    paper by paper, and reference by reference, as a plain loop would.
+    papers into (rc, year) cells. The corpus columns fold into (rc, year)
+    cubes with ``np.bincount``; counts, shares, peak years and the raw
+    indicators of every forecast year are read off them. ``bincount`` adds
+    weights in input order, so every float sum accumulates paper by paper in
+    (year, paper_id) order, and reference by reference, as a plain loop would.
 
     ``partition`` is a Partition or a plain paper -> rc mapping. Shares use
     the corpus-wide yearly totals as denominator; an empty year has share 0.
@@ -102,40 +102,27 @@ class Panel:
 
     def __init__(self, corpus: Corpus, partition, window: int = DEFAULT_WINDOW):
         assignment = partition.assignment if hasattr(partition, "assignment") else partition
-        unknown = next((pid for pid in assignment if pid not in corpus.papers), None)
-        if unknown is not None:
-            raise CorpusError(f"partition references unknown paper {unknown}",
-                              paper_id=unknown)
+        rows, self.rc_ids, rc_row = corpus.partition_rows(assignment)
         self.partition = partition
         self.window = window
         y0, y1 = corpus.meta.first_year, corpus.meta.last_year
         self.first_year, self.last_year = y0, y1
-        self.rc_ids = np.array(sorted(set(assignment.values())), dtype=np.int64)
-        self._row = {rc: i for i, rc in enumerate(self.rc_ids.tolist())}
         n_rc, n_years = len(self.rc_ids), y1 - y0 + 1
 
-        # per-paper arrays over the whole corpus, in (year, paper_id) order
-        papers = corpus.papers
-        order = [pid for y in range(y0, y1 + 1) for pid in corpus.papers_in_year(y)]
-        index = {pid: i for i, pid in enumerate(order)}
-        n = len(order)
-        year = np.fromiter((papers[p].year for p in order), np.int64, n)
-        journal = [papers[p].journal_id for p in order]
-        top_cs = np.fromiter((_top(corpus.ranks.get(j), "citescore_rank") for j in journal),
-                             bool, n)
-        top_eigen = np.fromiter((_top(corpus.ranks.get(j), "eigenfactor_rank")
-                                 for j in journal), bool, n)
-        doc = [papers[p].doc_type for p in order]
-        article = np.fromiter((d == "article" for d in doc), bool, n)
-        review = np.fromiter((d == "review" for d in doc), bool, n)
-        n_refs = np.fromiter((len(papers[p].references) for p in order), np.int64, n)
-        rc = np.fromiter((self._row.get(assignment.get(p), -1) for p in order), np.int64, n)
+        # per-paper arrays in paper_id order: a cell holds papers of one year,
+        # so each cell's sums still run in (year, paper_id) order
+        year, n = corpus.year, len(corpus.year)
+        top_cs = _top_journals(corpus, "citescore_rank")[corpus.journal]
+        top_eigen = _top_journals(corpus, "eigenfactor_rank")[corpus.journal]
+        article = corpus.doc_type == DOC_TYPES.index("article")
+        review = corpus.doc_type == DOC_TYPES.index("review")
+        n_refs = np.diff(corpus.ref_ptr)
+        rc = np.full(n, -1, np.int64)
+        rc[rows] = rc_row
         cell = np.where(rc >= 0, rc * n_years + (year - y0), -1)
 
         # per-reference arrays: citing paper, and cited paper (-1 outside the corpus)
-        citing = np.repeat(np.arange(n), n_refs)
-        cited = np.fromiter((index.get(r, -1) for p in order for r in papers[p].references),
-                            np.int64, len(citing))
+        citing, cited = np.repeat(np.arange(n), n_refs), corpus.ref_row
         datable = (cited >= 0) & (cell[citing] >= 0)
         citing, cited = citing[datable], cited[datable]
         ref_cell = cell[citing]
@@ -161,11 +148,12 @@ class Panel:
         rvit_sum = cube(ref_cell, reciprocal_age)
         self._rvit = np.divide(rvit_sum, rvit_n, out=np.full(rvit_sum.shape, np.nan),
                                where=rvit_n > 0)
-        self.totals = np.array([corpus.meta.yearly_totals.get(y, 0) for y in range(y0, y1 + 1)],
-                               dtype=np.int64)
+        self.totals = np.bincount(year - y0, minlength=n_years)
         self.shares = np.divide(self.counts, self.totals, out=np.zeros(self.counts.shape),
                                 where=self.totals > 0)
-        self._paper_rc, self._paper_year = rc[member], year[member]
+        # cvit sums an RC's papers over several years, in (year, paper_id) order
+        order = np.argsort(year, kind="stable")
+        self._paper_rc, self._paper_year = rc[order][member[order]], year[order][member[order]]
 
     # --- shares -----------------------------------------------------------------
 
@@ -176,12 +164,6 @@ class Panel:
         if self.totals[year - self.first_year] == 0:
             raise CorpusError(f"empty year {year}")
         return self.shares[:, year - self.first_year]
-
-    def share(self, rc_id: int, year: int) -> float:
-        """Share of ``rc_id`` in ``year``: its papers over all papers that year."""
-        column = self.share_column(year)
-        row = self._row.get(rc_id)
-        return 0.0 if row is None else float(column[row])
 
     # --- per forecast year ------------------------------------------------------
 
@@ -271,9 +253,10 @@ class IndicatorTable:
         return len(self.raw["rc_id"])
 
 
-def _top(rank: JournalRank | None, which: str) -> bool:
-    value = None if rank is None else getattr(rank, which)
-    return value is not None and value <= TOP_RANK
+def _top_journals(corpus: Corpus, which: str) -> np.ndarray:
+    """Top-``TOP_RANK`` flags of ``corpus.journal_ids`` by ``which``, then False."""
+    ranks = [getattr(corpus.ranks.get(j), which, None) for j in corpus.journal_ids.tolist()]
+    return np.array([r is not None and r <= TOP_RANK for r in ranks] + [False])
 
 
 def _transform(name: str, values: np.ndarray) -> np.ndarray:

@@ -68,9 +68,9 @@ def extend_model(corpus: Corpus, partition: Partition, through_year: int,
             partition = leiden(graph, replace(cluster_config, seed_assignment=partition))
             partition.model_year = root_my
             partition.extended_through = year
-            n_new = sum(1 for pid in partition.assignment
-                        if corpus.papers[pid].year == year)
-            reports.append(AssignmentReport(year=year, n_papers=n_new))
+            rows, _, _ = corpus.partition_rows(partition.assignment)
+            n_new = np.count_nonzero(corpus.year[rows] == year)
+            reports.append(AssignmentReport(year=year, n_papers=int(n_new)))
         else:
             partition, report = assign_new_papers(partition, corpus, year)
             reports.append(report)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from rcforecast.corpus import load_corpus
+from rcforecast.corpus import CorpusError, load_corpus
+
+import oracles
 
 #: ``ACCEPTANCE <n>: PASS|FAIL`` lines recorded by the acceptance suite
 ACCEPTANCE_LINES: list[str] = []
@@ -55,3 +57,24 @@ def corpus_factory(tmp_path):
         return load_corpus(ppath, jpath)
 
     return make
+
+
+def assert_loads_like_oracle(papers_path, journals_path=None):
+    """The loader raises the dict-of-records loader's error report, or loads
+    the same papers, meta, ranks, external items and term matrix."""
+    try:
+        want = oracles.load_corpus(papers_path, journals_path)
+    except CorpusError as e:
+        with pytest.raises(CorpusError) as got:
+            load_corpus(papers_path, journals_path)
+        assert got.value.report() == e.report()
+        return
+    got = load_corpus(papers_path, journals_path)
+    assert got.papers == want.papers
+    assert (got.meta, got.ranks) == (want.meta, want.ranks)
+    assert set(got.external_ids.tolist()) == want.external_ids
+    assert got.term_matrix.shape == want.term_matrix.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got.term_matrix, name), getattr(want.term_matrix, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert got.term_matrix.has_sorted_indices is False

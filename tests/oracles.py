@@ -9,20 +9,28 @@ from the library. The dict-based Leiden cores and the stack-walk connected
 components that the library replaced are kept here as references too, and so
 is the per-query BM25 scorer of the model extension, the row-based
 standardization, forecasts and composite fit that the indicator table replaced,
-and the split-then-filter term tokenizer.
+the split-then-filter term tokenizer, Leiden's numpy-only random draw, and
+the dict-of-records corpus with the loader, graph build, panel and reference
+vote that walked it.
 """
 
+import json
 import math
 import re
 import warnings
+from array import array
 from collections import Counter, deque
 from dataclasses import replace
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from rcforecast.assign import B, K1, AssignmentReport
+from rcforecast.citegraph import CitationGraph, _canonical_pairs, _csr_from_pairs
 from rcforecast.cluster import _EPS, _THETA, ClusterError, _Level
-from rcforecast.corpus import CorpusError
+from rcforecast.corpus import DOC_TYPES, CorpusError, CorpusMeta, PaperRecord, load_journal_ranks
 from rcforecast.evaluate import LifecycleRow
 from rcforecast.forecast import (
     HORIZON,
@@ -36,6 +44,7 @@ from rcforecast.indicators import (
     INDICATOR_NAMES,
     TOP_RANK,
     IndicatorTable,
+    Panel,
     RawIndicators,
     StandardizedIndicators,
     _transform,
@@ -636,7 +645,7 @@ def composite_score(std, model):
 
 def _shares_of(panel, rc_id):
     years = range(panel.first_year, panel.last_year + 1)
-    values = panel.shares[panel._row[rc_id]].tolist()
+    values = panel.shares[int(np.searchsorted(panel.rc_ids, rc_id))].tolist()
     return {y: s for y, s, t in zip(years, values, panel.totals) if t > 0}
 
 
@@ -802,7 +811,7 @@ def assign_new_papers(partition, corpus, new_year, k1=K1, b=B):
     stats = None  # built lazily; most corpora assign nearly everything by references
     report = AssignmentReport(year=new_year)
     added = {}
-    for pid in corpus.papers_in_year(new_year):
+    for pid in sorted(p.paper_id for p in corpus.papers.values() if p.year == new_year):
         report.n_papers += 1
         paper = corpus.papers[pid]
         votes = Counter()
@@ -829,3 +838,257 @@ def assign_new_papers(partition, corpus, new_year, k1=K1, b=B):
     new_assignment.update(added)
     updated = replace(partition, assignment=new_assignment, extended_through=new_year)
     return updated, report
+
+
+# --- the dict-of-records corpus the columnar corpus replaced -----------------
+#
+# The loader that built one frozen PaperRecord per line, the corpus over the
+# record dict, and the graph build, panel and reference vote that walked it.
+# The columnar corpus and its consumers are tested against them. Terms go
+# through the split-then-filter tokenizer above.
+
+
+def _is_int64(x):
+    return type(x) is int and -2**63 <= x < 2**63
+
+
+def _all_int64(xs):
+    return not xs or set(map(type, xs)) == {int} and -2**63 <= min(xs) and max(xs) < 2**63
+
+
+def _parse_paper(obj, line):
+    pid = obj.get("paper_id") if type(obj) is dict else None
+    if type(pid) is not int:
+        raise CorpusError("missing or non-integer paper_id", line=line)
+    year = obj.get("year")
+    doc_type = obj.get("doc_type", "article")
+    jid = obj.get("journal_id")
+    refs = obj.get("references", [])
+    terms = obj.get("terms", [])
+    if not _is_int64(pid):
+        problem = "paper_id outside the signed 64-bit range"
+    elif not _is_int64(year):
+        problem = "missing or non-integer year"
+    elif doc_type not in DOC_TYPES:
+        problem = f"unknown doc_type {doc_type!r}"
+    elif jid is not None and not _is_int64(jid):
+        problem = f"non-integer or out-of-range journal_id {jid!r}"
+    elif type(refs) is not list or not _all_int64(refs):
+        problem = "references must be a list of 64-bit integers"
+    elif len(set(refs)) != len(refs):
+        problem = "duplicate references"
+    elif pid in refs:
+        problem = "cites itself"
+    elif type(terms) is not str and (type(terms) is not list
+                                     or not set(map(type, terms)) <= {str}):
+        problem = "terms must be a string or a list of strings"
+    else:
+        return PaperRecord(pid, year, doc_type, jid, tuple(refs), normalize_terms(terms))
+    raise CorpusError(f"paper {pid}: {problem}", line=line, paper_id=pid)
+
+
+def load_corpus(papers_path, journals_path=None):
+    papers = {}
+    with open(papers_path) as fh:
+        for i, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as e:
+                raise CorpusError(f"malformed JSON: {e.msg}", line=i) from e
+            rec = _parse_paper(obj, i)
+            if rec.paper_id in papers:
+                raise CorpusError(
+                    f"duplicate paper_id {rec.paper_id}", line=i, paper_id=rec.paper_id
+                )
+            papers[rec.paper_id] = rec
+    if not papers:
+        raise CorpusError("corpus is empty")
+    ranks = {}
+    if journals_path is not None and Path(journals_path).exists():
+        ranks = load_journal_ranks(journals_path)
+    return DictCorpus(papers, ranks)
+
+
+class DictCorpus:
+    """Papers as a dict of records by id."""
+
+    def __init__(self, papers, ranks):
+        self.papers = papers
+        self.ranks = ranks
+        years = [p.year for p in papers.values()]
+        totals = {}
+        for y in years:
+            totals[y] = totals.get(y, 0) + 1
+        self.meta = CorpusMeta(
+            first_year=min(years) if years else 0,
+            last_year=max(years) if years else 0,
+            paper_count=len(papers),
+            yearly_totals=totals,
+        )
+        ext = set()
+        for p in papers.values():
+            for r in p.references:
+                if r not in papers:
+                    ext.add(r)
+        self.external_ids = frozenset(ext)
+        self.paper_ids = np.array(sorted(papers), dtype=np.int64)
+        self.by_year = {}
+        for pid in self.paper_ids.tolist():
+            self.by_year.setdefault(papers[pid].year, []).append(pid)
+
+    @cached_property
+    def term_matrix(self):
+        vocab = {}
+        indices, counts, indptr = array("i"), array("i"), array("q", [0])
+        for pid in self.paper_ids.tolist():
+            bag = Counter(self.papers[pid].terms)
+            indices.extend([vocab.setdefault(t, len(vocab)) for t in bag])
+            counts.extend(bag.values())
+            indptr.append(len(indices))
+        matrix = sparse.csr_array((np.frombuffer(counts, np.int32),
+                                   np.frombuffer(indices, np.int32),
+                                   np.frombuffer(indptr, np.int64)),
+                                  shape=(len(self.papers), len(vocab)))
+        matrix.has_sorted_indices = False
+        return matrix
+
+    def papers_in_year(self, year):
+        return self.by_year.get(year, [])
+
+
+def build_graph(corpus, extended=True, year_cutoff=None):
+    """The graph build over a ``DictCorpus``, reference by reference."""
+    if year_cutoff is None:
+        year_cutoff = corpus.meta.last_year
+    if not (corpus.meta.first_year <= year_cutoff <= corpus.meta.last_year):
+        raise ValueError(f"year_cutoff {year_cutoff} outside corpus span")
+    included = [pid for pid in sorted(corpus.papers) if corpus.papers[pid].year <= year_cutoff]
+    included_set = set(included)
+    raw_edges = []
+    for pid in included:
+        for ref in corpus.papers[pid].references:
+            if ref in corpus.papers:
+                if ref in included_set:
+                    raw_edges.append((pid, ref))
+            elif extended:
+                raw_edges.append((pid, ref))
+    external_ids = set()
+    if extended:
+        cited_by = {}
+        seen = set()
+        for pid, ref in raw_edges:
+            if ref not in included_set and (pid, ref) not in seen:
+                seen.add((pid, ref))
+                cited_by[ref] = cited_by.get(ref, 0) + 1
+        external_ids = {e for e, k in cited_by.items() if k >= 2}
+        raw_edges = [(p, r) for p, r in raw_edges if r in included_set or r in external_ids]
+    node_ids = np.array(sorted(included_set | external_ids), dtype=np.int64)
+    internal = np.isin(node_ids, np.array(included, dtype=np.int64))
+    edges = np.array(raw_edges, dtype=np.int64).reshape(-1, 2)
+    pairs = _canonical_pairs(edges, node_ids)
+    indptr, indices, weights = _csr_from_pairs(pairs, len(node_ids))
+    return CitationGraph(node_ids, internal, indptr, indices, weights, year_cutoff, extended)
+
+
+def _top(rank, which):
+    value = None if rank is None else getattr(rank, which)
+    return value is not None and value <= TOP_RANK
+
+
+class DictPanel(Panel):
+    """The panel's per-paper and per-reference arrays built from a
+    ``DictCorpus`` by walking its records."""
+
+    def __init__(self, corpus, partition, window=DEFAULT_WINDOW):
+        assignment = partition.assignment if hasattr(partition, "assignment") else partition
+        unknown = next((pid for pid in assignment if pid not in corpus.papers), None)
+        if unknown is not None:
+            raise CorpusError(f"partition references unknown paper {unknown}",
+                              paper_id=unknown)
+        self.partition = partition
+        self.window = window
+        y0, y1 = corpus.meta.first_year, corpus.meta.last_year
+        self.first_year, self.last_year = y0, y1
+        self.rc_ids = np.array(sorted(set(assignment.values())), dtype=np.int64)
+        self._row = {rc: i for i, rc in enumerate(self.rc_ids.tolist())}
+        n_rc, n_years = len(self.rc_ids), y1 - y0 + 1
+
+        papers = corpus.papers
+        order = [pid for y in range(y0, y1 + 1) for pid in corpus.papers_in_year(y)]
+        index = {pid: i for i, pid in enumerate(order)}
+        n = len(order)
+        year = np.fromiter((papers[p].year for p in order), np.int64, n)
+        journal = [papers[p].journal_id for p in order]
+        top_cs = np.fromiter((_top(corpus.ranks.get(j), "citescore_rank") for j in journal),
+                             bool, n)
+        top_eigen = np.fromiter((_top(corpus.ranks.get(j), "eigenfactor_rank")
+                                 for j in journal), bool, n)
+        doc = [papers[p].doc_type for p in order]
+        article = np.fromiter((d == "article" for d in doc), bool, n)
+        review = np.fromiter((d == "review" for d in doc), bool, n)
+        n_refs = np.fromiter((len(papers[p].references) for p in order), np.int64, n)
+        rc = np.fromiter((self._row.get(assignment.get(p), -1) for p in order), np.int64, n)
+        cell = np.where(rc >= 0, rc * n_years + (year - y0), -1)
+
+        citing = np.repeat(np.arange(n), n_refs)
+        cited = np.fromiter((index.get(r, -1) for p in order for r in papers[p].references),
+                            np.int64, len(citing))
+        datable = (cited >= 0) & (cell[citing] >= 0)
+        citing, cited = citing[datable], cited[datable]
+        ref_cell = cell[citing]
+        reciprocal_age = 1.0 / (np.maximum(year[citing] - year[cited], 0) + 1)
+
+        member = rc >= 0
+        size = n_rc * n_years
+
+        def cube(cells, weights=None):
+            out = np.bincount(cells, weights=weights, minlength=size)
+            return out.reshape(n_rc, n_years)
+
+        self.counts = cube(cell[member])
+        self._cubes = {
+            "nart": cube(cell[member & article]),
+            "nrev": cube(cell[member & review]),
+            "ntopj": cube(cell[member & top_cs]),
+            "eigen": cube(cell[member & top_eigen]),
+            "nref": cube(cell[member], n_refs[member]).astype(np.int64),
+            "ctopj": cube(ref_cell[top_cs[cited]]),
+        }
+        rvit_n = cube(ref_cell)
+        rvit_sum = cube(ref_cell, reciprocal_age)
+        self._rvit = np.divide(rvit_sum, rvit_n, out=np.full(rvit_sum.shape, np.nan),
+                               where=rvit_n > 0)
+        self.totals = np.array([corpus.meta.yearly_totals.get(y, 0) for y in range(y0, y1 + 1)],
+                               dtype=np.int64)
+        self.shares = np.divide(self.counts, self.totals, out=np.zeros(self.counts.shape),
+                                where=self.totals > 0)
+        self._paper_rc, self._paper_year = rc[member], year[member]
+
+
+def plurality_vote(corpus, partition, new_year):
+    """paper -> RC for the papers of ``new_year`` with references assigned in
+    the partition: the plurality RC, ties toward the smaller rc_id."""
+    base = partition.assignment
+    chosen = {}
+    for pid in corpus.papers_in_year(new_year):
+        votes = Counter()
+        for ref in corpus.papers[pid].references:
+            rc = base.get(ref)
+            if rc is not None:
+                votes[rc] += 1
+        if votes:
+            top = max(votes.values())
+            chosen[pid] = min(rc for rc, v in votes.items() if v == top)
+    return chosen
+
+
+def draw(rng, gains):
+    """Leiden's random merge draw with numpy's max and an out-of-place divide."""
+    g = np.array(gains)
+    p = np.exp((g - g.max()) / _THETA)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))

@@ -184,7 +184,9 @@ def test_acceptance_6_clustering_oracle():
         if abs(part.quality - opt_q) > 1e-9:
             misses.append((name, part.quality, opt_q))
         for members in part.rc_members().values():
-            idx = {g.index_of(m) for m in members}
+            idx = np.searchsorted(g.node_ids, members)
+            assert g.node_ids[idx].tolist() == list(members)
+            idx = set(idx.tolist())
             seen = {next(iter(idx))}
             stack = list(seen)
             while stack:

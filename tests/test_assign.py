@@ -227,7 +227,8 @@ def _check_extension(corpus, base, years):
         stats = oracles.RcDocumentStats.from_partition(corpus, new)
         rc_ids, _ = rc_documents(corpus, new.assignment)
         assert rc_ids.tolist() == sorted(stats.doc_tf)
-        queries = [pid for pid in corpus.papers_in_year(year) if corpus.papers[pid].terms
+        queries = [pid for pid in corpus.paper_ids[corpus.year == year].tolist()
+                   if corpus.papers[pid].terms
                    and not any(r in new.assignment for r in corpus.papers[pid].references)]
         used = []
 
@@ -260,9 +261,9 @@ def test_near_tie_goes_to_smaller_rc():
     else:
         pytest.fail("no near tie among the mirrored counts")
     bags = [[w for w, n in zip(words, c) for _ in range(n)] for c in (counts, counts[::-1])]
-    corpus = Corpus({1: PaperRecord(1, 2010, "article", None, (), tuple(bags[0])),
-                     2: PaperRecord(2, 2010, "article", None, (), tuple(bags[1])),
-                     3: PaperRecord(3, 2011, "article", None, (), words)}, {})
+    corpus = Corpus.from_records([PaperRecord(1, 2010, "article", None, (), tuple(bags[0])),
+                                  PaperRecord(2, 2010, "article", None, (), tuple(bags[1])),
+                                  PaperRecord(3, 2011, "article", None, (), words)], {})
     base = _partition({1: 0, 2: 1}, model_year=2010)
     assert assign_new_papers(base, corpus, 2011)[0].assignment[3] == 0
     _check_extension(corpus, base, [2011])
@@ -332,9 +333,9 @@ def extension_cases(draw):
 @given(extension_cases())
 def test_extension_matches_oracle_on_built_corpora(case):
     papers, assignment = case
-    records = {pid: PaperRecord(pid, year, "article", None, tuple(r for r in refs if r != pid),
-                                normalize_terms(terms))
-               for pid, year, refs, terms in papers}
-    corpus = Corpus(records, {})
+    records = [PaperRecord(pid, year, "article", None, tuple(r for r in refs if r != pid),
+                           normalize_terms(terms))
+               for pid, year, refs, terms in papers]
+    corpus = Corpus.from_records(records, {})
     base = Partition(assignment, model_year=2010, rc_count=len(set(assignment.values())))
     _check_extension(corpus, base, (2011, 2012))

@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import io
 import json
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from rcforecast.forecast import CompositeModel
 from rcforecast.corpus import load_corpus, normalize_terms
 from rcforecast.synth import SynthConfig, generate
 
-from conftest import paper, write_papers
+from conftest import assert_loads_like_oracle, paper, write_papers
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +373,7 @@ def test_one_field_mutation_loads_unchanged_or_exits_2(field, delete, value):
         record[field] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = write_papers(Path(tmp) / "p.jsonl", [paper(1, 2010), record])
+        assert_loads_like_oracle(path)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(["corpus", "validate", str(path)])
@@ -391,3 +394,28 @@ def test_one_field_mutation_loads_unchanged_or_exits_2(field, delete, value):
     refs = record.get("references", [])
     assert rec.references == tuple(refs) and all(type(r) is int for r in rec.references)
     assert rec.terms == normalize_terms(record.get("terms", []))
+
+
+def _one_line_report(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1      # one JSON report, no traceback
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("directory_as", ["papers", "journals"])
+def test_directory_input_exits_2_naming_it(tmp_path, capsys, directory_as):
+    papers = write_papers(tmp_path / "p.jsonl", [paper(1, 2010)])
+    argv = ["corpus", "validate", str(tmp_path if directory_as == "papers" else papers)]
+    if directory_as == "journals":
+        argv += ["--journals", str(tmp_path)]
+    assert run(argv) == 2
+    assert str(tmp_path) in _one_line_report(capsys)["error"]
+
+
+def test_unreadable_input_exits_2_naming_it(tmp_path, capsys):
+    papers = write_papers(tmp_path / "p.jsonl", [paper(1, 2010)])
+    denied = PermissionError(errno.EACCES, "Permission denied", str(papers))
+    with mock.patch("rcforecast.corpus.open", side_effect=denied, create=True):
+        assert run(["corpus", "validate", str(papers)]) == 2
+    report = _one_line_report(capsys)
+    assert str(papers) in report["error"] and "Permission denied" in report["error"]

@@ -82,7 +82,8 @@ def test_every_community_internally_connected():
         g = CitationGraph.from_edges(edges, nodes=range(n))
         part = leiden(g, ClusterConfig(quality="cpm", resolution=0.4, rng_seed=trial))
         for members in part.rc_members().values():
-            idx = [g.index_of(m) for m in members]
+            idx = np.searchsorted(g.node_ids, members).tolist()
+            assert g.node_ids[idx].tolist() == list(members)
             sub = set(idx)
             seen = {idx[0]}
             stack = [idx[0]]
@@ -286,3 +287,17 @@ def test_refinement_draw_matches_generator_choice():
         p = np.exp((g - g.max()) / cluster._THETA)
         assert cluster._draw(ours, gains) == int(ref.choice(n, p=p / p.sum()))
         assert ours.random() == ref.random()
+
+
+_GAINS = st.lists(st.floats(0.0, 1.0) | st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 5e-3]),
+                  min_size=1, max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1), _GAINS)
+def test_draw_matches_numpy_draw(seed, gains):
+    # the same index and the same generator state after it, draw after draw
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert cluster._draw(got, gains) == oracles.draw(want, gains)
+    assert got.bit_generator.state == want.bit_generator.state

@@ -1,14 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcforecast.corpus import CorpusError, load_corpus, normalize_terms, save_corpus
+from rcforecast.assign import _plurality
+from rcforecast.citegraph import build_graph
+from rcforecast.cluster import Partition
+from rcforecast.corpus import DOC_TYPES, CorpusError, load_corpus, normalize_terms, save_corpus
 from rcforecast.indicators import Panel
+from rcforecast.synth import SynthConfig, generate
 
 import oracles
-from conftest import paper, write_papers
+from conftest import assert_loads_like_oracle, paper, write_papers
 
 
 def test_single_valid_paper(corpus_factory):
@@ -29,7 +34,7 @@ def test_external_reference_kept_and_flagged(corpus_factory):
     corpus = corpus_factory([paper(1, 2010, refs=[999])])
     assert corpus.papers[1].references == (999,)
     assert 999 in corpus.external_ids
-    assert corpus.is_external(999)
+    assert 999 not in corpus.paper_ids and corpus.ref_row.tolist() == [-1]
 
 
 def test_malformed_line_reports_line_number(tmp_path):
@@ -99,17 +104,17 @@ def test_publication_share_basic(corpus_factory):
     corpus = corpus_factory(papers)
     assignment = {i: (0 if i <= 5 else 1) for i in range(1, 101)}
     panel = Panel(corpus, assignment)
-    assert panel.share(0, 2010) == pytest.approx(0.05)
-    assert panel.share(99, 2010) == 0.0  # rc with no papers
+    assert panel.share_column(2010)[np.searchsorted(panel.rc_ids, 0)] == pytest.approx(0.05)
+    assert 99 not in panel.rc_ids  # an rc with no papers has no row
 
 
 def test_share_errors(corpus_factory):
     corpus = corpus_factory([paper(1, 2010), paper(2, 2012)])
     panel = Panel(corpus, {1: 0, 2: 0})
     with pytest.raises(CorpusError, match="empty year"):
-        panel.share(0, 2011)
+        panel.share_column(2011)
     with pytest.raises(CorpusError):
-        panel.share(0, 1990)
+        panel.share_column(1990)
 
 
 def test_shares_sum_to_one_over_complete_partition(corpus_factory):
@@ -118,7 +123,7 @@ def test_shares_sum_to_one_over_complete_partition(corpus_factory):
     assignment = {i: i % 7 for i in range(60)}
     table = Panel(corpus, assignment)
     for year in (2010, 2011, 2012):
-        total = sum(table.share(rc, year) for rc in table.rc_ids)
+        total = table.share_column(year).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -154,3 +159,119 @@ def test_round_trip_property(tmp_path_factory, rows):
     out = tmp / "q.jsonl"
     save_corpus(corpus, out)
     assert load_corpus(out).papers == corpus.papers
+
+
+# --- the columnar corpus against the dict-of-records corpus it replaced ------
+
+@pytest.mark.parametrize("field,value,problem", [
+    ("paper_id", [1], "missing or non-integer paper_id"),
+    ("year", {"y": 2011}, "missing or non-integer year"),
+    ("doc_type", ["article"], "unknown doc_type"),
+    ("journal_id", [5], "journal_id"),
+    ("references", [[1]], "references must be"),
+    ("terms", [["graph"]], "terms must be"),
+])
+def test_unhashable_values_rejected_like_oracle(tmp_path, field, value, problem):
+    bad = paper(9, 2011)
+    bad[field] = value
+    path = write_papers(tmp_path / "p.jsonl", [paper(1, 2010), bad])
+    with pytest.raises(CorpusError, match=problem):
+        load_corpus(path)
+    assert_loads_like_oracle(path)
+
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers(-3, 14)
+    | st.sampled_from([2**63 - 1, 2**63, -2**63 - 1]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=6)
+_TERMS = st.lists(st.sampled_from(["Graph", "x", "ab CD", "\u0130x", "graph"]), max_size=4)
+
+
+@st.composite
+def papers_files(draw):
+    """Up to eight lines: papers citing each other and external items (ids up
+    to 15), some with one field replaced or removed, blank lines and broken
+    JSON; ids repeat, so duplicates and self-citations occur."""
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["paper"] * 4 + ["mutated", "blank", "broken"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        if kind == "broken":
+            lines.append(draw(st.sampled_from(["{", "[1,", "nul", '{"paper_id": 1} x'])))
+            continue
+        terms = draw(_TERMS | st.sampled_from(["Deep-Learning, NLP!", ""]))
+        record = paper(draw(st.integers(0, 12)), draw(st.integers(1998, 2003)),
+                       refs=draw(st.lists(st.integers(0, 15), max_size=4, unique=True)),
+                       doc_type=draw(st.sampled_from(DOC_TYPES)),
+                       journal_id=draw(st.sampled_from([None, -1, 0, 5])), terms=terms)
+        if kind == "mutated":
+            field = draw(st.sampled_from(sorted(record) + ["extra"]))
+            if draw(st.booleans()):
+                record.pop(field, None)
+            else:
+                record[field] = draw(_VALUES)
+        lines.append(json.dumps(record))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(papers_files())
+def test_loader_matches_dict_loader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("load") / "p.jsonl"
+    path.write_text(text)
+    assert_loads_like_oracle(path)
+
+
+@pytest.fixture(scope="module", params=[201, 202])
+def synth_corpora(request, tmp_path_factory):
+    """A synthetic corpus of about 300 communities, loaded both ways, and its
+    planted paper -> community map."""
+    res = generate(SynthConfig(rng_seed=request.param, n_communities=300),
+                   tmp_path_factory.mktemp("columns"))
+    return (load_corpus(res.papers_path, res.ranks_path),
+            oracles.load_corpus(res.papers_path, res.ranks_path), res.paper_community)
+
+
+def _assert_same_arrays(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+
+
+def test_build_graph_matches_dict_oracle(synth_corpora):
+    corpus, dict_corpus, _ = synth_corpora
+    for extended in (True, False):
+        for cutoff in (2000, 2005, 2009, 2014):
+            got = build_graph(corpus, extended, cutoff)
+            want = oracles.build_graph(dict_corpus, extended, cutoff)
+            for name in ("node_ids", "internal", "indptr", "indices", "weights"):
+                _assert_same_arrays(getattr(got, name), getattr(want, name))
+
+
+def test_panel_matches_dict_oracle(synth_corpora):
+    corpus, dict_corpus, truth = synth_corpora
+    assignment = {pid: rc for pid, rc in truth.items() if pid % 7}
+    got, want = Panel(corpus, assignment), oracles.DictPanel(dict_corpus, assignment)
+    for name in ("rc_ids", "counts", "totals", "shares", "_rvit", "_paper_rc", "_paper_year"):
+        _assert_same_arrays(getattr(got, name), getattr(want, name))
+    assert got._cubes.keys() == want._cubes.keys()
+    for name in got._cubes:
+        _assert_same_arrays(got._cubes[name], want._cubes[name])
+
+
+def test_plurality_vote_matches_dict_oracle(synth_corpora):
+    corpus, dict_corpus, truth = synth_corpora
+    # external items in the partition collect votes too, as the oracle's lookup does
+    externals = {e: e % 300 for e in corpus.external_ids.tolist()[::3]}
+    for year in range(2001, 2015):
+        base = {pid: rc for pid, rc in truth.items()
+                if dict_corpus.papers[pid].year < year and pid % 5}
+        base.update(externals)
+        voters, rcs = _plurality(corpus, year, base)
+        got = dict(zip(corpus.paper_ids[voters].tolist(), rcs.tolist()))
+        want = oracles.plurality_vote(dict_corpus, Partition(base, model_year=year - 1), year)
+        assert got == want
+        assert len(want) > 0

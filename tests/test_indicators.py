@@ -32,7 +32,7 @@ def _shares_panel(shares, total=2000):
             pid = len(papers)
             papers[pid] = PaperRecord(pid, year, "article", None, (), ())
             assignment[pid] = 0 if i < k else 1
-    return Panel(Corpus(papers, {}), assignment)
+    return Panel(Corpus.from_records(papers.values(), {}), assignment)
 
 
 def peak_year(shares, fy):

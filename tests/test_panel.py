@@ -90,7 +90,7 @@ def small_corpora(draw):
     model_year = draw(st.integers(2000, 2008))
     partition = Partition(assignment, model_year=model_year,
                           extended_through=draw(st.integers(model_year, 2010)))
-    return Corpus(papers, ranks), partition
+    return Corpus.from_records(papers.values(), ranks), partition
 
 
 @settings(max_examples=300, deadline=None)
