@@ -1,14 +1,14 @@
 """Wall time and peak RSS of the corpus-facing stages and of a whole run.
 
-    python bench/stages.py [--variant NAME=SRC ...] [--sizes 1000 10000]
-                           [--seed 101] [--repeats 3] [--out BENCH_6.json]
+    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_6.json]
 
 Each ``--variant`` names an ``src`` directory holding an ``rcforecast``
 package (default: this checkout's ``src`` as ``current``); naming two, such
 as a parent commit's and a change's, gives two columns from one host. For
-each size the corpus is generated once, with ``synth.generate`` from the first
-variant, into a temporary directory. Then, for each repeat and variant in
-turn, two fresh Python processes run:
+each size in ``SIZES`` the corpus is generated once, with ``synth.generate``
+from the first variant and seed ``SEED``, into a temporary directory. Then,
+for each of ``REPEATS`` repeats and each variant in turn, two fresh Python
+processes run:
 
 * ``stages``: ``load_corpus``, ``build_graph`` through 2009, the first use of
   ``term_matrix``, ``assign_new_papers`` for 2010..2014 (summed) on the
@@ -39,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODEL_YEAR, THROUGH_YEAR, RESOLUTION, FYS = 2009, 2014, 0.02, [2010, 2011]
+SIZES, SEED, REPEATS = (1000, 10000), 101, 3
 
 
 def _timed(record: dict, name: str, fn):
@@ -94,9 +95,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--variant", action="append", default=[],
                         help="NAME=SRC; repeatable (default: current=<checkout>/src)")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[1000, 10000])
-    parser.add_argument("--seed", type=int, default=101)
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default="BENCH_6.json")
     parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -110,22 +108,22 @@ def main() -> None:
     first = next(iter(variants.values()))
     import numpy
     import scipy
-    report = {"seed": args.seed, "repeats": args.repeats,
+    report = {"seed": SEED, "repeats": REPEATS,
               "host": {"python": platform.python_version(), "numpy": numpy.__version__,
                        "scipy": scipy.__version__, "machine": platform.machine(),
                        "nproc": os.cpu_count()},
               "sizes": {}}
-    for size in args.sizes:
+    for size in SIZES:
         with tempfile.TemporaryDirectory() as tmp:
             inputs = Path(tmp) / "inputs"
             subprocess.run([sys.executable, "-c",
                             "import sys; from rcforecast.synth import SynthConfig, generate; "
                             "generate(SynthConfig(rng_seed=int(sys.argv[1]), "
                             "n_communities=int(sys.argv[2])), sys.argv[3])",
-                            str(args.seed), str(size), str(inputs)],
+                            str(SEED), str(size), str(inputs)],
                            env=dict(os.environ, PYTHONPATH=first), check=True)
             runs: dict = {name: [] for name in variants}
-            for rep in range(args.repeats):
+            for rep in range(REPEATS):
                 for name, src in variants.items():
                     record = {"stages": _spawn(src, "stages", inputs, Path(tmp) / "unused")}
                     record["pipeline"] = _spawn(src, "pipeline", inputs,

@@ -369,7 +369,7 @@ def run(argv=None) -> int:
         return _fail(str(e))
     except FileNotFoundError as e:
         return _fail(f"missing input: {e.filename}")
-    except OSError as e:
+    except (IsADirectoryError, PermissionError) as e:
         # a directory, or a file the process may not read or write
         return _fail(f"cannot open {e.filename}: {e.strerror}")
     except ValueError as e:

@@ -419,3 +419,12 @@ def test_unreadable_input_exits_2_naming_it(tmp_path, capsys):
         assert run(["corpus", "validate", str(papers)]) == 2
     report = _one_line_report(capsys)
     assert str(papers) in report["error"] and "Permission denied" in report["error"]
+
+
+def test_other_os_errors_are_not_reported_as_bad_input(tmp_path):
+    papers = write_papers(tmp_path / "p.jsonl", [paper(1, 2010)])
+    full = OSError(errno.ENOSPC, "No space left on device")
+    with mock.patch("rcforecast.corpus.open", side_effect=full, create=True):
+        with pytest.raises(OSError) as raised:
+            run(["corpus", "validate", str(papers)])
+    assert raised.value.errno == errno.ENOSPC and raised.value.filename is None
