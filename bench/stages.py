@@ -1,15 +1,18 @@
-"""Wall time and peak RSS of the corpus-facing stages and of a whole run.
+"""Wall time and peak RSS of corpus generation, the corpus-facing stages and
+a whole run.
 
-    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_6.json]
+    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_7.json]
 
 Each ``--variant`` names an ``src`` directory holding an ``rcforecast``
 package (default: this checkout's ``src`` as ``current``); naming two, such
 as a parent commit's and a change's, gives two columns from one host. For
 each size in ``SIZES`` the corpus is generated once, with ``synth.generate``
 from the first variant and seed ``SEED``, into a temporary directory. Then,
-for each of ``REPEATS`` repeats and each variant in turn, two fresh Python
+for each of ``REPEATS`` repeats and each variant in turn, three fresh Python
 processes run:
 
+* ``generate``: ``synth.generate`` of that size and seed into a scratch
+  directory, which is removed afterwards;
 * ``stages``: ``load_corpus``, ``build_graph`` through 2009, the first use of
   ``term_matrix``, ``assign_new_papers`` for 2010..2014 (summed) on the
   2009 Leiden partition, and ``Panel.__init__`` (``panel_init``) on the
@@ -30,6 +33,7 @@ import json
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,7 +53,7 @@ def _timed(record: dict, name: str, fn):
     return out
 
 
-def child(kind: str, inputs: Path, out: Path) -> dict:
+def child(kind: str, size: int, inputs: Path, out: Path) -> dict:
     """One measurement in this process; ``rcforecast`` is already importable."""
     from rcforecast.assign import assign_new_papers
     from rcforecast.citegraph import build_graph
@@ -57,10 +61,14 @@ def child(kind: str, inputs: Path, out: Path) -> dict:
     from rcforecast.corpus import load_corpus
     from rcforecast.indicators import Panel
     from rcforecast.pipeline import PipelineConfig, run_pipeline
+    from rcforecast.synth import SynthConfig, generate
 
     papers, ranks = inputs / "papers.jsonl", inputs / "ranks.csv"
     record: dict = {}
-    if kind == "pipeline":
+    if kind == "generate":
+        _timed(record, "generate",
+               lambda: generate(SynthConfig(rng_seed=SEED, n_communities=size), out))
+    elif kind == "pipeline":
         _timed(record, "run_pipeline", lambda: run_pipeline(PipelineConfig(
             papers=str(papers), journals=str(ranks), out_dir=str(out),
             model_year=MODEL_YEAR, extend_through=THROUGH_YEAR, resolution=RESOLUTION,
@@ -95,12 +103,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--variant", action="append", default=[],
                         help="NAME=SRC; repeatable (default: current=<checkout>/src)")
-    parser.add_argument("--out", default="BENCH_6.json")
-    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("--out", default="BENCH_7.json")
+    parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        kind, inputs, out = args.child
-        print(json.dumps(child(kind, Path(inputs), Path(out))))
+        kind, size, inputs, out = args.child
+        print(json.dumps(child(kind, int(size), Path(inputs), Path(out))))
         return
 
     variants = dict(v.split("=", 1) for v in args.variant) or {"current": str(ROOT / "src")}
@@ -116,27 +124,26 @@ def main() -> None:
     for size in SIZES:
         with tempfile.TemporaryDirectory() as tmp:
             inputs = Path(tmp) / "inputs"
-            subprocess.run([sys.executable, "-c",
-                            "import sys; from rcforecast.synth import SynthConfig, generate; "
-                            "generate(SynthConfig(rng_seed=int(sys.argv[1]), "
-                            "n_communities=int(sys.argv[2])), sys.argv[3])",
-                            str(SEED), str(size), str(inputs)],
-                           env=dict(os.environ, PYTHONPATH=first), check=True)
+            _spawn(first, "generate", size, "-", inputs)
             runs: dict = {name: [] for name in variants}
             for rep in range(REPEATS):
                 for name, src in variants.items():
-                    record = {"stages": _spawn(src, "stages", inputs, Path(tmp) / "unused")}
-                    record["pipeline"] = _spawn(src, "pipeline", inputs,
+                    scratch = Path(tmp) / f"generate_{name}_{rep}"
+                    record = {"generate": _spawn(src, "generate", size, "-", scratch)}
+                    shutil.rmtree(scratch)
+                    record["stages"] = _spawn(src, "stages", size, inputs, Path(tmp) / "unused")
+                    record["pipeline"] = _spawn(src, "pipeline", size, inputs,
                                                 Path(tmp) / f"out_{name}_{rep}")
                     runs[name].append(record)
                     print(f"size {size} repeat {rep} {name}: "
+                          f"generate {record['generate']['generate_s']:.3f} s, "
                           f"corpus stages {record['stages']['corpus_stages_s']:.3f} s, "
                           f"run_pipeline {record['pipeline']['run_pipeline_s']:.3f} s, "
                           f"{record['pipeline']['peak_rss_mb']:.0f} MB", file=sys.stderr)
         report["sizes"][str(size)] = {
             name: {part: {key: statistics.median(r[part][key] for r in recs)
                           for key in recs[0][part]}
-                   for part in ("stages", "pipeline")} | {"runs": recs}
+                   for part in ("generate", "stages", "pipeline")} | {"runs": recs}
             for name, recs in runs.items()}
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 

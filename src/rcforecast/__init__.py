@@ -29,8 +29,6 @@ from .indicators import (  # noqa: F401
     INDICATOR_NAMES,
     IndicatorTable,
     Panel,
-    RawIndicators,
-    StandardizedIndicators,
     standardize,
 )
 from .regression import (  # noqa: F401

@@ -369,8 +369,9 @@ def run(argv=None) -> int:
         return _fail(str(e))
     except FileNotFoundError as e:
         return _fail(f"missing input: {e.filename}")
-    except (IsADirectoryError, PermissionError) as e:
-        # a directory, or a file the process may not read or write
+    except (IsADirectoryError, NotADirectoryError, FileExistsError, PermissionError) as e:
+        # a directory where a file goes or the reverse, or a path the process
+        # may not read or write
         return _fail(f"cannot open {e.filename}: {e.strerror}")
     except ValueError as e:
         return _fail(str(e))

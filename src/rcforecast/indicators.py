@@ -44,48 +44,6 @@ _TRANSFORMS = {
 }
 
 
-# One row of an indicator TSV each, as ``read_indicator_tsv`` returns them; the
-# library itself keeps a forecast year's indicators as an ``IndicatorTable``.
-@dataclass(frozen=True)
-class RawIndicators:
-    rc_id: int
-    fy: int
-    pk: int
-    stage: float
-    cvit: float
-    rvit: float | None          # None when the RC has no datable references in FY
-    delta_rvit: float
-    ntopj: int
-    ctopj: int
-    eigen: int
-    nart: int
-    nrev: int
-    nref: int
-    papers_in_fy: int
-
-    def value(self, name: str):
-        return getattr(self, name)
-
-
-@dataclass(frozen=True)
-class StandardizedIndicators:
-    rc_id: int
-    fy: int
-    stage_s: float
-    cvit_s: float
-    rvit_s: float
-    delta_rvit_s: float
-    ntopj_s: float
-    ctopj_s: float
-    eigen_s: float
-    nart_s: float
-    nrev_s: float
-    nref_s: float
-
-    def value(self, name: str) -> float:
-        return getattr(self, name + "_s")
-
-
 class Panel:
     """The per-RC, per-year record of one partition of a corpus.
 
@@ -323,32 +281,3 @@ def write_indicator_tsv(path, table: IndicatorTable) -> None:
         fh.write("\t".join(_TSV_COLUMNS) + "\n")
         for row in zip(*(column.tolist() for column in columns)):
             fh.write("\t".join(map(repr, row)) + "\n")
-
-
-def read_indicator_tsv(path) -> tuple[list[RawIndicators], list[StandardizedIndicators]]:
-    raw_rows: list[RawIndicators] = []
-    std_rows: list[StandardizedIndicators] = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != _TSV_COLUMNS:
-            raise ValueError(f"unexpected indicator header: {header}")
-        for line in fh:
-            cells = line.rstrip("\n").split("\t")
-            rc_id, fy, pk, papers_in_fy = (int(c) for c in cells[:4])
-            raw_vals = cells[4:4 + len(INDICATOR_NAMES)]
-            std_vals = cells[4 + len(INDICATOR_NAMES):]
-            kwargs = {}
-            for name, cell in zip(INDICATOR_NAMES, raw_vals):
-                if name in ("ntopj", "ctopj", "eigen", "nart", "nrev", "nref"):
-                    kwargs[name] = int(cell)
-                elif name == "rvit" and cell == "nan":
-                    kwargs[name] = None
-                else:
-                    kwargs[name] = float(cell)
-            raw_rows.append(RawIndicators(rc_id=rc_id, fy=fy, pk=pk,
-                                          papers_in_fy=papers_in_fy, **kwargs))
-            std_rows.append(StandardizedIndicators(
-                rc_id=rc_id, fy=fy,
-                **{n + "_s": float(c) for n, c in zip(INDICATOR_NAMES, std_vals)},
-            ))
-    return raw_rows, std_rows

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +46,18 @@ _DEFAULT_SIGNALS = {"rvit": 1.0, "ntopj": 1.0}
 _AGE_P = {"emerging": 0.40, "growing": 0.30, "mature": 0.18, "declining": 0.15}
 
 
-class SynthError(Exception):
+class SynthError(ValueError):
     pass
+
+
+# exact types per annotated field type: a bool, a numeric string or a float
+# count is rejected, not coerced
+_FIELD_CHECKS = {
+    "int": ("an int", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "dict": ("an object of numbers", lambda v: type(v) is dict
+             and all(type(x) in (int, float) for x in v.values())),
+}
 
 
 @dataclass
@@ -88,6 +99,10 @@ class SynthConfig:
     external_pool_size: int = 5
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, ok = _FIELD_CHECKS[f.type]
+            if not ok(getattr(self, f.name)):
+                raise SynthError(f"{f.name} must be {kind}, not {getattr(self, f.name)!r}")
         if self.n_communities < 10:
             raise SynthError("need at least 10 communities")
         if self.last_year - self.first_year + 1 < 10:
@@ -236,22 +251,20 @@ def _in_rise(spec: CommunitySpec, year_idx: int) -> bool:
             and spec.rise_start <= year_idx <= spec.rise_start + spec.rise_len)
 
 
-def _geometric_ages(u: np.ndarray, p: float) -> np.ndarray:
-    # inverse-transform geometric on {1, 2, ...}
-    return 1 + np.floor(np.log(np.maximum(u, 1e-12)) / math.log(1.0 - p)).astype(np.int64)
+def _geometric_age(u: float, p: float) -> int:
+    # inverse-transform geometric on {1, 2, ...}; np.log, not math.log, since
+    # the two may round differently and ages must match numpy's array log
+    return 1 + math.floor(float(np.log(max(u, 1e-12))) / math.log(1.0 - p))
 
 
 def _nearest_year_with_papers(wanted: int, years_with: list[int]) -> int | None:
-    """Closest year (preferring the older side) from a sorted list."""
-    if not years_with:
-        return None
-    best = None
-    best_d = None
-    for yy in years_with:
-        d = abs(yy - wanted) + (0.25 if yy > wanted else 0.0)
-        if best_d is None or d < best_d:
-            best, best_d = yy, d
-    return best
+    """Closest year from a sorted list; a tie goes to the older year."""
+    i = bisect_right(years_with, wanted)
+    if i == len(years_with):
+        return years_with[-1] if years_with else None
+    if i == 0 or years_with[i] - wanted < wanted - years_with[i - 1]:
+        return years_with[i]
+    return years_with[i - 1]
 
 
 def _sample_intra(k: int, pool: list[int], by_year: list[list[int]],
@@ -264,15 +277,13 @@ def _sample_intra(k: int, pool: list[int], by_year: list[list[int]],
     if k == 0:
         return []
     if len(pool) <= 3 * k:
-        idx = rng.permutation(len(pool))[:k]
-        return [pool[int(j)] for j in idx]
+        return [pool[j] for j in rng.permutation(len(pool))[:k].tolist()]
     out: list[int] = []
     seen: set[int] = set()
     guard = 0
     while len(out) < k and guard < 8 * k:
         guard += 1
-        age = int(_geometric_ages(rng.random(1), p_age)[0])
-        ty = _nearest_year_with_papers(yi - age, years_with)
+        ty = _nearest_year_with_papers(yi - _geometric_age(rng.random(), p_age), years_with)
         group = by_year[ty]
         cand = group[int(rng.random() * len(group))]
         if cand not in seen:
@@ -292,8 +303,7 @@ def _sample_inter(global_by_year: list[list[int]], yi: int, own: int,
                   ) -> int | None:
     """One earlier paper outside the citing community, or None."""
     for _ in range(4):
-        age = int(_geometric_ages(rng.random(1), 0.20)[0])
-        ty = max(0, min(yi - age, yi - 1))
+        ty = max(0, min(yi - _geometric_age(rng.random(), 0.20), yi - 1))
         cand = None
         for back in range(ty + 1):
             pool = global_by_year[ty - back]
@@ -303,6 +313,16 @@ def _sample_inter(global_by_year: list[list[int]], yi: int, own: int,
         if cand is not None and paper_community[cand] != own and cand not in taken:
             return cand
     return None
+
+
+def _paper_line(pid: int, year: int, doc_type: str, journal: int,
+                refs: list[int], terms: list[str]) -> str:
+    """The ``json.dumps(..., separators=(",", ":"))`` line of one paper; ids are
+    ints and terms are ``[0-9a-z]`` strings, so nothing needs escaping."""
+    quoted = '"' + '","'.join(terms) + '"' if terms else ""
+    return (f'{{"paper_id":{pid},"year":{year},"doc_type":"{doc_type}",'
+            f'"journal_id":{journal},"references":[{",".join(map(str, refs))}],'
+            f'"terms":[{quoted}]}}\n')
 
 
 def generate(config: SynthConfig, out_dir) -> SynthResult:
@@ -316,6 +336,7 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
     y0, y1 = config.first_year, config.last_year
     n_years = y1 - y0 + 1
     p_ext = 1.0 - config.intra_p - config.inter_p
+    p_ext_intra = p_ext + config.intra_p
 
     specs = _community_specs(config, rng)
     counts = np.zeros((config.n_communities, n_years), dtype=np.int64)
@@ -341,42 +362,44 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
     global_by_year: list[list[int]] = [[] for _ in range(n_years)]
     paper_community: dict[int, int] = {}
     ref_events = {"intra": 0, "inter": 0, "external": 0}
+    n_refs_mean = max(config.refs_mean - 1.0, 0.0)
+    pool_size = config.external_pool_size
+    count_rows = counts.tolist()
 
     next_id = 1
     with open(papers_path, "w") as fh:
         for yi in range(n_years):
             year = y0 + yi
+            lines: list[str] = []
             for spec in specs:
-                k = int(counts[spec.cid, yi])
+                c = spec.cid
+                k = count_rows[c][yi]
                 if k == 0:
                     continue
-                c = spec.cid
                 rise = _in_rise(spec, yi)
                 p_top = p_top_rise if rise else config.base_top_journal_p
                 p_age = p_young_rise if rise else _AGE_P[spec.lifecycle]
 
-                u_doc = rng.random(k)
-                u_top = rng.random(k)
-                j_top = rng.integers(1, config.top_journal_count + 1, size=k)
-                j_rest = rng.integers(config.top_journal_count + 1,
-                                      config.n_journals + 1, size=k)
-                u_refs = rng.random(k)
-                n_refs = 1 + rng.poisson(max(config.refs_mean - 1.0, 0.0), size=k)
-                u_terms = rng.random(k)
-
-                for i in range(k):
+                # one block of draws per (community, year), in the stream's order
+                block = zip(
+                    rng.random(k).tolist(), rng.random(k).tolist(),
+                    rng.integers(1, config.top_journal_count + 1, size=k).tolist(),
+                    rng.integers(config.top_journal_count + 1, config.n_journals + 1,
+                                 size=k).tolist(),
+                    rng.random(k).tolist(), (1 + rng.poisson(n_refs_mean, size=k)).tolist(),
+                    rng.random(k).tolist())
+                for u_doc, u_top, j_top, j_rest, u_refs, nr, u_terms in block:
                     pid = next_id
                     next_id += 1
-                    doc_type = ("article" if u_doc[i] < 0.85
-                                else "review" if u_doc[i] < 0.92 else "other")
-                    journal = int(j_top[i] if u_top[i] < p_top else j_rest[i])
+                    doc_type = ("article" if u_doc < 0.85
+                                else "review" if u_doc < 0.92 else "other")
+                    journal = j_top if u_top < p_top else j_rest
 
                     refs: list[int] = []
-                    if u_refs[i] >= config.p_no_refs:
-                        nr = int(n_refs[i])
+                    if u_refs >= config.p_no_refs:
                         kinds = rng.random(nr)
-                        n_ext = int((kinds < p_ext).sum())
-                        n_intra = int((kinds < p_ext + config.intra_p).sum()) - n_ext
+                        n_ext = int(np.count_nonzero(kinds < p_ext))
+                        n_intra = int(np.count_nonzero(kinds < p_ext_intra)) - n_ext
                         n_inter = nr - n_ext - n_intra
                         if yi == 0:  # nothing to cite yet; route all backward
                             n_ext, n_intra, n_inter = nr, 0, 0
@@ -392,11 +415,10 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
                             n_ext += (n_intra - k_intra) + (n_inter - k_inter)
                             n_inter = k_inter
 
-                        targets = _sample_intra(k_intra, pool_c, members[c],
-                                                years_with[c], yi, p_age, rng)
-                        ref_events["intra"] += len(targets)
-                        refs.extend(targets)
-                        taken = set(targets)
+                        refs = _sample_intra(k_intra, pool_c, members[c],
+                                             years_with[c], yi, p_age, rng)
+                        ref_events["intra"] += len(refs)
+                        taken = set(refs)
 
                         for _ in range(n_inter):
                             ref = _sample_inter(global_by_year, yi, c,
@@ -409,35 +431,29 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
                                 ref_events["inter"] += 1
 
                         if n_ext:
-                            k_e = min(n_ext, config.external_pool_size)
-                            base = EXTERNAL_ID_BASE + c * config.external_pool_size
-                            idx = rng.permutation(config.external_pool_size)[:k_e]
-                            refs.extend(base + int(j) for j in idx)
+                            k_e = min(n_ext, pool_size)
+                            base = EXTERNAL_ID_BASE + c * pool_size
+                            refs.extend(base + j for j in
+                                        rng.permutation(pool_size)[:k_e].tolist())
                             ref_events["external"] += k_e
+                        refs.sort()
 
-                    if u_terms[i] < config.p_no_terms:
+                    if u_terms < config.p_no_terms:
                         terms: list[str] = []
                     else:
-                        own = rng.choice(12, size=4, replace=False)
-                        shared = np.floor(200 * rng.random(3) ** 2).astype(int)
-                        terms = sorted([f"c{c}k{j}" for j in own.tolist()]
-                                       + [f"w{j}" for j in shared.tolist()])
+                        own = rng.choice(12, size=4, replace=False).tolist()
+                        # numpy's ``u ** 2`` is ``u * u``, then times 200
+                        shared = [math.floor(200 * (u * u)) for u in rng.random(3).tolist()]
+                        terms = sorted([f"c{c}k{j}" for j in own]
+                                       + [f"w{j}" for j in shared])
 
-                    obj = {
-                        "paper_id": pid,
-                        "year": year,
-                        "doc_type": doc_type,
-                        "journal_id": journal,
-                        "references": sorted(refs),
-                        "terms": terms,
-                    }
-                    fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+                    lines.append(_paper_line(pid, year, doc_type, journal, refs, terms))
                     paper_community[pid] = c
                     members[c][yi].append(pid)
                     global_by_year[yi].append(pid)
-                if k:
-                    years_with[c].append(yi)
-                    earlier[c].extend(members[c][yi])
+                years_with[c].append(yi)
+                earlier[c].extend(members[c][yi])
+            fh.writelines(lines)
 
     with open(ranks_path, "w") as fh:
         fh.write("journal_id,citescore_rank,eigenfactor_rank\n")
@@ -519,6 +535,12 @@ def load_truth(path):
 
 
 def config_from_json(path) -> SynthConfig:
+    """Load a config; SynthError for a non-object, unknown keys or wrong types."""
     with open(path) as fh:
         obj = json.load(fh)
+    if type(obj) is not dict:
+        raise SynthError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(obj) - {f.name for f in fields(SynthConfig)})
+    if unknown:
+        raise SynthError(f"unknown config keys: {', '.join(unknown)}")
     return SynthConfig(**obj)

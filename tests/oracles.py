@@ -9,9 +9,10 @@ from the library. The dict-based Leiden cores and the stack-walk connected
 components that the library replaced are kept here as references too, and so
 is the per-query BM25 scorer of the model extension, the row-based
 standardization, forecasts and composite fit that the indicator table replaced,
-the split-then-filter term tokenizer, Leiden's numpy-only random draw, and
-the dict-of-records corpus with the loader, graph build, panel and reference
-vote that walked it.
+the split-then-filter term tokenizer, Leiden's numpy-only random draw, the
+dict-of-records corpus with the loader, graph build, panel and reference
+vote that walked it, the indicator row types with their TSV reader, and the
+synthetic generator with one-element numpy draws and a linear year scan.
 """
 
 import json
@@ -20,7 +21,7 @@ import re
 import warnings
 from array import array
 from collections import Counter, deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -40,17 +41,27 @@ from rcforecast.forecast import (
     label_exceptional,
 )
 from rcforecast.indicators import (
+    _TSV_COLUMNS,
     DEFAULT_WINDOW,
     INDICATOR_NAMES,
     TOP_RANK,
     IndicatorTable,
     Panel,
-    RawIndicators,
-    StandardizedIndicators,
     _transform,
     standardize,
 )
 from rcforecast.regression import stepwise_select
+from rcforecast.synth import (
+    _AGE_P,
+    _DEFAULT_SIGNALS,
+    EXTERNAL_ID_BASE,
+    SynthConfig,
+    SynthResult,
+    _apportion,
+    _community_specs,
+    _in_rise,
+    _trajectory,
+)
 
 
 def set_partitions(items):
@@ -330,6 +341,82 @@ def connected_components_bfs(indptr, indices, n):
                     label[y] = seed
                     stack.append(y)
     return label
+
+
+# --- indicator rows and the TSV reader that builds them ----------------------
+#
+# The library keeps a forecast year's indicators as an IndicatorTable; these
+# row types, one per (rc_id, fy), are what the row-based oracles below and the
+# TSV round-trip tests compare against.
+
+
+@dataclass(frozen=True)
+class RawIndicators:
+    rc_id: int
+    fy: int
+    pk: int
+    stage: float
+    cvit: float
+    rvit: float | None          # None when the RC has no datable references in FY
+    delta_rvit: float
+    ntopj: int
+    ctopj: int
+    eigen: int
+    nart: int
+    nrev: int
+    nref: int
+    papers_in_fy: int
+
+    def value(self, name: str):
+        return getattr(self, name)
+
+
+@dataclass(frozen=True)
+class StandardizedIndicators:
+    rc_id: int
+    fy: int
+    stage_s: float
+    cvit_s: float
+    rvit_s: float
+    delta_rvit_s: float
+    ntopj_s: float
+    ctopj_s: float
+    eigen_s: float
+    nart_s: float
+    nrev_s: float
+    nref_s: float
+
+    def value(self, name: str) -> float:
+        return getattr(self, name + "_s")
+
+
+def read_indicator_tsv(path) -> tuple[list[RawIndicators], list[StandardizedIndicators]]:
+    raw_rows: list[RawIndicators] = []
+    std_rows: list[StandardizedIndicators] = []
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        if header != _TSV_COLUMNS:
+            raise ValueError(f"unexpected indicator header: {header}")
+        for line in fh:
+            cells = line.rstrip("\n").split("\t")
+            rc_id, fy, pk, papers_in_fy = (int(c) for c in cells[:4])
+            raw_vals = cells[4:4 + len(INDICATOR_NAMES)]
+            std_vals = cells[4 + len(INDICATOR_NAMES):]
+            kwargs = {}
+            for name, cell in zip(INDICATOR_NAMES, raw_vals):
+                if name in ("ntopj", "ctopj", "eigen", "nart", "nrev", "nref"):
+                    kwargs[name] = int(cell)
+                elif name == "rvit" and cell == "nan":
+                    kwargs[name] = None
+                else:
+                    kwargs[name] = float(cell)
+            raw_rows.append(RawIndicators(rc_id=rc_id, fy=fy, pk=pk,
+                                          papers_in_fy=papers_in_fy, **kwargs))
+            std_rows.append(StandardizedIndicators(
+                rc_id=rc_id, fy=fy,
+                **{n + "_s": float(c) for n, c in zip(INDICATOR_NAMES, std_vals)},
+            ))
+    return raw_rows, std_rows
 
 
 # --- the per-paper indicator engine the RC x year panel replaced -------------
@@ -1092,3 +1179,272 @@ def draw(rng, gains):
     cdf = (p / p.sum()).cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+# --- the synthetic generator with per-draw numpy calls -----------------------
+#
+# ``synth.generate`` as it was before its draws became scalars and block
+# lists: one-element ``rng.random(1)`` age draws, a linear nearest-year scan
+# and one ``json.dumps`` per paper. Same draws in the same order, so the
+# library's files and result must equal these byte for byte. The unchanged
+# helpers (specs, trajectories, apportionment) come from the library.
+
+
+def _geometric_ages(u: np.ndarray, p: float) -> np.ndarray:
+    # inverse-transform geometric on {1, 2, ...}
+    return 1 + np.floor(np.log(np.maximum(u, 1e-12)) / math.log(1.0 - p)).astype(np.int64)
+
+
+def _nearest_year_with_papers(wanted: int, years_with: list[int]) -> int | None:
+    """Closest year (preferring the older side) from a sorted list."""
+    if not years_with:
+        return None
+    best = None
+    best_d = None
+    for yy in years_with:
+        d = abs(yy - wanted) + (0.25 if yy > wanted else 0.0)
+        if best_d is None or d < best_d:
+            best, best_d = yy, d
+    return best
+
+
+def _sample_intra(k: int, pool: list[int], by_year: list[list[int]],
+                  years_with: list[int], yi: int, p_age: float, rng) -> list[int]:
+    """k distinct earlier papers of one community, reference ages geometric.
+
+    Small pools fall back to a uniform draw without replacement; the age
+    structure is negligible there anyway.
+    """
+    if k == 0:
+        return []
+    if len(pool) <= 3 * k:
+        idx = rng.permutation(len(pool))[:k]
+        return [pool[int(j)] for j in idx]
+    out: list[int] = []
+    seen: set[int] = set()
+    guard = 0
+    while len(out) < k and guard < 8 * k:
+        guard += 1
+        age = int(_geometric_ages(rng.random(1), p_age)[0])
+        ty = _nearest_year_with_papers(yi - age, years_with)
+        group = by_year[ty]
+        cand = group[int(rng.random() * len(group))]
+        if cand not in seen:
+            seen.add(cand)
+            out.append(cand)
+    while len(out) < k and guard < 16 * k:
+        guard += 1
+        cand = pool[int(rng.random() * len(pool))]
+        if cand not in seen:
+            seen.add(cand)
+            out.append(cand)
+    return out
+
+
+def _sample_inter(global_by_year: list[list[int]], yi: int, own: int,
+                  paper_community: dict[int, int], taken: set[int], rng
+                  ) -> int | None:
+    """One earlier paper outside the citing community, or None."""
+    for _ in range(4):
+        age = int(_geometric_ages(rng.random(1), 0.20)[0])
+        ty = max(0, min(yi - age, yi - 1))
+        cand = None
+        for back in range(ty + 1):
+            pool = global_by_year[ty - back]
+            if pool:
+                cand = pool[int(rng.random() * len(pool))]
+                break
+        if cand is not None and paper_community[cand] != own and cand not in taken:
+            return cand
+    return None
+
+
+def generate(config: SynthConfig, out_dir) -> SynthResult:
+    """Write papers.jsonl, ranks.csv and truth.tsv under ``out_dir``.
+
+    Deterministic per rng_seed: same seed, byte-identical outputs.
+    """
+    rng = np.random.default_rng(config.rng_seed)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    y0, y1 = config.first_year, config.last_year
+    n_years = y1 - y0 + 1
+    p_ext = 1.0 - config.intra_p - config.inter_p
+
+    specs = _community_specs(config, rng)
+    counts = np.zeros((config.n_communities, n_years), dtype=np.int64)
+    for spec in specs:
+        counts[spec.cid] = _apportion(spec.total, _trajectory(spec, n_years, config, rng))
+
+    # journals: the top slice ranks 1..top_count, everything else lands above
+    # the fixed 250 cutoff; the eigenfactor ordering is an independent shuffle
+    eigen_positions = rng.permutation(config.n_journals) + 1
+    strengths = {**_DEFAULT_SIGNALS, **config.signal_strengths}
+    p_young_rise = min(0.8, max(0.2, 0.45 + 0.12 * strengths.get("rvit", 1.0)))
+    p_top_rise = min(0.85, config.base_top_journal_p * config.top_journal_propensity
+                     * strengths.get("ntopj", 1.0))
+
+    papers_path = out_dir / "papers.jsonl"
+    ranks_path = out_dir / "ranks.csv"
+    truth_path = out_dir / "truth.tsv"
+
+    members: list[list[list[int]]] = [[[] for _ in range(n_years)]
+                                      for _ in range(config.n_communities)]
+    years_with: list[list[int]] = [[] for _ in range(config.n_communities)]
+    earlier: list[list[int]] = [[] for _ in range(config.n_communities)]
+    global_by_year: list[list[int]] = [[] for _ in range(n_years)]
+    paper_community: dict[int, int] = {}
+    ref_events = {"intra": 0, "inter": 0, "external": 0}
+
+    next_id = 1
+    with open(papers_path, "w") as fh:
+        for yi in range(n_years):
+            year = y0 + yi
+            for spec in specs:
+                k = int(counts[spec.cid, yi])
+                if k == 0:
+                    continue
+                c = spec.cid
+                rise = _in_rise(spec, yi)
+                p_top = p_top_rise if rise else config.base_top_journal_p
+                p_age = p_young_rise if rise else _AGE_P[spec.lifecycle]
+
+                u_doc = rng.random(k)
+                u_top = rng.random(k)
+                j_top = rng.integers(1, config.top_journal_count + 1, size=k)
+                j_rest = rng.integers(config.top_journal_count + 1,
+                                      config.n_journals + 1, size=k)
+                u_refs = rng.random(k)
+                n_refs = 1 + rng.poisson(max(config.refs_mean - 1.0, 0.0), size=k)
+                u_terms = rng.random(k)
+
+                for i in range(k):
+                    pid = next_id
+                    next_id += 1
+                    doc_type = ("article" if u_doc[i] < 0.85
+                                else "review" if u_doc[i] < 0.92 else "other")
+                    journal = int(j_top[i] if u_top[i] < p_top else j_rest[i])
+
+                    refs: list[int] = []
+                    if u_refs[i] >= config.p_no_refs:
+                        nr = int(n_refs[i])
+                        kinds = rng.random(nr)
+                        n_ext = int((kinds < p_ext).sum())
+                        n_intra = int((kinds < p_ext + config.intra_p).sum()) - n_ext
+                        n_inter = nr - n_ext - n_intra
+                        if yi == 0:  # nothing to cite yet; route all backward
+                            n_ext, n_intra, n_inter = nr, 0, 0
+                        pool_c = earlier[c]
+                        k_intra = min(n_intra, len(pool_c))
+                        if k_intra < n_intra:
+                            # thin history: the community is young, so both its
+                            # in-community and cross-community citations give
+                            # way to outside literature in equal proportion,
+                            # keeping the configured intra/inter ratio intact
+                            keep = k_intra / n_intra
+                            k_inter = int(round(n_inter * keep))
+                            n_ext += (n_intra - k_intra) + (n_inter - k_inter)
+                            n_inter = k_inter
+
+                        targets = _sample_intra(k_intra, pool_c, members[c],
+                                                years_with[c], yi, p_age, rng)
+                        ref_events["intra"] += len(targets)
+                        refs.extend(targets)
+                        taken = set(targets)
+
+                        for _ in range(n_inter):
+                            ref = _sample_inter(global_by_year, yi, c,
+                                                paper_community, taken, rng)
+                            if ref is None:
+                                n_ext += 1
+                            else:
+                                taken.add(ref)
+                                refs.append(ref)
+                                ref_events["inter"] += 1
+
+                        if n_ext:
+                            k_e = min(n_ext, config.external_pool_size)
+                            base = EXTERNAL_ID_BASE + c * config.external_pool_size
+                            idx = rng.permutation(config.external_pool_size)[:k_e]
+                            refs.extend(base + int(j) for j in idx)
+                            ref_events["external"] += k_e
+
+                    if u_terms[i] < config.p_no_terms:
+                        terms: list[str] = []
+                    else:
+                        own = rng.choice(12, size=4, replace=False)
+                        shared = np.floor(200 * rng.random(3) ** 2).astype(int)
+                        terms = sorted([f"c{c}k{j}" for j in own.tolist()]
+                                       + [f"w{j}" for j in shared.tolist()])
+
+                    obj = {
+                        "paper_id": pid,
+                        "year": year,
+                        "doc_type": doc_type,
+                        "journal_id": journal,
+                        "references": sorted(refs),
+                        "terms": terms,
+                    }
+                    fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+                    paper_community[pid] = c
+                    members[c][yi].append(pid)
+                    global_by_year[yi].append(pid)
+                if k:
+                    years_with[c].append(yi)
+                    earlier[c].extend(members[c][yi])
+
+    with open(ranks_path, "w") as fh:
+        fh.write("journal_id,citescore_rank,eigenfactor_rank\n")
+        for j in range(1, config.n_journals + 1):
+            cs = j if j <= config.top_journal_count else 250 + j
+            ep = int(eigen_positions[j - 1])
+            eig = ep if ep <= config.top_journal_count else 250 + ep
+            fh.write(f"{j},{cs},{eig}\n")
+
+    # ground-truth labels from realized shares, peak-to-target arithmetic
+    totals = counts.sum(axis=0)
+    xg_truth: dict[tuple[int, int], int] = {}
+    xg_per_fy: dict[int, int] = {}
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shares = np.where(totals > 0, counts / np.maximum(totals, 1), 0.0)
+    for spec in specs:
+        row = shares[spec.cid]
+        for fy_idx in range(0, n_years - 3):
+            upto = row[:fy_idx + 1]
+            top = upto.max()
+            if top <= 0.0:
+                continue
+            pk_idx = int(np.flatnonzero(upto == top)[-1])
+            ty_idx = fy_idx + 3
+            gr = (row[ty_idx] / top) ** (1.0 / (ty_idx - pk_idx))
+            label = 1 if gr > 1.08 else 0
+            fy = y0 + fy_idx
+            xg_truth[(spec.cid, fy)] = label
+            if label:
+                xg_per_fy[fy] = xg_per_fy.get(fy, 0) + 1
+
+    # the "+xg" suffix marks communities carrying a planted growth episode
+    community_class = {spec.cid: spec.lifecycle + ("+xg" if spec.planted else "")
+                       for spec in specs}
+    with open(truth_path, "w") as fh:
+        fh.write("kind\tid\tfy\tvalue\n")
+        for pid in sorted(paper_community):
+            fh.write(f"paper\t{pid}\t\t{paper_community[pid]}\n")
+        for spec in specs:
+            fh.write(f"class\t{spec.cid}\t\t{community_class[spec.cid]}\n")
+        for (cid, fy) in sorted(xg_truth):
+            fh.write(f"xg\t{cid}\t{fy}\t{xg_truth[(cid, fy)]}\n")
+
+    summary = {
+        "n_papers": next_id - 1,
+        "n_planted": sum(1 for s in specs if s.planted),
+        "ref_events": ref_events,
+        "xg_per_fy": xg_per_fy,
+        "yearly_totals": {y0 + i: int(totals[i]) for i in range(n_years)},
+    }
+    return SynthResult(
+        papers_path=papers_path, ranks_path=ranks_path, truth_path=truth_path,
+        n_papers=next_id - 1, n_communities=config.n_communities,
+        paper_community=paper_community, community_class=community_class,
+        xg_truth=xg_truth, summary=summary,
+    )

@@ -24,13 +24,20 @@ from rcforecast.forecast import (
     label_exceptional,
     oracle_n,
 )
-from rcforecast.indicators import INDICATOR_NAMES, Panel, RawIndicators
+from rcforecast.indicators import INDICATOR_NAMES, Panel
 from rcforecast.pipeline import PipelineConfig, indicator_table, run_pipeline
 from rcforecast.regression import fit_probit, probit_gradient, probit_loglik, stepwise_select
 from rcforecast.synth import SynthConfig, generate
 
 from conftest import ACCEPTANCE_LINES, paper, write_papers
-from oracles import exhaustive_best_modularity, raw_rows, small_graph_fixtures, std_rows, table_of
+from oracles import (
+    RawIndicators,
+    exhaustive_best_modularity,
+    raw_rows,
+    small_graph_fixtures,
+    std_rows,
+    table_of,
+)
 
 
 def _report(n: int, ok: bool, detail: str) -> None:

@@ -163,6 +163,26 @@ def test_synth_cli(tmp_path, capsys):
     assert (out_dir / "synth.manifest.json").exists()
 
 
+@pytest.mark.parametrize("config,problem", [
+    ({"n_communities": 5}, "at least 10 communities"),
+    ({"bogus": 1}, "unknown config keys: bogus"),
+    ([1], "JSON object"),
+    ({"n_communities": "50"}, "n_communities must be an int"),
+    ({"n_communities": 50.0}, "n_communities must be an int"),
+    ({"n_communities": True}, "n_communities must be an int"),
+    ({"intra_p": "0.7"}, "intra_p must be a number"),
+    ({"intra_p": False}, "intra_p must be a number"),
+    ({"lifecycle_mix": [0.5, 0.5]}, "lifecycle_mix must be an object"),
+    ({"signal_strengths": {"rvit": "2"}}, "signal_strengths must be an object"),
+])
+def test_synth_bad_config_exits_2(tmp_path, capsys, config, problem):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert problem in _one_line_report(capsys)["error"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_cli_small_fixture(synth_dir, tmp_path, capsys):
     out_dir = tmp_path / "pipe_out"
     cfg = {
@@ -419,6 +439,21 @@ def test_unreadable_input_exits_2_naming_it(tmp_path, capsys):
         assert run(["corpus", "validate", str(papers)]) == 2
     report = _one_line_report(capsys)
     assert str(papers) in report["error"] and "Permission denied" in report["error"]
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["synth", "model build"])
+def test_out_naming_a_file_exits_2(synth_dir, tmp_path, capsys, command, under_file):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if under_file else blocker
+    argv = ["synth", "--seed", "1"] if command == "synth" else [
+        "model", "build", "--corpus", str(synth_dir / "papers.jsonl"),
+        "--through-year", "2009", "--resolution", "0.02"]
+    assert run([*argv, "--out", str(out)]) == 2
+    report = _one_line_report(capsys)
+    assert report["error"].startswith(f"cannot open {out}: ")
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_other_os_errors_are_not_reported_as_bad_input(tmp_path):

@@ -5,16 +5,11 @@ from hypothesis import strategies as st
 
 from rcforecast.cluster import Partition
 from rcforecast.corpus import Corpus, PaperRecord
-from rcforecast.indicators import (
-    INDICATOR_NAMES,
-    Panel,
-    RawIndicators,
-    read_indicator_tsv,
-    write_indicator_tsv,
-)
+from rcforecast.indicators import INDICATOR_NAMES, Panel, write_indicator_tsv
 
 import oracles
 from conftest import paper
+from oracles import RawIndicators, read_indicator_tsv
 
 
 def _standardize_rows(rows):

@@ -1,14 +1,26 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcforecast.citegraph import build_graph, connected_components
 from rcforecast.cluster import Partition
 from rcforecast.corpus import load_corpus
 from rcforecast.indicators import Panel
-from rcforecast.synth import SynthConfig, SynthError, generate, load_truth
+from rcforecast.synth import (
+    _AGE_P,
+    SynthConfig,
+    SynthError,
+    _geometric_age,
+    _nearest_year_with_papers,
+    generate,
+    load_truth,
+)
 
+import oracles
 from oracles import raw_rows
 
 
@@ -155,3 +167,64 @@ def test_some_papers_exercise_bm25_and_unassigned_paths(small_synth):
                     no_refs_no_terms += 1
     assert no_refs_with_terms > 0
     assert no_refs_no_terms > 0
+
+
+# --- the generator against its per-draw numpy oracle -------------------------
+
+# every p an age is drawn with: the lifecycle classes, the inter-community
+# 0.20, and the rise parameter, clamped to [0.2, 0.8] (0.57 by default)
+_AGE_PS = st.one_of(st.sampled_from(sorted({*_AGE_P.values(), 0.20, 0.57, 0.8})),
+                    st.floats(min_value=0.2, max_value=0.8))
+_UNIT = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-12, 1.0 - 2.0 ** -53]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.integers(0, 2 ** 53 - 1).map(lambda i: i * 2.0 ** -53),   # random()'s grid
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(years=st.lists(st.integers(0, 20), unique=True, max_size=12).map(sorted),
+       wanted=st.integers(-25, 45))
+def test_nearest_year_bisect_matches_scan(years, wanted):
+    assert _nearest_year_with_papers(wanted, years) == \
+        oracles._nearest_year_with_papers(wanted, years)
+
+
+@settings(max_examples=500, deadline=None)
+@given(u=_UNIT, p=_AGE_PS)
+def test_scalar_age_matches_array_age(u, p):
+    age = _geometric_age(u, p)
+    assert type(age) is int
+    assert age == int(oracles._geometric_ages(np.array([u]), p)[0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(us=st.lists(_UNIT, min_size=3, max_size=3))
+def test_scalar_shared_term_matches_numpy(us):
+    expected = np.floor(200 * np.array(us) ** 2).astype(int).tolist()
+    assert [math.floor(200 * (u * u)) for u in us] == expected
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"rng_seed": 1, "n_communities": 150}, id="seed1"),
+    pytest.param({"rng_seed": 2, "n_communities": 200}, id="seed2"),
+    pytest.param({"rng_seed": 3, "n_communities": 250}, id="seed3"),
+    pytest.param({"rng_seed": 101, "n_communities": 300}, id="seed101"),
+    pytest.param({"rng_seed": 4, "n_communities": 150, "inter_p": 0.0}, id="no_inter"),
+    pytest.param({"rng_seed": 5, "n_communities": 150, "dip_fraction": 1.0}, id="all_dip"),
+    pytest.param({"rng_seed": 6, "n_communities": 150,
+                  "signal_strengths": {"rvit": 3.0, "ntopj": 2.5}}, id="strong_signals"),
+    pytest.param({"rng_seed": 7, "n_communities": 150, "p_no_refs": 0.6,
+                  "p_no_terms": 0.3}, id="sparse_refs_terms"),
+])
+def test_generate_matches_per_draw_oracle(tmp_path, overrides):
+    got = generate(SynthConfig(**overrides), tmp_path / "lib")
+    want = oracles.generate(SynthConfig(**overrides), tmp_path / "oracle")
+    for name in ("papers.jsonl", "ranks.csv", "truth.tsv"):
+        assert (tmp_path / "lib" / name).read_bytes() == \
+            (tmp_path / "oracle" / name).read_bytes(), name
+    assert got.n_papers == want.n_papers
+    assert got.paper_community == want.paper_community
+    assert got.community_class == want.community_class
+    assert got.xg_truth == want.xg_truth
+    assert got.summary == want.summary
