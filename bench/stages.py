@@ -1,7 +1,7 @@
 """Wall time and peak RSS of corpus generation, the corpus-facing stages and
 a whole run.
 
-    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_7.json]
+    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_8.json]
 
 Each ``--variant`` names an ``src`` directory holding an ``rcforecast``
 package (default: this checkout's ``src`` as ``current``); naming two, such
@@ -15,8 +15,10 @@ processes run:
   directory, which is removed afterwards;
 * ``stages``: ``load_corpus``, ``build_graph`` through 2009, the first use of
   ``term_matrix``, ``assign_new_papers`` for 2010..2014 (summed) on the
-  2009 Leiden partition, and ``Panel.__init__`` (``panel_init``) on the
-  extended partition; ``corpus_stages_s`` sums all but the extension;
+  2009 Leiden partition, ``Panel.__init__`` (``panel_init``) on the
+  extended partition, and ``save_partition`` followed by ``load_partition``
+  of it (``partition_io``); ``corpus_stages_s`` sums the load, graph, term
+  matrix and panel;
 * ``pipeline``: ``run_pipeline`` with the model year 2009, extension through
   2014, resolution 0.02 and forecast and fit years 2010 and 2011.
 
@@ -57,7 +59,7 @@ def child(kind: str, size: int, inputs: Path, out: Path) -> dict:
     """One measurement in this process; ``rcforecast`` is already importable."""
     from rcforecast.assign import assign_new_papers
     from rcforecast.citegraph import build_graph
-    from rcforecast.cluster import ClusterConfig, leiden
+    from rcforecast.cluster import ClusterConfig, leiden, load_partition, save_partition
     from rcforecast.corpus import load_corpus
     from rcforecast.indicators import Panel
     from rcforecast.pipeline import PipelineConfig, run_pipeline
@@ -86,6 +88,10 @@ def child(kind: str, size: int, inputs: Path, out: Path) -> dict:
             partition, _ = assign_new_papers(partition, corpus, year)
             record["assign_new_papers_s"] += time.perf_counter() - t0
         _timed(record, "panel_init", lambda: Panel(corpus, partition))
+        out.mkdir()
+        paths = out / "partition.tsv", out / "partition.json"
+        _timed(record, "partition_io",
+               lambda: save_partition(partition, *paths) or load_partition(*paths))
         record["corpus_stages_s"] = sum(record[f"{name}_s"] for name in (
             "load_corpus", "build_graph", "term_matrix", "panel_init"))
     record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -103,7 +109,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--variant", action="append", default=[],
                         help="NAME=SRC; repeatable (default: current=<checkout>/src)")
-    parser.add_argument("--out", default="BENCH_7.json")
+    parser.add_argument("--out", default="BENCH_8.json")
     parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
@@ -131,7 +137,8 @@ def main() -> None:
                     scratch = Path(tmp) / f"generate_{name}_{rep}"
                     record = {"generate": _spawn(src, "generate", size, "-", scratch)}
                     shutil.rmtree(scratch)
-                    record["stages"] = _spawn(src, "stages", size, inputs, Path(tmp) / "unused")
+                    record["stages"] = _spawn(src, "stages", size, inputs,
+                                              Path(tmp) / f"stages_{name}_{rep}")
                     record["pipeline"] = _spawn(src, "pipeline", size, inputs,
                                                 Path(tmp) / f"out_{name}_{rep}")
                     runs[name].append(record)

@@ -28,8 +28,8 @@ corpus = load_corpus(result.papers_path, result.ranks_path)
 # indicators work against any partition; here, the planted truth. The panel
 # folds the papers into (community, year) cells once; every forecast year's
 # indicator table (one array per column) and the lifecycle table are read off it.
-partition = Partition(dict(result.paper_community), model_year=2009,
-                      rc_count=result.n_communities, extended_through=2014)
+partition = Partition.from_assignment(result.paper_community, model_year=2009,
+                                      rc_count=result.n_communities, extended_through=2014)
 panel = Panel(corpus, partition)
 
 FY = 2010

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .cluster import ClusterError, Partition
-from .corpus import Corpus
+from .corpus import Corpus, lookup
 
 K1 = 1.2
 B = 0.75
@@ -27,11 +27,11 @@ _TIE_EPS = 1e-15
 _BLOCK_CELLS = 1 << 20      # scores held densely per block of queries
 
 
-def rc_documents(corpus: Corpus, assignment: dict[int, int]
+def rc_documents(corpus: Corpus, partition: Partition
                  ) -> tuple[np.ndarray, sparse.csr_array]:
     """Sorted RC ids and the RC x term counts of their aggregate documents
     (the concatenated terms of their member papers), one row per RC."""
-    row, rc_ids, rc_row = corpus.partition_rows(assignment)
+    row, rc_ids, rc_row = corpus.partition_rows(partition)
     members = sparse.csr_array((np.ones(len(row), np.int32), (rc_row, row)),
                                shape=(len(rc_ids), len(corpus.paper_ids)))
     return rc_ids, members @ corpus.term_matrix
@@ -83,16 +83,14 @@ def best_columns(scores: np.ndarray) -> list[int]:
     return best
 
 
-def _plurality(corpus: Corpus, new_year: int, base: dict[int, int]
+def _plurality(corpus: Corpus, new_year: int, base: Partition
                ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the ``new_year`` papers citing papers of ``base``, and for
     each the RC most of those are in, ties toward the smaller rc_id."""
     citing = np.repeat(np.arange(len(corpus.year)), np.diff(corpus.ref_ptr))
     in_year = corpus.year[citing] == new_year
-    rcs = [base.get(ref) for ref in corpus.refs[in_year].tolist()]
-    voted = np.array([rc is not None for rc in rcs], bool)
-    rc_ids, rc_code = np.unique(np.array([rc for rc in rcs if rc is not None], np.int64),
-                                return_inverse=True)
+    pos, voted = lookup(base.paper_ids, corpus.refs[in_year])
+    rc_ids, rc_code = np.unique(base.rc[pos[voted]], return_inverse=True)
     pairs, votes = np.unique(citing[in_year][voted] * len(rc_ids) + rc_code,
                              return_counts=True)
     row, code = np.divmod(pairs, max(len(rc_ids), 1))
@@ -135,10 +133,9 @@ def assign_new_papers(partition: Partition, corpus: Corpus, new_year: int
         raise ClusterError(
             f"new_year must be {partition.extended_through + 1}, got {new_year}"
         )
-    base = partition.assignment
     in_year = corpus.year == new_year
     chosen, assigned = np.zeros(len(in_year), np.int64), np.zeros(len(in_year), bool)
-    voters, voted_rc = _plurality(corpus, new_year, base)
+    voters, voted_rc = _plurality(corpus, new_year, partition)
     chosen[voters], assigned[voters] = voted_rc, True
     report = AssignmentReport(year=new_year, n_papers=int(in_year.sum()),
                               by_references=len(voters))
@@ -146,7 +143,7 @@ def assign_new_papers(partition: Partition, corpus: Corpus, new_year: int
         terms = corpus.term_matrix
         queries = np.flatnonzero(in_year & ~assigned & (np.diff(terms.indptr) > 0))
         if len(queries):
-            rc_ids, docs = rc_documents(corpus, base)
+            rc_ids, docs = rc_documents(corpus, partition)
             best = np.array([i for block in bm25_score_blocks(docs, terms[queries])
                              for i in best_columns(block)])
             hits = queries[best >= 0]
@@ -154,7 +151,9 @@ def assign_new_papers(partition: Partition, corpus: Corpus, new_year: int
             report.by_bm25 = len(hits)
     report.unassigned = corpus.paper_ids[in_year & ~assigned].tolist()
     new = in_year & assigned
-    new_assignment = dict(base)
-    new_assignment.update(zip(corpus.paper_ids[new].tolist(), chosen[new].tolist()))
-    updated = replace(partition, assignment=new_assignment, extended_through=new_year)
-    return updated, report
+    # np.unique keeps the first of a repeated id: a paper of new_year already in
+    # the partition takes its new rc
+    ids, first = np.unique(np.concatenate([corpus.paper_ids[new], partition.paper_ids]),
+                           return_index=True)
+    rc = np.concatenate([chosen[new], partition.rc])[first]
+    return replace(partition, paper_ids=ids, rc=rc, extended_through=new_year), report

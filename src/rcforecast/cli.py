@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .cluster import ClusterConfig, ClusterError, load_partition, save_partition
+from .config import load_config
 from .corpus import CorpusError, load_corpus
 from .evaluate import (
     TaxonomyMap,
@@ -36,7 +37,7 @@ from .pipeline import (
     indicator_table,
     run_pipeline,
 )
-from .synth import SynthConfig, config_from_json, generate
+from .synth import SynthConfig, SynthError, generate
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -80,14 +81,14 @@ def cmd_corpus_validate(args) -> int:
 
 
 def cmd_model_build(args) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)      # a bad --out fails before the clustering
     corpus = _load_corpus_args(args)
     config = ClusterConfig(quality=args.quality, resolution=args.resolution,
                            rng_seed=args.seed, max_iterations=args.max_iterations)
     partition, graph = build_model(corpus, args.through_year, config,
                                    extended=not args.no_extended,
                                    target_rcs=args.target_rcs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_partition(partition, out / "partition.tsv", out / "partition.json")
     if args.dump_graph:
         graph.dump_edgelist(out / "graph.tsv")
@@ -213,10 +214,7 @@ def cmd_lifecycle(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.config:
-        config = config_from_json(args.config)
-    else:
-        config = SynthConfig()
+    config = load_config(SynthConfig, args.config, SynthError) if args.config else SynthConfig()
     if args.seed is not None:
         config.rng_seed = args.seed
     result = generate(config, args.out)
@@ -229,7 +227,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    summary = run_pipeline(PipelineConfig.from_json(args.config))
+    summary = run_pipeline(load_config(PipelineConfig, args.config))
     print(json.dumps(summary, sort_keys=True))
     return 0
 

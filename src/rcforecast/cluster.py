@@ -13,12 +13,16 @@ import json
 import math
 import re
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
 
 from .citegraph import CitationGraph, connected_components
+from .corpus import lookup
 
 _EPS = 1e-12
 
@@ -44,32 +48,57 @@ class ClusterConfig:
             raise ClusterError("max_iterations must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class Partition:
-    """Assignment of internal papers to research communities.
+    """Internal papers (``paper_ids``, int64 ascending) and each one's
+    community (``rc``). External nodes take part in clustering but are no RC's
+    members; ``external_ids`` and ``external_rc`` keep their communities so
+    seeded re-runs can restart from the full clustering state."""
 
-    External nodes participate in clustering but are excluded from
-    ``assignment``; their communities are kept separately so seeded re-runs can
-    restart from the full clustering state.
-    """
-
-    assignment: dict[int, int]
+    paper_ids: np.ndarray
+    rc: np.ndarray
     model_year: int | None = None
     rc_count: int = 0
     quality: float = 0.0
     extended_through: int | None = None
-    external_assignment: dict[int, int] = field(default_factory=dict)
+    external_ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    external_rc: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     config_used: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.extended_through is None:
             self.extended_through = self.model_year
 
+    @classmethod
+    def from_assignment(cls, assignment, external_assignment=None, **meta) -> "Partition":
+        """A partition of paper -> rc and external item -> rc mappings."""
+        external_ids, external_rc = _columns(external_assignment or {})
+        return cls(*_columns(assignment), external_ids=external_ids, external_rc=external_rc,
+                   **meta)
+
+    @cached_property
+    def assignment(self) -> Mapping[int, int]:
+        """Read-only paper -> rc view, built on first use (no hot path does)."""
+        return MappingProxyType(dict(zip(self.paper_ids.tolist(), self.rc.tolist())))
+
+    @cached_property
+    def external_assignment(self) -> Mapping[int, int]:
+        """Read-only external item -> rc view, built on first use."""
+        return MappingProxyType(dict(zip(self.external_ids.tolist(),
+                                         self.external_rc.tolist())))
+
     def rc_members(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
-        for pid in sorted(self.assignment):
-            out.setdefault(self.assignment[pid], []).append(pid)
+        for pid, rc in zip(self.paper_ids.tolist(), self.rc.tolist()):
+            out.setdefault(rc, []).append(pid)
         return out
+
+
+def _columns(mapping) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of an int -> int mapping in ascending order, and their values."""
+    keys = np.fromiter(mapping, np.int64, len(mapping))
+    order = np.argsort(keys)
+    return keys[order], np.fromiter(mapping.values(), np.int64, len(mapping))[order]
 
 
 # --- quality functions -----------------------------------------------------
@@ -80,29 +109,27 @@ class Partition:
 # e_c counts each intra-community edge once; m is the total edge weight.
 
 
-def _labels_from(graph: CitationGraph, partition) -> np.ndarray:
-    if isinstance(partition, np.ndarray):
-        return partition
-    assignment = partition.assignment if isinstance(partition, Partition) else dict(partition)
-    external = getattr(partition, "external_assignment", {})
-    labels = np.empty(graph.n_nodes, dtype=np.int64)
-    fresh = -1
-    for i, nid in enumerate(graph.node_ids.tolist()):
-        rc = assignment.get(nid)
-        if rc is None:
-            rc = external.get(nid)
-        if rc is None:
-            labels[i] = fresh
-            fresh -= 1
-        else:
-            labels[i] = rc
+def _node_labels(graph: CitationGraph, partition: Partition) -> np.ndarray:
+    """Each graph node's community in ``partition``, as the rank of its rc id
+    among all of the partition's rc ids; nodes it does not place get fresh ids
+    after those, in node order. A paper id found among both the papers and the
+    external items takes its paper's community."""
+    ids = np.concatenate([partition.paper_ids, partition.external_ids])
+    order = np.argsort(ids, kind="stable")
+    rc_ids, rank = np.unique(np.concatenate([partition.rc, partition.external_rc]),
+                             return_inverse=True)
+    pos, placed = lookup(ids[order], graph.node_ids)
+    labels = np.empty(graph.n_nodes, np.int64)
+    labels[placed] = rank[order[pos[placed]]]
+    labels[~placed] = len(rc_ids) + np.arange(graph.n_nodes - np.count_nonzero(placed))
     return labels
 
 
 def partition_quality(graph: CitationGraph, partition, quality: str = "cpm",
                       resolution: float = 1.0) -> float:
-    """Quality of a partition on ``graph`` under the chosen function."""
-    labels = _labels_from(graph, partition)
+    """Quality of a ``Partition``, or of one label per node, on ``graph`` under
+    the chosen function."""
+    labels = partition if isinstance(partition, np.ndarray) else _node_labels(graph, partition)
     _, inv = np.unique(labels, return_inverse=True)
     src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
     intra = inv[src] == inv[graph.indices]
@@ -325,25 +352,6 @@ def _split_disconnected(graph: CitationGraph, labels: np.ndarray) -> np.ndarray:
     return connected_components(indptr, graph.indices[intra], graph.n_nodes)
 
 
-def _initial_communities(graph: CitationGraph, seed: Partition | None) -> list[int]:
-    if seed is None:
-        return list(range(graph.n_nodes))
-    rc_ids = sorted(set(seed.assignment.values()) | set(seed.external_assignment.values()))
-    relabel = {rc: i for i, rc in enumerate(rc_ids)}
-    nxt = len(rc_ids)
-    comm = []
-    for nid in graph.node_ids.tolist():
-        rc = seed.assignment.get(nid)
-        if rc is None:
-            rc = seed.external_assignment.get(nid)
-        if rc is None:
-            comm.append(nxt)
-            nxt += 1
-        else:
-            comm.append(relabel[rc])
-    return comm
-
-
 def leiden(graph: CitationGraph, config: ClusterConfig) -> Partition:
     """Cluster ``graph`` into research communities.
 
@@ -354,8 +362,8 @@ def leiden(graph: CitationGraph, config: ClusterConfig) -> Partition:
     starting partition.
     """
     if graph.n_nodes == 0:
-        return Partition({}, model_year=graph.year_cutoff, rc_count=0, quality=0.0,
-                         config_used=_config_dict(config))
+        return Partition.from_assignment({}, model_year=graph.year_cutoff,
+                                         config_used=_config_dict(config))
     use_cpm = config.quality == "cpm"
     gamma = config.resolution
     rng = np.random.default_rng(config.rng_seed)
@@ -368,7 +376,8 @@ def leiden(graph: CitationGraph, config: ClusterConfig) -> Partition:
     level = _Level(graph.indptr, graph.indices, graph.weights,
                    np.zeros(n0), np.ones(n0, dtype=np.int64), strengths0)
     membership = np.arange(n0)
-    comm = _initial_communities(graph, config.seed_assignment)
+    seed = config.seed_assignment
+    comm = list(range(n0)) if seed is None else _node_labels(graph, seed).tolist()
 
     prev_q = partition_quality(graph, np.asarray(comm)[membership],
                                config.quality, config.resolution)
@@ -392,29 +401,23 @@ def leiden(graph: CitationGraph, config: ClusterConfig) -> Partition:
     flat = _split_disconnected(graph, flat)
     quality = partition_quality(graph, flat, config.quality, config.resolution)
 
-    # canonical rc ids: communities ordered by their smallest internal paper id
-    node_ids = graph.node_ids.tolist()
-    internal = graph.internal
-    groups: dict[int, list[int]] = {}
-    for i, lab in enumerate(flat.tolist()):
-        groups.setdefault(lab, []).append(i)
-    keyed = []
-    for lab, members in groups.items():
-        pids = [node_ids[i] for i in members if internal[i]]
-        if pids:
-            keyed.append((min(pids), lab, members))
-    keyed.sort()
-    assignment: dict[int, int] = {}
-    external_assignment: dict[int, int] = {}
-    for rc, (_, _, members) in enumerate(keyed):
-        for i in members:
-            if internal[i]:
-                assignment[node_ids[i]] = rc
-            else:
-                external_assignment[node_ids[i]] = rc
-    return Partition(assignment, model_year=graph.year_cutoff, rc_count=len(keyed),
-                     quality=quality, external_assignment=external_assignment,
-                     config_used=_config_dict(config))
+    rc, rc_count = _canonical_ids(graph, flat)
+    internal, kept = graph.internal, rc >= 0
+    return Partition(graph.node_ids[internal], rc[internal], model_year=graph.year_cutoff,
+                     rc_count=rc_count, quality=quality,
+                     external_ids=graph.node_ids[~internal & kept],
+                     external_rc=rc[~internal & kept], config_used=_config_dict(config))
+
+
+def _canonical_ids(graph: CitationGraph, labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each node's rc id, numbering communities by their smallest internal paper
+    id (node ids ascend, so by their first internal node), and the number of
+    rc ids; a community without internal papers gets -1."""
+    uniq, inv = np.unique(labels, return_inverse=True)
+    present, first = np.unique(inv[graph.internal], return_index=True)
+    rank = np.full(len(uniq), -1, np.int64)
+    rank[present[np.argsort(first)]] = np.arange(len(present))
+    return rank[inv], len(present)
 
 
 def leiden_best_of(graph: CitationGraph, config: ClusterConfig, restarts: int) -> Partition:
@@ -510,8 +513,8 @@ def _config_dict(config: ClusterConfig) -> dict:
 def save_partition(partition: Partition, tsv_path, meta_path=None) -> None:
     with open(tsv_path, "w") as fh:
         fh.write("paper_id\trc_id\n")
-        for pid in sorted(partition.assignment):
-            fh.write(f"{pid}\t{partition.assignment[pid]}\n")
+        fh.writelines(f"{pid}\t{rc}\n" for pid, rc in
+                      zip(partition.paper_ids.tolist(), partition.rc.tolist()))
     if meta_path is not None:
         meta = {
             "model_year": partition.model_year,
@@ -519,8 +522,8 @@ def save_partition(partition: Partition, tsv_path, meta_path=None) -> None:
             "rc_count": partition.rc_count,
             "quality": partition.quality,
             "config": partition.config_used,
-            "external_assignment": {str(k): v for k, v in
-                                    sorted(partition.external_assignment.items())},
+            "external_assignment": dict(zip(map(str, partition.external_ids.tolist()),
+                                            partition.external_rc.tolist())),
         }
         with open(meta_path, "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
@@ -563,9 +566,9 @@ def load_partition(tsv_path, meta_path=None) -> Partition:
                         for k, v in external.items()):
         raise ClusterError(f"partition meta {meta_path}: "
                            f"{(wrong or ['external_assignment'])[0]} has the wrong type")
-    return Partition(assignment, model_year=meta.get("model_year"),
-                     rc_count=meta.get("rc_count", len(set(assignment.values()))),
-                     quality=meta.get("quality", 0.0),
-                     extended_through=meta.get("extended_through"),
-                     external_assignment={int(k): v for k, v in external.items()},
-                     config_used=meta.get("config", {}))
+    return Partition.from_assignment(
+        assignment, {int(k): v for k, v in external.items()},
+        model_year=meta.get("model_year"),
+        rc_count=meta.get("rc_count", len(set(assignment.values()))),
+        quality=meta.get("quality", 0.0), extended_through=meta.get("extended_through"),
+        config_used=meta.get("config", {}))

@@ -109,8 +109,7 @@ class Corpus:
         moved = np.repeat(np.argsort(order), n_refs)
         self.refs = np.array(refs, np.int64)[np.argsort(moved, kind="stable")]
         self.ref_ptr = np.concatenate([[0], np.cumsum(n_refs[order])])
-        row = np.searchsorted(self.paper_ids, self.refs)
-        internal = self.paper_ids.take(row, mode="clip") == self.refs
+        row, internal = lookup(self.paper_ids, self.refs)
         self.ref_row = np.where(internal, row, -1)
         self.external_ids = np.unique(self.refs[~internal])
         self._terms = [terms[i] for i in order.tolist()]
@@ -160,19 +159,25 @@ class Corpus:
         matrix.has_sorted_indices = False
         return matrix
 
-    def partition_rows(self, assignment: dict[int, int]
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows of a partition's papers in assignment order, its sorted RC ids and
-        each paper's index into them; CorpusError names a paper not in the corpus."""
-        ids = np.fromiter(assignment, np.int64, len(assignment))
-        rows = np.searchsorted(self.paper_ids, ids)
-        unknown = ids[self.paper_ids.take(rows, mode="clip") != ids].tolist()
+    def partition_rows(self, partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows of a ``Partition``'s papers, its sorted RC ids and each paper's
+        index into them; CorpusError names a paper not in the corpus."""
+        rows, known = lookup(self.paper_ids, partition.paper_ids)
+        unknown = partition.paper_ids[~known].tolist()
         if unknown:
             raise CorpusError(f"partition references unknown paper {unknown[0]}",
                               paper_id=unknown[0])
-        rc_ids, rc_index = np.unique(np.fromiter(assignment.values(), np.int64, len(ids)),
-                                     return_inverse=True)
+        rc_ids, rc_index = np.unique(partition.rc, return_inverse=True)
         return rows, rc_ids, rc_index
+
+
+def lookup(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``ids`` is, or would be, in ``sorted_ids``, and whether it
+    is there."""
+    pos = np.searchsorted(sorted_ids, ids)
+    if not len(sorted_ids):
+        return pos, np.zeros(len(pos), bool)
+    return pos, sorted_ids.take(pos, mode="clip") == ids
 
 
 def _is_int64(x) -> bool:

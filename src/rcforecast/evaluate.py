@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import Partition
+from .cluster import _INT_TEXT, Partition
+from .corpus import lookup
 from .forecast import HORIZON, ForecastRecord, growth_labels, oracle_n, select_top_n
 from .indicators import Panel
 
@@ -109,16 +110,21 @@ class TaxonomyMap:
 
     @classmethod
     def load(cls, path) -> "TaxonomyMap":
+        """Read ``rc_id<TAB>discipline_id<TAB>field_id`` rows; ValueError naming
+        the line for a short row, a non-integer cell or a repeated rc_id."""
         mapping = {}
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for i, line in enumerate(fh, start=1):
+                cells = line.strip().split("\t")
+                if cells == [""] or cells[0] == "rc_id":    # blank line or header
                     continue
-                cells = line.split("\t")
-                if cells[0] == "rc_id":  # header
-                    continue
-                mapping[int(cells[0])] = (int(cells[1]), int(cells[2]))
+                if len(cells) < 3 or not all(_INT_TEXT.fullmatch(c) for c in cells[:3]):
+                    raise ValueError(f"taxonomy line {i}: expected integer rc_id, "
+                                     f"discipline_id and field_id, got {line.strip()!r}")
+                rc, discipline, field_id = map(int, cells[:3])
+                if rc in mapping:
+                    raise ValueError(f"taxonomy line {i}: duplicate rc_id {rc}")
+                mapping[rc] = (discipline, field_id)
         return cls(mapping, method="direct")
 
     def save(self, path) -> None:
@@ -133,17 +139,15 @@ class TaxonomyMap:
                            reference_taxonomy: "TaxonomyMap") -> "TaxonomyMap":
         """Map each RC onto the reference taxonomy via the reference RC sharing
         the most papers with it."""
-        overlap: dict[int, dict[int, int]] = {}
-        for pid, rc in partition.assignment.items():
-            ref_rc = reference.assignment.get(pid)
-            if ref_rc is None:
-                continue
-            overlap.setdefault(rc, {}).setdefault(ref_rc, 0)
-            overlap[rc][ref_rc] += 1
+        pos, common = lookup(reference.paper_ids, partition.paper_ids)
+        pairs, counts = np.unique(np.column_stack([partition.rc[common],
+                                                   reference.rc[pos[common]]]),
+                                  axis=0, return_counts=True)
+        # pairs ascend by (rc, reference rc): the first of an rc's largest counts wins
+        top = np.lexsort((-counts, pairs[:, 0]))
+        _, first = np.unique(pairs[top, 0], return_index=True)
         mapping = {}
-        for rc, counts in overlap.items():
-            top = max(counts.values())
-            ref_rc = min(r for r, c in counts.items() if c == top)
+        for rc, ref_rc in pairs[top[first]].tolist():
             pair = reference_taxonomy.mapping.get(ref_rc)
             if pair is not None:
                 mapping[rc] = pair
@@ -221,7 +225,7 @@ def lifecycle_report(panel: Panel, fy: int, min_papers: int = 0) -> list[Lifecyc
     """Distribution of (fy - peak year) gaps with, where the corpus allows,
     the share of RCs achieving exceptional growth by fy+3 and the share
     reaching a new peak in fy+1."""
-    extended = getattr(panel.partition, "extended_through", None)
+    extended = panel.partition.extended_through
     if extended is None:
         extended = panel.last_year
     can_xg = fy + HORIZON <= min(panel.last_year, extended)

@@ -137,13 +137,11 @@ def table_outcomes(panel: Panel, table: IndicatorTable, min_papers: int = 0
     """The rows of ``table`` with at least ``min_papers`` papers in its fy, and
     their growth rates and labels; both None when the corpus or the partition
     ends before the target year fy + HORIZON."""
-    model_year = getattr(panel.partition, "model_year", None)
-    if model_year is None:
+    if panel.partition.model_year is None:
         raise ValueError("partition has no model_year; cannot compute relative year")
-    extended = getattr(panel.partition, "extended_through", model_year)
     kept = np.flatnonzero(table.raw["papers_in_fy"] >= min_papers)
     ty = table.fy + HORIZON
-    if ty > panel.last_year or ty > extended:
+    if ty > panel.last_year or ty > panel.partition.extended_through:
         return kept, None, None
     rows = np.searchsorted(panel.rc_ids, table.raw["rc_id"][kept])
     return kept, *growth_labels(panel, rows, table.raw["pk"][kept], ty)

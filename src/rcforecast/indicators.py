@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cluster import Partition
 from .corpus import DOC_TYPES, Corpus, CorpusError
 
 INDICATOR_NAMES = ("stage", "cvit", "rvit", "delta_rvit",
@@ -54,13 +55,12 @@ class Panel:
     weights in input order, so every float sum accumulates paper by paper in
     (year, paper_id) order, and reference by reference, as a plain loop would.
 
-    ``partition`` is a Partition or a plain paper -> rc mapping. Shares use
-    the corpus-wide yearly totals as denominator; an empty year has share 0.
+    Shares use the corpus-wide yearly totals as denominator; an empty year
+    has share 0.
     """
 
-    def __init__(self, corpus: Corpus, partition, window: int = DEFAULT_WINDOW):
-        assignment = partition.assignment if hasattr(partition, "assignment") else partition
-        rows, self.rc_ids, rc_row = corpus.partition_rows(assignment)
+    def __init__(self, corpus: Corpus, partition: Partition, window: int = DEFAULT_WINDOW):
+        rows, self.rc_ids, rc_row = corpus.partition_rows(partition)
         self.partition = partition
         self.window = window
         y0, y1 = corpus.meta.first_year, corpus.meta.last_year

@@ -9,7 +9,7 @@ step is deterministic for fixed seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from .assign import AssignmentReport, assign_new_papers
 from .citegraph import CitationGraph, build_graph
 from .cluster import ClusterConfig, Partition, leiden, save_partition, tune_resolution
+from .config import check_types
 from .corpus import Corpus, load_corpus
 from .evaluate import evaluate_slices, lifecycle_report, write_evaluation, write_lifecycle_tsv
 from .forecast import (
@@ -68,7 +69,7 @@ def extend_model(corpus: Corpus, partition: Partition, through_year: int,
             partition = leiden(graph, replace(cluster_config, seed_assignment=partition))
             partition.model_year = root_my
             partition.extended_through = year
-            rows, _, _ = corpus.partition_rows(partition.assignment)
+            rows, _, _ = corpus.partition_rows(partition)
             n_new = np.count_nonzero(corpus.year[rows] == year)
             reports.append(AssignmentReport(year=year, n_papers=int(n_new)))
         else:
@@ -153,22 +154,8 @@ class PipelineConfig:
     top_n: int | None = None
     lifecycle: bool = False
 
-    @classmethod
-    def from_json(cls, path) -> "PipelineConfig":
-        """Load a config; ValueError for malformed JSON or unknown or missing keys."""
-        with open(path) as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ValueError(f"config {path} must hold a JSON object")
-        known = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(obj) - set(known))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        missing = sorted(name for name, f in known.items() if name not in obj
-                         and f.default is MISSING and f.default_factory is MISSING)
-        if missing:
-            raise ValueError(f"missing config keys: {', '.join(missing)}")
-        return cls(**obj)
+    def __post_init__(self):
+        check_types(self)
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:

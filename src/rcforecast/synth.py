@@ -27,13 +27,14 @@ population. This is not a model of science, it is a test oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .config import check_types
 
 EXTERNAL_ID_BASE = 10 ** 8
 
@@ -48,16 +49,6 @@ _AGE_P = {"emerging": 0.40, "growing": 0.30, "mature": 0.18, "declining": 0.15}
 
 class SynthError(ValueError):
     pass
-
-
-# exact types per annotated field type: a bool, a numeric string or a float
-# count is rejected, not coerced
-_FIELD_CHECKS = {
-    "int": ("an int", lambda v: type(v) is int),
-    "float": ("a number", lambda v: type(v) in (int, float)),
-    "dict": ("an object of numbers", lambda v: type(v) is dict
-             and all(type(x) in (int, float) for x in v.values())),
-}
 
 
 @dataclass
@@ -99,10 +90,7 @@ class SynthConfig:
     external_pool_size: int = 5
 
     def __post_init__(self):
-        for f in fields(self):
-            kind, ok = _FIELD_CHECKS[f.type]
-            if not ok(getattr(self, f.name)):
-                raise SynthError(f"{f.name} must be {kind}, not {getattr(self, f.name)!r}")
+        check_types(self, SynthError)
         if self.n_communities < 10:
             raise SynthError("need at least 10 communities")
         if self.last_year - self.first_year + 1 < 10:
@@ -532,15 +520,3 @@ def load_truth(path):
             else:
                 raise SynthError(f"unknown truth row kind {kind!r}")
     return paper_community, community_class, xg_truth
-
-
-def config_from_json(path) -> SynthConfig:
-    """Load a config; SynthError for a non-object, unknown keys or wrong types."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    if type(obj) is not dict:
-        raise SynthError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(obj) - {f.name for f in fields(SynthConfig)})
-    if unknown:
-        raise SynthError(f"unknown config keys: {', '.join(unknown)}")
-    return SynthConfig(**obj)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rcforecast.corpus import CorpusError, load_corpus
@@ -78,3 +79,23 @@ def assert_loads_like_oracle(papers_path, journals_path=None):
         a, b = getattr(got.term_matrix, name), getattr(want.term_matrix, name)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
     assert got.term_matrix.has_sorted_indices is False
+
+
+def ascending(ids) -> bool:
+    """Strictly ascending, compared pairwise (a difference could overflow int64)."""
+    return bool((ids[1:] > ids[:-1]).all())
+
+
+def assert_same_partition(got, want):
+    """Field by field: the paper and external item columns (int64, strictly
+    ascending ids) through their views, and every meta field."""
+    for p in (got, want):
+        for name in ("paper_ids", "rc", "external_ids", "external_rc"):
+            assert getattr(p, name).dtype == np.int64, name
+        assert ascending(p.paper_ids) and ascending(p.external_ids)
+    assert got.assignment == want.assignment
+    assert got.external_assignment == want.external_assignment
+    assert got.rc_count == want.rc_count
+    assert got.quality == want.quality
+    assert (got.model_year, got.extended_through) == (want.model_year, want.extended_through)
+    assert got.config_used == want.config_used

@@ -11,8 +11,10 @@ is the per-query BM25 scorer of the model extension, the row-based
 standardization, forecasts and composite fit that the indicator table replaced,
 the split-then-filter term tokenizer, Leiden's numpy-only random draw, the
 dict-of-records corpus with the loader, graph build, panel and reference
-vote that walked it, the indicator row types with their TSV reader, and the
-synthetic generator with one-element numpy draws and a linear year scan.
+vote that walked it, the indicator row types with their TSV reader, the
+synthetic generator with one-element numpy draws and a linear year scan, and
+the dict loops over a partition: node labels, a seed's initial communities,
+Leiden's canonical rc ids and the common-paper taxonomy mapping.
 """
 
 import json
@@ -21,7 +23,7 @@ import re
 import warnings
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -30,9 +32,9 @@ from scipy import sparse
 
 from rcforecast.assign import B, K1, AssignmentReport
 from rcforecast.citegraph import CitationGraph, _canonical_pairs, _csr_from_pairs
-from rcforecast.cluster import _EPS, _THETA, ClusterError, _Level
+from rcforecast.cluster import _EPS, _THETA, ClusterError, Partition, _Level
 from rcforecast.corpus import DOC_TYPES, CorpusError, CorpusMeta, PaperRecord, load_journal_ranks
-from rcforecast.evaluate import LifecycleRow
+from rcforecast.evaluate import LifecycleRow, TaxonomyMap
 from rcforecast.forecast import (
     HORIZON,
     CompositeModel,
@@ -341,6 +343,98 @@ def connected_components_bfs(indptr, indices, n):
                     label[y] = seed
                     stack.append(y)
     return label
+
+
+# --- the dict-walking partition code the columnar Partition replaced --------
+#
+# Node labels of a partition, a seed's initial communities, Leiden's canonical
+# rc ids and the common-paper taxonomy mapping, each as a loop over the
+# partition's dicts (read here through its ``assignment`` and
+# ``external_assignment`` views).
+
+
+def labels_from(graph, partition):
+    if isinstance(partition, np.ndarray):
+        return partition
+    assignment = partition.assignment if isinstance(partition, Partition) else dict(partition)
+    external = getattr(partition, "external_assignment", {})
+    labels = np.empty(graph.n_nodes, dtype=np.int64)
+    fresh = -1
+    for i, nid in enumerate(graph.node_ids.tolist()):
+        rc = assignment.get(nid)
+        if rc is None:
+            rc = external.get(nid)
+        if rc is None:
+            labels[i] = fresh
+            fresh -= 1
+        else:
+            labels[i] = rc
+    return labels
+
+
+def initial_communities(graph, seed):
+    if seed is None:
+        return list(range(graph.n_nodes))
+    rc_ids = sorted(set(seed.assignment.values()) | set(seed.external_assignment.values()))
+    relabel = {rc: i for i, rc in enumerate(rc_ids)}
+    nxt = len(rc_ids)
+    comm = []
+    for nid in graph.node_ids.tolist():
+        rc = seed.assignment.get(nid)
+        if rc is None:
+            rc = seed.external_assignment.get(nid)
+        if rc is None:
+            comm.append(nxt)
+            nxt += 1
+        else:
+            comm.append(relabel[rc])
+    return comm
+
+
+def canonical_ids(graph, flat):
+    """Leiden's closing loop: (assignment, external_assignment, rc_count) of
+    one label per node."""
+    # canonical rc ids: communities ordered by their smallest internal paper id
+    node_ids = graph.node_ids.tolist()
+    internal = graph.internal
+    groups: dict[int, list[int]] = {}
+    for i, lab in enumerate(flat.tolist()):
+        groups.setdefault(lab, []).append(i)
+    keyed = []
+    for lab, members in groups.items():
+        pids = [node_ids[i] for i in members if internal[i]]
+        if pids:
+            keyed.append((min(pids), lab, members))
+    keyed.sort()
+    assignment: dict[int, int] = {}
+    external_assignment: dict[int, int] = {}
+    for rc, (_, _, members) in enumerate(keyed):
+        for i in members:
+            if internal[i]:
+                assignment[node_ids[i]] = rc
+            else:
+                external_assignment[node_ids[i]] = rc
+    return assignment, external_assignment, len(keyed)
+
+
+def taxonomy_from_common_papers(partition, reference, reference_taxonomy):
+    """Map each RC onto the reference taxonomy via the reference RC sharing
+    the most papers with it."""
+    overlap: dict[int, dict[int, int]] = {}
+    for pid, rc in partition.assignment.items():
+        ref_rc = reference.assignment.get(pid)
+        if ref_rc is None:
+            continue
+        overlap.setdefault(rc, {}).setdefault(ref_rc, 0)
+        overlap[rc][ref_rc] += 1
+    mapping = {}
+    for rc, counts in overlap.items():
+        top = max(counts.values())
+        ref_rc = min(r for r, c in counts.items() if c == top)
+        pair = reference_taxonomy.mapping.get(ref_rc)
+        if pair is not None:
+            mapping[rc] = pair
+    return TaxonomyMap(mapping, method="common-paper matching")
 
 
 # --- indicator rows and the TSV reader that builds them ----------------------
@@ -923,7 +1017,10 @@ def assign_new_papers(partition, corpus, new_year, k1=K1, b=B):
 
     new_assignment = dict(partition.assignment)
     new_assignment.update(added)
-    updated = replace(partition, assignment=new_assignment, extended_through=new_year)
+    updated = Partition.from_assignment(
+        new_assignment, partition.external_assignment, model_year=partition.model_year,
+        rc_count=partition.rc_count, quality=partition.quality, extended_through=new_year,
+        config_used=partition.config_used)
     return updated, report
 
 

@@ -231,21 +231,24 @@ def test_acceptance_7_indicator_exactness(tmp_path):
     papers = [paper(i, 2015) for i in range(1, 6)] + [paper(99, 2005)]
     path = write_papers(tmp_path / "a.jsonl", papers)
     corpus = load_corpus(path)
-    part = Partition({i: 0 for i in range(1, 6)} | {99: 1}, model_year=2015, rc_count=2)
+    part = Partition.from_assignment({i: 0 for i in range(1, 6)} | {99: 1}, model_year=2015,
+                                     rc_count=2)
     row = _rc_row(corpus, part, 0, 2015)
     ok = row.cvit == 1.0
 
     papers = [paper(i, 2005) for i in range(1, 6)] + [paper(99, 2015)]
     path = write_papers(tmp_path / "b.jsonl", papers)
     corpus = load_corpus(path)
-    part = Partition({i: 0 for i in range(1, 6)} | {99: 1}, model_year=2015, rc_count=2)
+    part = Partition.from_assignment({i: 0 for i in range(1, 6)} | {99: 1}, model_year=2015,
+                                     rc_count=2)
     row = _rc_row(corpus, part, 0, 2015)
     ok = ok and row.cvit == 1.0 / 11.0
 
     papers = [paper(i, 2010) for i in (1, 2, 3)] + [paper(4, 2015), paper(5, 2015)]
     path = write_papers(tmp_path / "c.jsonl", papers)
     corpus = load_corpus(path)
-    part = Partition({1: 0, 2: 0, 3: 0, 4: 1, 5: 1}, model_year=2015, rc_count=2)
+    part = Partition.from_assignment({1: 0, 2: 0, 3: 0, 4: 1, 5: 1}, model_year=2015,
+                                     rc_count=2)
     row = _rc_row(corpus, part, 0, 2015)
     ok = ok and row.stage == 1.0 / 6.0          # gap of five years: 0.166...
 
@@ -280,7 +283,7 @@ def test_acceptance_7_indicator_exactness(tmp_path):
         res = generate(SynthConfig(rng_seed=seed, n_communities=150,
                                    noise_sigma=0.25), tmp_path / f"fuzz{seed}")
         corpus = load_corpus(res.papers_path, res.ranks_path)
-        part = Partition(dict(res.paper_community), model_year=2014, rc_count=150)
+        part = Partition.from_assignment(res.paper_community, model_year=2014, rc_count=150)
         engine = Panel(corpus, part)
         for fy in (2008, 2012):
             table = indicator_table(engine, fy)

@@ -22,12 +22,12 @@ from rcforecast.corpus import Corpus, PaperRecord, load_corpus, normalize_terms
 from rcforecast.synth import SynthConfig, generate
 
 import oracles
-from conftest import paper
+from conftest import ascending, assert_same_partition, paper
 
 
 def _partition(assignment, model_year):
-    return Partition(dict(assignment), model_year=model_year,
-                     rc_count=len(set(assignment.values())))
+    return Partition.from_assignment(assignment, model_year=model_year,
+                                     rc_count=len(set(assignment.values())))
 
 
 class _Docs:
@@ -225,7 +225,7 @@ def _check_extension(corpus, base, years):
     new = old = base
     for year in years:
         stats = oracles.RcDocumentStats.from_partition(corpus, new)
-        rc_ids, _ = rc_documents(corpus, new.assignment)
+        rc_ids, _ = rc_documents(corpus, new)
         assert rc_ids.tolist() == sorted(stats.doc_tf)
         queries = [pid for pid in corpus.paper_ids[corpus.year == year].tolist()
                    if corpus.papers[pid].terms
@@ -243,8 +243,9 @@ def _check_extension(corpus, base, years):
                          for rc in rc_ids.tolist()] for pid in queries]
         old, want_report = oracles.assign_new_papers(old, corpus, year)
         assert report == want_report
-        assert list(new.assignment.items()) == list(old.assignment.items())
-        assert new == old
+        assert new.assignment == old.assignment
+        assert ascending(new.paper_ids)
+        assert_same_partition(new, old)
 
 
 def test_near_tie_goes_to_smaller_rc():
@@ -337,5 +338,5 @@ def test_extension_matches_oracle_on_built_corpora(case):
                            normalize_terms(terms))
                for pid, year, refs, terms in papers]
     corpus = Corpus.from_records(records, {})
-    base = Partition(assignment, model_year=2010, rc_count=len(set(assignment.values())))
+    base = _partition(assignment, model_year=2010)
     _check_extension(corpus, base, (2011, 2012))

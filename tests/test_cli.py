@@ -463,3 +463,51 @@ def test_other_os_errors_are_not_reported_as_bad_input(tmp_path):
         with pytest.raises(OSError) as raised:
             run(["corpus", "validate", str(papers)])
     assert raised.value.errno == errno.ENOSPC and raised.value.filename is None
+
+
+@pytest.mark.parametrize("key,value,problem", [
+    ("model_year", "2009", "model_year must be an int"),
+    ("model_year", True, "model_year must be an int"),
+    ("resolution", "0.05", "resolution must be a number"),
+    ("forecast_fys", 2010, "forecast_fys must be a list of ints"),
+    ("fit_fys", [2010, "2011"], "fit_fys must be a list of ints"),
+    ("seed", 1.5, "seed must be an int"),
+    ("window", "10", "window must be an int"),
+    ("journals", 3, "journals must be a string or null"),
+    ("target_rcs", False, "target_rcs must be an int or null"),
+    ("lifecycle", 1, "lifecycle must be a bool"),
+])
+def test_pipeline_config_wrong_type_exits_2(synth_dir, tmp_path, capsys, key, value,
+                                            problem):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"papers": str(synth_dir / "papers.jsonl"),
+                                    "out_dir": str(tmp_path / "o"), "model_year": 2009,
+                                    key: value}))
+    assert run(["pipeline", "--config", str(cfg_path)]) == 2
+    assert problem in _one_line_report(capsys)["error"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("rows,problem", [
+    (["7\t1"], "taxonomy line 3: expected integer rc_id"),
+    (["7\t1\tx"], "taxonomy line 3: expected integer rc_id"),
+    (["7\t1.0\t2"], "taxonomy line 3: expected integer rc_id"),
+    (["", "5\t2\t2"], "taxonomy line 4: duplicate rc_id 5"),
+])
+def test_bad_taxonomy_rows_exit_2(synth_dir, model_dir, tmp_path, capsys, rows, problem):
+    tax = tmp_path / "tax.tsv"
+    tax.write_text("rc_id\tdiscipline_id\tfield_id\n5\t1\t1\n" + "".join(r + "\n" for r in rows))
+    assert run(["evaluate", "--corpus", str(synth_dir / "papers.jsonl"),
+                "--model", str(model_dir), "--fy-range", "2010:2011",
+                "--taxonomy", str(tax)]) == 2
+    assert problem in _one_line_report(capsys)["error"]
+
+
+def test_model_build_checks_out_before_loading_the_corpus(synth_dir, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    loaded = AssertionError("the corpus was loaded before --out was checked")
+    with mock.patch("rcforecast.cli.load_corpus", side_effect=loaded):
+        assert run(["model", "build", "--corpus", str(synth_dir / "papers.jsonl"),
+                    "--through-year", "2009", "--out", str(blocker)]) == 2
+    assert _one_line_report(capsys)["error"].startswith(f"cannot open {blocker}: ")

@@ -1,6 +1,10 @@
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,6 +24,7 @@ from rcforecast.cluster import (
 from rcforecast.corpus import load_corpus
 from rcforecast.synth import SynthConfig, generate
 
+from conftest import ascending, assert_same_partition
 from oracles import exhaustive_best_modularity
 
 
@@ -180,44 +185,52 @@ def test_tune_resolution_unreachable_target():
 
 
 def test_partition_round_trip(tmp_path):
-    part = Partition({1: 0, 2: 0, 3: 1}, model_year=2010, rc_count=2, quality=1.5,
-                     external_assignment={99: 0}, config_used={"quality": "cpm"})
+    part = Partition.from_assignment({1: 0, 2: 0, 3: 1}, model_year=2010, rc_count=2,
+                                     quality=1.5, external_assignment={99: 0},
+                                     config_used={"quality": "cpm"})
     tsv, meta = tmp_path / "p.tsv", tmp_path / "p.json"
     save_partition(part, tsv, meta)
     loaded = load_partition(tsv, meta)
-    assert loaded == part
+    assert_same_partition(loaded, part)
 
 
 # --- equivalence with the dict-based cores kept in tests/oracles.py ----------
 
 
 def _oracle_leiden(graph, config):
-    """``leiden`` with the replaced local-move, refinement, aggregation and
-    components code."""
+    """``leiden`` with the replaced local-move, refinement, aggregation,
+    components and seed-labelling code, and the partition the dict loop over
+    its final node labels builds."""
+    flats = []
+    canonical = cluster._canonical_ids
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cluster, "_local_move", oracles.local_move)
         mp.setattr(cluster, "_refine", oracles.refine)
         mp.setattr(cluster, "_aggregate", oracles.aggregate)
         mp.setattr(cluster, "connected_components", oracles.connected_components_bfs)
-        return leiden(graph, config)
-
-
-def _assert_same_partition(got, want):
-    assert got.assignment == want.assignment
-    assert got.external_assignment == want.external_assignment
-    assert got.rc_count == want.rc_count
-    assert got.quality == want.quality
+        mp.setattr(cluster, "_node_labels", lambda g, seed: np.array(
+            oracles.initial_communities(g, seed), np.int64))
+        mp.setattr(cluster, "_canonical_ids",
+                   lambda g, flat: flats.append(flat) or canonical(g, flat))
+        part = leiden(graph, config)
+    if not flats:       # an empty graph
+        return part
+    assignment, external, rc_count = oracles.canonical_ids(graph, flats[0])
+    return Partition.from_assignment(assignment, external, model_year=part.model_year,
+                                     rc_count=rc_count, quality=part.quality,
+                                     config_used=part.config_used)
 
 
 @pytest.fixture(scope="module")
-def synth_graphs(tmp_path_factory):
-    graphs = []
-    for seed, n_comm in ((5, 120), (21, 200)):
-        res = generate(SynthConfig(rng_seed=seed, n_communities=n_comm),
-                       tmp_path_factory.mktemp(f"leiden_synth_{seed}"))
-        graphs.append(build_graph(load_corpus(res.papers_path), extended=True,
-                                  year_cutoff=2009))
-    return graphs
+def synth_corpora(tmp_path_factory):
+    return [load_corpus(generate(SynthConfig(rng_seed=seed, n_communities=n_comm),
+                                 tmp_path_factory.mktemp(f"leiden_synth_{seed}")).papers_path)
+            for seed, n_comm in ((5, 120), (21, 200))]
+
+
+@pytest.fixture(scope="module")
+def synth_graphs(synth_corpora):
+    return [build_graph(corpus, extended=True, year_cutoff=2009) for corpus in synth_corpora]
 
 
 @pytest.mark.parametrize("quality,resolution", [("cpm", 0.02), ("modularity", 1.0)])
@@ -231,11 +244,11 @@ def test_leiden_matches_oracle_on_synth_graphs(synth_graphs, monkeypatch, qualit
         for rng_seed in (0, 7):
             cfg = ClusterConfig(quality=quality, resolution=resolution, rng_seed=rng_seed)
             got = leiden(graph, cfg)
-            _assert_same_partition(got, _oracle_leiden(graph, cfg))
+            assert_same_partition(got, _oracle_leiden(graph, cfg))
         # warm start from a partition found with another seed
         warm = ClusterConfig(quality=quality, resolution=resolution, rng_seed=3,
                              seed_assignment=got)
-        _assert_same_partition(leiden(graph, warm), _oracle_leiden(graph, warm))
+        assert_same_partition(leiden(graph, warm), _oracle_leiden(graph, warm))
     # the graphs exercise aggregation, not only the first level
     assert len(levels) >= 2 * len(synth_graphs)
 
@@ -267,11 +280,11 @@ def test_leiden_matches_oracle_on_small_graphs(graph, quality_res, rng_seed, war
     quality, resolution = quality_res
     cfg = ClusterConfig(quality=quality, resolution=resolution, rng_seed=rng_seed)
     got = leiden(graph, cfg)
-    _assert_same_partition(got, _oracle_leiden(graph, cfg))
+    assert_same_partition(got, _oracle_leiden(graph, cfg))
     if warm:
         cfg = ClusterConfig(quality=quality, resolution=resolution,
                             rng_seed=rng_seed + 1, seed_assignment=got)
-        _assert_same_partition(leiden(graph, cfg), _oracle_leiden(graph, cfg))
+        assert_same_partition(leiden(graph, cfg), _oracle_leiden(graph, cfg))
 
 
 def test_refinement_draw_matches_generator_choice():
@@ -301,3 +314,98 @@ def test_draw_matches_numpy_draw(seed, gains):
     for _ in range(3):
         assert cluster._draw(got, gains) == oracles.draw(want, gains)
     assert got.bit_generator.state == want.bit_generator.state
+
+
+# --- the columnar Partition against the dict code it replaced ------------------
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(assignment=st.dictionaries(_INT64, _INT64), external=st.dictionaries(_INT64, _INT64))
+@example(assignment={}, external={})
+@example(assignment={-5: 2, 3: -1, -2**63: 0}, external={-7: 4, 2**63 - 1: -1})
+def test_from_assignment_round_trip(assignment, external):
+    part = Partition.from_assignment(assignment, external, model_year=2010,
+                                     rc_count=len(set(assignment.values())), quality=-0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        tsv, meta = Path(tmp) / "p.tsv", Path(tmp) / "p.json"
+        save_partition(part, tsv, meta)
+        loaded = load_partition(tsv, meta)
+    for p in (part, loaded):
+        assert p.assignment == assignment and p.external_assignment == external
+        for name in ("paper_ids", "rc", "external_ids", "external_rc"):
+            assert getattr(p, name).dtype == np.int64, name
+        assert ascending(p.paper_ids) and ascending(p.external_ids)
+        assert p.rc.tolist() == [assignment[i] for i in p.paper_ids.tolist()]
+        assert p.external_rc.tolist() == [external[i] for i in p.external_ids.tolist()]
+    assert_same_partition(loaded, part)
+    with pytest.raises(TypeError):
+        part.assignment[0] = 1          # the views are read-only
+
+
+def _same_grouping(a, b) -> bool:
+    """Whether two label arrays put the same nodes together."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def _assert_labels_match_oracles(graph, part):
+    labels = cluster._node_labels(graph, part)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == oracles.initial_communities(graph, part)
+    if (part.rc < 0).any() or (part.external_rc < 0).any():
+        return          # the dict labels' fresh ids collide with these; see below
+    dict_labels = oracles.labels_from(graph, part)
+    assert _same_grouping(labels, dict_labels)
+    for quality in ("cpm", "modularity"):
+        assert partition_quality(graph, part, quality, 0.5) == partition_quality(
+            graph, dict_labels, quality, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=_small_graphs(), data=st.data())
+def test_node_labels_match_dict_oracles_on_small_partitions(graph, data):
+    # ids off the graph, ids in both mappings, and rc ids shared between them
+    ids, rcs = st.integers(-3, graph.n_nodes + 3), st.integers(-4, 4)
+    part = Partition.from_assignment(data.draw(st.dictionaries(ids, rcs)),
+                                     data.draw(st.dictionaries(ids, rcs)))
+    _assert_labels_match_oracles(graph, part)
+
+
+def test_unplaced_nodes_stay_apart_from_negative_rc_ids():
+    graph = CitationGraph.from_edges([(0, 1)])
+    part = Partition.from_assignment({}, {0: -1})
+    # the dict labels gave unplaced node 1 the fresh label -1, node 0's rc id
+    assert oracles.labels_from(graph, part).tolist() == [-1, -1]
+    assert cluster._node_labels(graph, part).tolist() == [0, 1]
+    assert partition_quality(graph, part, "cpm", 0.5) == 0.0
+
+
+def test_seeded_leiden_matches_dict_oracles_on_synth_graphs(synth_corpora, synth_graphs):
+    for corpus, graph in zip(synth_corpora, synth_graphs):
+        cfg = ClusterConfig(quality="cpm", resolution=0.02, rng_seed=0)
+        base = leiden(graph, cfg)
+        assert len(base.external_ids) > 0
+        # through 2011 the papers of 2010-2011 and newly cited items are unplaced
+        later = build_graph(corpus, extended=True, year_cutoff=2011)
+        for g in (graph, later):
+            _assert_labels_match_oracles(g, base)
+            warm = replace(cfg, rng_seed=3, seed_assignment=base)
+            assert_same_partition(leiden(g, warm), _oracle_leiden(g, warm))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_canonical_ids_match_dict_oracle(data):
+    nodes = data.draw(st.lists(st.integers(-50, 50), max_size=15, unique=True))
+    internal = [n for n in nodes if data.draw(st.booleans())]
+    graph = CitationGraph.from_edges([], nodes=nodes, internal_ids=internal)
+    flat = np.array(data.draw(st.lists(st.integers(-3, 5), min_size=len(nodes),
+                                       max_size=len(nodes))), np.int64)
+    rc, rc_count = cluster._canonical_ids(graph, flat)
+    assignment, external, want_count = oracles.canonical_ids(graph, flat)
+    assert rc_count == want_count
+    assert rc.tolist() == [assignment.get(n, external.get(n, -1))
+                           for n in graph.node_ids.tolist()]

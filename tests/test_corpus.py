@@ -103,14 +103,14 @@ def test_publication_share_basic(corpus_factory):
     papers = [paper(i, 2010) for i in range(1, 101)]
     corpus = corpus_factory(papers)
     assignment = {i: (0 if i <= 5 else 1) for i in range(1, 101)}
-    panel = Panel(corpus, assignment)
+    panel = Panel(corpus, Partition.from_assignment(assignment))
     assert panel.share_column(2010)[np.searchsorted(panel.rc_ids, 0)] == pytest.approx(0.05)
     assert 99 not in panel.rc_ids  # an rc with no papers has no row
 
 
 def test_share_errors(corpus_factory):
     corpus = corpus_factory([paper(1, 2010), paper(2, 2012)])
-    panel = Panel(corpus, {1: 0, 2: 0})
+    panel = Panel(corpus, Partition.from_assignment({1: 0, 2: 0}))
     with pytest.raises(CorpusError, match="empty year"):
         panel.share_column(2011)
     with pytest.raises(CorpusError):
@@ -121,7 +121,7 @@ def test_shares_sum_to_one_over_complete_partition(corpus_factory):
     papers = [paper(i, 2010 + i % 3) for i in range(60)]
     corpus = corpus_factory(papers)
     assignment = {i: i % 7 for i in range(60)}
-    table = Panel(corpus, assignment)
+    table = Panel(corpus, Partition.from_assignment(assignment))
     for year in (2010, 2011, 2012):
         total = table.share_column(year).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -254,7 +254,8 @@ def test_build_graph_matches_dict_oracle(synth_corpora):
 def test_panel_matches_dict_oracle(synth_corpora):
     corpus, dict_corpus, truth = synth_corpora
     assignment = {pid: rc for pid, rc in truth.items() if pid % 7}
-    got, want = Panel(corpus, assignment), oracles.DictPanel(dict_corpus, assignment)
+    got = Panel(corpus, Partition.from_assignment(assignment))
+    want = oracles.DictPanel(dict_corpus, assignment)
     for name in ("rc_ids", "counts", "totals", "shares", "_rvit", "_paper_rc", "_paper_year"):
         _assert_same_arrays(getattr(got, name), getattr(want, name))
     assert got._cubes.keys() == want._cubes.keys()
@@ -270,8 +271,9 @@ def test_plurality_vote_matches_dict_oracle(synth_corpora):
         base = {pid: rc for pid, rc in truth.items()
                 if dict_corpus.papers[pid].year < year and pid % 5}
         base.update(externals)
-        voters, rcs = _plurality(corpus, year, base)
+        part = Partition.from_assignment(base, model_year=year - 1)
+        voters, rcs = _plurality(corpus, year, part)
         got = dict(zip(corpus.paper_ids[voters].tolist(), rcs.tolist()))
-        want = oracles.plurality_vote(dict_corpus, Partition(base, model_year=year - 1), year)
+        want = oracles.plurality_vote(dict_corpus, part, year)
         assert got == want
         assert len(want) > 0

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from rcforecast.cluster import Partition
 from rcforecast.evaluate import (
     TaxonomyMap,
@@ -165,12 +168,37 @@ def test_taxonomy_round_trip_and_common_papers(tmp_path):
     assert loaded.mapping == tax.mapping
     assert loaded.method == "direct"
 
-    reference = Partition({10: 1, 11: 1, 12: 2, 13: 3}, model_year=2010, rc_count=3)
-    newer = Partition({10: 7, 11: 7, 12: 7, 13: 8}, model_year=2012, rc_count=2)
+    reference = Partition.from_assignment({10: 1, 11: 1, 12: 2, 13: 3}, model_year=2010,
+                                          rc_count=3)
+    newer = Partition.from_assignment({10: 7, 11: 7, 12: 7, 13: 8}, model_year=2012,
+                                      rc_count=2)
     derived = TaxonomyMap.from_common_papers(newer, reference, tax)
     assert derived.method == "common-paper matching"
     assert derived.mapping[7] == (9, 1)   # two common papers with reference rc 1
     assert derived.mapping[8] == (5, 2)
+
+
+def test_common_paper_tie_goes_to_the_smaller_reference_rc():
+    reference = Partition.from_assignment({1: 3, 2: 3, 3: 1, 4: 1, 5: 2, 6: 4})
+    newer = Partition.from_assignment({1: 7, 2: 7, 3: 7, 4: 7, 5: 8, 6: 8, 9: 9})
+    tax = TaxonomyMap({1: (5, 5), 3: (9, 9), 4: (6, 6)})
+    derived = TaxonomyMap.from_common_papers(newer, reference, tax)
+    # rc 7 ties reference rcs 1 and 3; rc 8 ties 2 (unmapped) and 4; rc 9 shares none
+    assert derived.mapping == {7: (5, 5)}
+    assert derived.mapping == oracles.taxonomy_from_common_papers(newer, reference,
+                                                                  tax).mapping
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_common_paper_mapping_matches_dict_oracle(data):
+    ids, rcs = st.integers(-5, 30), st.integers(-3, 6)
+    newer = Partition.from_assignment(data.draw(st.dictionaries(ids, rcs)))
+    reference = Partition.from_assignment(data.draw(st.dictionaries(ids, rcs)))
+    tax = TaxonomyMap(data.draw(st.dictionaries(rcs, st.tuples(rcs, rcs))))
+    got = TaxonomyMap.from_common_papers(newer, reference, tax)
+    want = oracles.taxonomy_from_common_papers(newer, reference, tax)
+    assert (got.mapping, got.method) == (want.mapping, want.method)
 
 
 def _lifecycle_corpus(corpus_factory):
@@ -189,7 +217,7 @@ def _lifecycle_corpus(corpus_factory):
                 assignment[pid] = rc
                 pid += 1
     corpus = corpus_factory(papers)
-    partition = Partition(assignment, model_year=2012, rc_count=3)
+    partition = Partition.from_assignment(assignment, model_year=2012, rc_count=3)
     return corpus, partition
 
 

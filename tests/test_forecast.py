@@ -150,7 +150,8 @@ def _pipeline_rows(corpus_factory):
         papers.append(paper(pid, year, refs=[50] if pid > 50 else []))
     corpus = corpus_factory(papers)
     assignment = {pid: 0 for pid in range(1, 8)} | {pid: 1 for pid in range(50, 54)}
-    partition = Partition(assignment, model_year=2010, rc_count=2, extended_through=2014)
+    partition = Partition.from_assignment(assignment, model_year=2010, rc_count=2,
+                                          extended_through=2014)
     return corpus, partition
 
 

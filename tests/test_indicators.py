@@ -27,7 +27,8 @@ def _shares_panel(shares, total=2000):
             pid = len(papers)
             papers[pid] = PaperRecord(pid, year, "article", None, (), ())
             assignment[pid] = 0 if i < k else 1
-    return Panel(Corpus.from_records(papers.values(), {}), assignment)
+    return Panel(Corpus.from_records(papers.values(), {}),
+                 Partition.from_assignment(assignment))
 
 
 def peak_year(shares, fy):
@@ -71,8 +72,8 @@ class _Rows:
 
 def _engine(corpus_factory, papers, assignment, journals=None):
     corpus = corpus_factory(papers, journals=journals)
-    part = Partition(dict(assignment), model_year=corpus.meta.last_year,
-                     rc_count=len(set(assignment.values())))
+    part = Partition.from_assignment(assignment, model_year=corpus.meta.last_year,
+                                     rc_count=len(set(assignment.values())))
     return _Rows(corpus, part)
 
 
@@ -177,7 +178,8 @@ def test_skip_record_when_rc_outside_window(corpus_factory):
     papers = [paper(1, 2000), paper(2, 2015)]
     eng = _engine(corpus_factory, papers, {1: 0, 2: 1})
     assert eng.raw(0, 2015) is None
-    assert _Rows(eng.corpus, {1: 0, 2: 1}).raw(0, 2015) is None
+    part = Partition.from_assignment({1: 0, 2: 1})
+    assert _Rows(eng.corpus, part).raw(0, 2015) is None
 
 
 def _raw(rc, fy=2015, **kw):
@@ -282,7 +284,7 @@ def test_recompute_after_reload_is_bit_exact(tmp_path, corpus_factory):
         papers.append(paper(pid, year, refs=refs, journal_id=int(rng.integers(1, 4))))
     corpus = corpus_factory(papers, journals=[(1, 5, 5), (2, 300, 300), (3, None, 9)])
     assignment = {pid: pid % 4 for pid in range(60)}
-    part = Partition(dict(assignment), model_year=2015, rc_count=4)
+    part = Partition.from_assignment(dict(assignment), model_year=2015, rc_count=4)
 
     rows1 = oracles.raw_rows(Panel(corpus, part).columns(2015), 2015)
 

@@ -64,7 +64,8 @@ def test_panel_matches_engine_on_synthetic_corpora(tmp_path, seed):
     corpus = load_corpus(res.papers_path, res.ranks_path)
     # every seventh paper unassigned, as after an extension that leaves some out
     assignment = {pid: rc for pid, rc in res.paper_community.items() if pid % 7}
-    partition = Partition(assignment, model_year=2009, rc_count=150, extended_through=2013)
+    partition = Partition.from_assignment(assignment, model_year=2009, rc_count=150,
+                                          extended_through=2013)
     for fy in (corpus.meta.first_year - 1, 2006, 2008, 2010, 2011, corpus.meta.last_year + 1):
         assert_matches_engine(corpus, partition, fy, min_papers=3)
 
@@ -88,8 +89,8 @@ def small_corpora(draw):
     rcs = draw(st.lists(st.sampled_from([None, 0, 1, 2, 5]), min_size=n, max_size=n))
     assignment = {pid: rc for pid, rc in zip(papers, rcs) if rc is not None}
     model_year = draw(st.integers(2000, 2008))
-    partition = Partition(assignment, model_year=model_year,
-                          extended_through=draw(st.integers(model_year, 2010)))
+    partition = Partition.from_assignment(assignment, model_year=model_year,
+                                          extended_through=draw(st.integers(model_year, 2010)))
     return Corpus.from_records(papers.values(), ranks), partition
 
 
@@ -104,7 +105,7 @@ def test_panel_matches_engine_on_small_corpora(case, fy, window, min_papers):
 def test_unknown_paper_in_partition_rejected(corpus_factory):
     corpus = corpus_factory([paper(1, 2010)])
     with pytest.raises(CorpusError, match="unknown paper 2"):
-        Panel(corpus, {1: 0, 2: 0})
+        Panel(corpus, Partition.from_assignment({1: 0, 2: 0}))
 
 
 def test_run_pipeline_builds_one_panel_and_one_table_per_fy(tmp_path, monkeypatch):

@@ -116,8 +116,8 @@ def test_intra_inter_ratio_matches_config(tmp_path):
 def test_planted_communities_have_stronger_lifecycle_signals(small_synth):
     cfg, res = small_synth
     corpus = load_corpus(res.papers_path, res.ranks_path)
-    partition = Partition(dict(res.paper_community), model_year=cfg.last_year,
-                          rc_count=cfg.n_communities)
+    partition = Partition.from_assignment(res.paper_community, model_year=cfg.last_year,
+                                          rc_count=cfg.n_communities)
     engine = Panel(corpus, partition)
     fy = 2008
     planted = {c for c, k in res.community_class.items() if k.endswith("+xg")}

@@ -71,7 +71,8 @@ def test_table_matches_oracle_on_synthetic_corpora(tmp_path):
         corpus = load_corpus(res.papers_path, res.ranks_path)
         assignment = {pid: rc for pid, rc in res.paper_community.items() if pid % 7}
         # fys 2011 and later have no outcome: the model ends at 2013
-        partition = Partition(assignment, model_year=2009, rc_count=150, extended_through=2013)
+        partition = Partition.from_assignment(assignment, model_year=2009, rc_count=150,
+                                              extended_through=2013)
         panel = Panel(corpus, partition)
         for min_papers in (0, 3):
             assert_matches_oracle(panel, range(2005, 2012), min_papers)
@@ -91,7 +92,8 @@ def test_table_matches_oracle_with_constant_columns_and_no_rvit(corpus_factory):
                 assignment[pid] = rc
     corpus = corpus_factory(papers)
     # fys 2009 and later have no outcome: the model ends at 2011
-    panel = Panel(corpus, Partition(assignment, model_year=2007, extended_through=2011))
+    panel = Panel(corpus, Partition.from_assignment(assignment, model_year=2007,
+                                                    extended_through=2011))
     with pytest.warns(UserWarning, match="ntopj is constant"):
         table = indicator_table(panel, 2008)
     assert np.isnan(table.raw["rvit"]).all()
