@@ -1,7 +1,7 @@
 """Wall time and peak RSS of corpus generation, the corpus-facing stages and
 a whole run.
 
-    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_8.json]
+    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_9.json]
 
 Each ``--variant`` names an ``src`` directory holding an ``rcforecast``
 package (default: this checkout's ``src`` as ``current``); naming two, such
@@ -109,7 +109,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--variant", action="append", default=[],
                         help="NAME=SRC; repeatable (default: current=<checkout>/src)")
-    parser.add_argument("--out", default="BENCH_8.json")
+    parser.add_argument("--out", default="BENCH_9.json")
     parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:

@@ -105,16 +105,7 @@ class AssignmentReport:
     n_papers: int = 0
     by_references: int = 0
     by_bm25: int = 0
-    unassigned: list[int] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "year": self.year,
-            "n_papers": self.n_papers,
-            "by_references": self.by_references,
-            "by_bm25": self.by_bm25,
-            "unassigned": sorted(self.unassigned),
-        }
+    unassigned: list[int] = field(default_factory=list)     # ascending
 
 
 def assign_new_papers(partition: Partition, corpus: Corpus, new_year: int

@@ -12,20 +12,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
+from .artifacts import write_json
 from .cluster import ClusterConfig, ClusterError, load_partition, save_partition
 from .config import load_config
 from .corpus import CorpusError, load_corpus
 from .evaluate import (
+    SLICES,
     TaxonomyMap,
     evaluate_slices,
     lifecycle_report,
     write_evaluation,
     write_lifecycle_tsv,
 )
-from .forecast import CompositeModel, write_forecast_tsv
+from .forecast import HORIZON, CompositeModel, write_forecast_tsv
 from .indicators import Panel, write_indicator_tsv
 from .manifest import write_manifest
 from .pipeline import (
@@ -119,10 +122,7 @@ def cmd_model_extend(args) -> int:
     partition, reports = extend_model(corpus, partition, through,
                                       seeded=args.seeded, cluster_config=config)
     save_partition(partition, tsv, meta)
-    report_path = Path(args.model) / f"extension_{through}.json"
-    with open(report_path, "w") as fh:
-        json.dump([r.as_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(args.model) / f"extension_{through}.json", list(map(asdict, reports)))
     write_manifest(Path(args.model) / f"extension_{through}.manifest.json",
                    "model extend", vars(args).copy(),
                    {"papers": args.corpus}, {"cluster": args.seed})
@@ -183,14 +183,13 @@ def cmd_evaluate(args) -> int:
                              min_papers=args.min_papers)
         with_outcome = [r for r in recs if r.outcome is not None]
         if not with_outcome:
-            missing_ty.append(fy + 3)
+            missing_ty.append(fy + HORIZON)
             continue
         records.extend(with_outcome)
     if not records:
         return _fail(f"no outcomes available: corpus/model must extend through "
                      f"target years {missing_ty}")
-    by = tuple(args.by.split(",")) if args.by else ("fy", "ry", "actionable",
-                                                    "field", "discipline")
+    by = tuple(args.by.split(",")) if args.by else SLICES
     reports = evaluate_slices(records, taxonomy=taxonomy, min_papers=args.min_papers,
                               mode=args.mode, by=by)
     write_evaluation(reports, args.out_json, args.out_tsv)

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
 
+from .artifacts import INT_TEXT, is_int64, write_json, write_tsv
 from .citegraph import CitationGraph, connected_components
+from .config import check_types
 from .corpus import lookup
 
 _EPS = 1e-12
@@ -37,9 +39,9 @@ class ClusterConfig:
     resolution: float = 1.0
     rng_seed: int = 0
     max_iterations: int = 10
-    seed_assignment: "Partition | None" = None
 
     def __post_init__(self):
+        check_types(self, ClusterError)
         if self.quality not in ("cpm", "modularity"):
             raise ClusterError(f"unknown quality function {self.quality!r}")
         if self.resolution <= 0:
@@ -72,9 +74,10 @@ class Partition:
     @classmethod
     def from_assignment(cls, assignment, external_assignment=None, **meta) -> "Partition":
         """A partition of paper -> rc and external item -> rc mappings."""
-        external_ids, external_rc = _columns(external_assignment or {})
-        return cls(*_columns(assignment), external_ids=external_ids, external_rc=external_rc,
-                   **meta)
+        external = external_assignment or {}
+        external_ids, external_rc = _columns(external, external.values())
+        return cls(*_columns(assignment, assignment.values()), external_ids=external_ids,
+                   external_rc=external_rc, **meta)
 
     @cached_property
     def assignment(self) -> Mapping[int, int]:
@@ -94,11 +97,12 @@ class Partition:
         return out
 
 
-def _columns(mapping) -> tuple[np.ndarray, np.ndarray]:
-    """The keys of an int -> int mapping in ascending order, and their values."""
-    keys = np.fromiter(mapping, np.int64, len(mapping))
-    order = np.argsort(keys)
-    return keys[order], np.fromiter(mapping.values(), np.int64, len(mapping))[order]
+def _columns(keys, values) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct int ``keys`` in ascending order, and for each the value
+    paired with its last occurrence."""
+    keys, values = np.fromiter(keys, np.int64), np.fromiter(values, np.int64)
+    ids, last = np.unique(keys[::-1], return_index=True)
+    return ids, values[::-1][last]
 
 
 # --- quality functions -----------------------------------------------------
@@ -352,8 +356,10 @@ def _split_disconnected(graph: CitationGraph, labels: np.ndarray) -> np.ndarray:
     return connected_components(indptr, graph.indices[intra], graph.n_nodes)
 
 
-def leiden(graph: CitationGraph, config: ClusterConfig) -> Partition:
-    """Cluster ``graph`` into research communities.
+def leiden(graph: CitationGraph, config: ClusterConfig,
+           seed_partition: Partition | None = None) -> Partition:
+    """Cluster ``graph`` into research communities, starting from
+    ``seed_partition`` if given (a warm start) and from singletons if not.
 
     Deterministic for a fixed ``config.rng_seed``. The returned assignment
     covers internal nodes only; every community is internally connected on the
@@ -361,9 +367,10 @@ def leiden(graph: CitationGraph, config: ClusterConfig) -> Partition:
     non-decreasing across iterations, so a seeded run can never end below its
     starting partition.
     """
+    config_used = dict(asdict(config), seeded=seed_partition is not None)
     if graph.n_nodes == 0:
         return Partition.from_assignment({}, model_year=graph.year_cutoff,
-                                         config_used=_config_dict(config))
+                                         config_used=config_used)
     use_cpm = config.quality == "cpm"
     gamma = config.resolution
     rng = np.random.default_rng(config.rng_seed)
@@ -376,8 +383,8 @@ def leiden(graph: CitationGraph, config: ClusterConfig) -> Partition:
     level = _Level(graph.indptr, graph.indices, graph.weights,
                    np.zeros(n0), np.ones(n0, dtype=np.int64), strengths0)
     membership = np.arange(n0)
-    seed = config.seed_assignment
-    comm = list(range(n0)) if seed is None else _node_labels(graph, seed).tolist()
+    comm = (list(range(n0)) if seed_partition is None
+            else _node_labels(graph, seed_partition).tolist())
 
     prev_q = partition_quality(graph, np.asarray(comm)[membership],
                                config.quality, config.resolution)
@@ -406,7 +413,7 @@ def leiden(graph: CitationGraph, config: ClusterConfig) -> Partition:
     return Partition(graph.node_ids[internal], rc[internal], model_year=graph.year_cutoff,
                      rc_count=rc_count, quality=quality,
                      external_ids=graph.node_ids[~internal & kept],
-                     external_rc=rc[~internal & kept], config_used=_config_dict(config))
+                     external_rc=rc[~internal & kept], config_used=config_used)
 
 
 def _canonical_ids(graph: CitationGraph, labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -500,23 +507,11 @@ def tune_resolution(graph: CitationGraph, target_rc_count: int, config: ClusterC
 # --- persistence -------------------------------------------------------------
 
 
-def _config_dict(config: ClusterConfig) -> dict:
-    return {
-        "quality": config.quality,
-        "resolution": config.resolution,
-        "rng_seed": config.rng_seed,
-        "max_iterations": config.max_iterations,
-        "seeded": config.seed_assignment is not None,
-    }
-
-
 def save_partition(partition: Partition, tsv_path, meta_path=None) -> None:
-    with open(tsv_path, "w") as fh:
-        fh.write("paper_id\trc_id\n")
-        fh.writelines(f"{pid}\t{rc}\n" for pid, rc in
-                      zip(partition.paper_ids.tolist(), partition.rc.tolist()))
+    write_tsv(tsv_path, ["paper_id", "rc_id"],
+              zip(partition.paper_ids.tolist(), partition.rc.tolist()))
     if meta_path is not None:
-        meta = {
+        write_json(meta_path, {
             "model_year": partition.model_year,
             "extended_through": partition.extended_through,
             "rc_count": partition.rc_count,
@@ -524,13 +519,9 @@ def save_partition(partition: Partition, tsv_path, meta_path=None) -> None:
             "config": partition.config_used,
             "external_assignment": dict(zip(map(str, partition.external_ids.tolist()),
                                             partition.external_rc.tolist())),
-        }
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
 
-_INT_TEXT = re.compile(r"-?[0-9]+")
 _META_TYPES = {"model_year": (int, type(None)), "extended_through": (int, type(None)),
                "rc_count": (int,), "quality": (int, float), "config": (dict,),
                "external_assignment": (dict,)}
@@ -544,16 +535,7 @@ def load_partition(tsv_path, meta_path=None) -> Partition:
         header = fh.readline()
         if header.strip() != "paper_id\trc_id":
             raise ClusterError(f"bad partition header: {header.strip()!r}")
-        assignment: dict[int, int] = {}
-        try:
-            for i, line in enumerate(fh, start=2):
-                pid, rc = line.split()
-                assignment[int(pid)] = int(rc)
-                if len(assignment) < i - 1:     # lines 2..i hold i - 1 rows
-                    raise ClusterError(f"partition line {i}: duplicate paper_id {pid}")
-        except ValueError:
-            raise ClusterError(f"partition line {i}: expected paper_id and rc_id, "
-                               f"got {line.strip()!r}") from None
+        paper_ids, rc = _read_rows(fh.readlines())
     meta = {}
     if meta_path is not None:
         with open(meta_path) as fh:
@@ -562,13 +544,51 @@ def load_partition(tsv_path, meta_path=None) -> Partition:
             raise ClusterError(f"partition meta {meta_path} must hold a JSON object")
     wrong = [k for k, types in _META_TYPES.items() if k in meta and type(meta[k]) not in types]
     external = meta.get("external_assignment", {})
-    if wrong or not all(_INT_TEXT.fullmatch(k) and type(v) is int
+    if wrong or not all(INT_TEXT.fullmatch(k) and is_int64(int(k)) and is_int64(v)
                         for k, v in external.items()):
         raise ClusterError(f"partition meta {meta_path}: "
                            f"{(wrong or ['external_assignment'])[0]} has the wrong type")
-    return Partition.from_assignment(
-        assignment, {int(k): v for k, v in external.items()},
-        model_year=meta.get("model_year"),
-        rc_count=meta.get("rc_count", len(set(assignment.values()))),
-        quality=meta.get("quality", 0.0), extended_through=meta.get("extended_through"),
-        config_used=meta.get("config", {}))
+    external_ids, external_rc = _columns(map(int, external), external.values())
+    return Partition(paper_ids, rc, model_year=meta.get("model_year"),
+                     rc_count=meta.get("rc_count", len(np.unique(rc))),
+                     quality=meta.get("quality", 0.0),
+                     extended_through=meta.get("extended_through"),
+                     external_ids=external_ids, external_rc=external_rc,
+                     config_used=meta.get("config", {}))
+
+
+def _row_problem(row: list[str]) -> str | None:
+    """Why the cells of a partition row are not a paper id and an rc id."""
+    try:
+        values = list(map(int, row))
+    except ValueError:
+        values = []
+    if len(values) != 2:
+        return "expected paper_id and rc_id"
+    return None if all(map(is_int64, values)) else "paper_id and rc_id must fit int64"
+
+
+def _read_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The paper ids (ascending) and rc ids of the partition rows ``lines``,
+    which follow the header line; ClusterError naming the first line that is
+    not two int64 integers or that repeats a paper id."""
+    try:
+        if set(map(len, map(str.split, lines))) - {2}:
+            raise ValueError
+        cells = chain.from_iterable(map(str.split, lines))
+        values = np.fromiter(map(int, cells), np.int64, 2 * len(lines))
+        bad = len(lines)
+    except (ValueError, OverflowError):
+        bad = next(i for i, line in enumerate(lines) if _row_problem(line.split()))
+        values = np.array([int(x) for line in lines[:bad] for x in line.split()], np.int64)
+    values = values.reshape(-1, 2)
+    order = np.argsort(values[:, 0], kind="stable")
+    paper_ids = values[order, 0]
+    repeats = order[1:][paper_ids[1:] == paper_ids[:-1]]
+    if len(repeats):
+        i = int(repeats.min())
+        raise ClusterError(f"partition line {i + 2}: duplicate paper_id {lines[i].split()[0]}")
+    if bad < len(lines):
+        raise ClusterError(f"partition line {bad + 2}: {_row_problem(lines[bad].split())}, "
+                           f"got {lines[bad].strip()!r}")
+    return paper_ids, values[order, 1]

@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from .artifacts import INT_TEXT, is_int64
+
 DOC_TYPES = ("article", "review", "other")
 
 _TOKEN = re.compile(r"[0-9a-z]{2,}")
@@ -180,12 +182,6 @@ def lookup(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndar
     return pos, sorted_ids.take(pos, mode="clip") == ids
 
 
-def _is_int64(x) -> bool:
-    # exact type check: JSON true/false and floats are not integers here;
-    # ids and years go into numpy int64 arrays downstream, so they must fit one
-    return type(x) is int and -2**63 <= x < 2**63
-
-
 def _all_int64(xs: list) -> bool:
     return not xs or set(map(type, xs)) == {int} and -2**63 <= min(xs) and max(xs) < 2**63
 
@@ -200,14 +196,14 @@ def _parse_paper(obj: dict, line: int) -> tuple:
     jid = obj.get("journal_id")
     refs = obj.get("references", [])
     terms = obj.get("terms", [])
-    if not _is_int64(pid):
+    if not is_int64(pid):
         problem = "paper_id outside the signed 64-bit range"
-    elif not _is_int64(year):
+    elif not is_int64(year):
         # papers with missing publication year are rejected rather than guessed
         problem = "missing or non-integer year"
     elif doc_type not in DOC_TYPES:
         problem = f"unknown doc_type {doc_type!r}"
-    elif jid is not None and not _is_int64(jid):
+    elif jid is not None and not is_int64(jid):
         problem = f"non-integer or out-of-range journal_id {jid!r}"
     elif type(refs) is not list or not _all_int64(refs):
         problem = "references must be a list of 64-bit integers"
@@ -223,11 +219,8 @@ def _parse_paper(obj: dict, line: int) -> tuple:
     raise CorpusError(f"paper {pid}: {problem}", line=line, paper_id=pid)
 
 
-_CSV_INT = re.compile(r"\s*-?[0-9]+\s*")
-
-
 def _parse_csv_int(val, what: str, line: int) -> int:
-    if val is None or not _CSV_INT.fullmatch(val):
+    if val is None or not INT_TEXT.fullmatch(val.strip()):
         raise CorpusError(f"non-integer {what} {val!r}", line=line)
     return int(val)
 

@@ -8,17 +8,18 @@ flags (which makes disjoint sub-slices additive).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .cluster import _INT_TEXT, Partition
+from .artifacts import INT_TEXT, write_json, write_tsv
+from .cluster import Partition
 from .corpus import lookup
 from .forecast import HORIZON, ForecastRecord, growth_labels, oracle_n, select_top_n
 from .indicators import Panel
 
 CSI_THRESHOLD = 0.25
+SLICES = ("fy", "ry", "actionable", "field", "discipline")
 
 
 @dataclass(frozen=True)
@@ -38,17 +39,6 @@ class ContingencyReport:
     n_selected: int
     min_papers: int = 0
     mode: str = "as-is"
-
-    def as_dict(self) -> dict:
-        return {
-            "slice": self.slice, "tp": self.tp, "fp": self.fp, "fn": self.fn,
-            "tn": self.tn, "precision": self.precision, "recall": self.recall,
-            "csi": self.csi, "degenerate": list(self.degenerate),
-            "meets_csi_threshold": self.meets_csi_threshold,
-            "n_records": self.n_records, "n_xg": self.n_xg,
-            "n_selected": self.n_selected, "min_papers": self.min_papers,
-            "mode": self.mode,
-        }
 
 
 def contingency(records: list[ForecastRecord], slice_desc: str = "overall",
@@ -118,7 +108,7 @@ class TaxonomyMap:
                 cells = line.strip().split("\t")
                 if cells == [""] or cells[0] == "rc_id":    # blank line or header
                     continue
-                if len(cells) < 3 or not all(_INT_TEXT.fullmatch(c) for c in cells[:3]):
+                if len(cells) < 3 or not all(INT_TEXT.fullmatch(c) for c in cells[:3]):
                     raise ValueError(f"taxonomy line {i}: expected integer rc_id, "
                                      f"discipline_id and field_id, got {line.strip()!r}")
                 rc, discipline, field_id = map(int, cells[:3])
@@ -128,11 +118,8 @@ class TaxonomyMap:
         return cls(mapping, method="direct")
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("rc_id\tdiscipline_id\tfield_id\n")
-            for rc in sorted(self.mapping):
-                d, f = self.mapping[rc]
-                fh.write(f"{rc}\t{d}\t{f}\n")
+        write_tsv(path, ["rc_id", "discipline_id", "field_id"],
+                  ((rc, *self.mapping[rc]) for rc in sorted(self.mapping)))
 
     @classmethod
     def from_common_papers(cls, partition: Partition, reference: Partition,
@@ -161,17 +148,21 @@ def _reselect(subset: list[ForecastRecord]) -> list[ForecastRecord]:
 
 def evaluate_slices(records: list[ForecastRecord], taxonomy: TaxonomyMap | None = None,
                     min_papers: int = 20, mode: str = "reselect",
-                    by: tuple[str, ...] = ("fy", "ry", "actionable", "field", "discipline"),
-                    ) -> list[ContingencyReport]:
+                    by: tuple[str, ...] = SLICES) -> list[ContingencyReport]:
     """One contingency report per slice, after the size filter.
 
     mode "reselect": each slice is independently sized with its own oracle-n
     and re-ranked. mode "inherit": the records' predicted flags are kept, which
     makes disjoint sub-slices additive. The actionable slices separate relative
     year > 0 (no future information in the assignments) from RY <= 0.
+    ValueError for a ``by`` name outside ``SLICES``.
     """
     if mode not in ("reselect", "inherit"):
         raise ValueError(f"unknown mode {mode!r}")
+    unknown = [name for name in by if name not in SLICES]
+    if unknown:
+        raise ValueError(f"unknown slices {', '.join(map(repr, unknown))}; "
+                         f"choose from {', '.join(SLICES)}")
     kept = [r for r in records if r.papers_in_fy >= min_papers]
 
     slices: list[tuple[str, list[ForecastRecord]]] = [("overall", kept)]
@@ -258,35 +249,19 @@ def lifecycle_report(panel: Panel, fy: int, min_papers: int = 0) -> list[Lifecyc
 
 
 def write_lifecycle_tsv(path, rows: list[LifecycleRow]) -> None:
-    with open(path, "w") as fh:
-        fh.write("gap\tstage\tn_rc\tpct_rc\tn_xg\tpct_xg\tn_new_peak\tpct_new_peak\n")
-        for r in rows:
-            cells = [r.gap,
-                     "" if r.stage is None else repr(r.stage),
-                     str(r.n_rc), repr(r.pct_rc)]
-            for v in (r.n_xg, r.pct_xg, r.n_new_peak, r.pct_new_peak):
-                cells.append("" if v is None else (repr(v) if isinstance(v, float) else str(v)))
-            fh.write("\t".join(cells) + "\n")
+    write_tsv(path, [f.name for f in fields(LifecycleRow)], map(astuple, rows))
+
+
+_EVALUATION_COLUMNS = ["slice", "mode", "min_papers", "n_records", "n_xg", "n_selected",
+                       "tp", "fp", "fn", "tn", "precision", "recall", "csi",
+                       "meets_csi_threshold", "degenerate"]
 
 
 def write_evaluation(reports: list[ContingencyReport], json_path=None, tsv_path=None) -> None:
     if json_path is not None:
-        with open(json_path, "w") as fh:
-            json.dump({"csi_threshold": CSI_THRESHOLD,
-                       "slices": [r.as_dict() for r in reports]},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(json_path, {"csi_threshold": CSI_THRESHOLD,
+                               "slices": [asdict(r) for r in reports]})
     if tsv_path is not None:
-        cols = ["slice", "mode", "min_papers", "n_records", "n_xg", "n_selected",
-                "tp", "fp", "fn", "tn", "precision", "recall", "csi",
-                "meets_csi_threshold", "degenerate"]
-        with open(tsv_path, "w") as fh:
-            fh.write("\t".join(cols) + "\n")
-            for r in reports:
-                fh.write("\t".join([
-                    r.slice, r.mode, str(r.min_papers), str(r.n_records),
-                    str(r.n_xg), str(r.n_selected), str(r.tp), str(r.fp),
-                    str(r.fn), str(r.tn), repr(r.precision), repr(r.recall),
-                    repr(r.csi), str(int(r.meets_csi_threshold)),
-                    ",".join(r.degenerate),
-                ]) + "\n")
+        write_tsv(tsv_path, _EVALUATION_COLUMNS,
+                  ([getattr(r, c) for c in _EVALUATION_COLUMNS[:-1]] + [",".join(r.degenerate)]
+                   for r in reports))

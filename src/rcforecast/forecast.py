@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .artifacts import write_json, write_tsv
 from .indicators import INDICATOR_NAMES, IndicatorTable, Panel
 
 GROWTH_THRESHOLD = 1.08
@@ -45,15 +46,9 @@ class CompositeModel:
                    meta={"source": "published composite"})
 
     def to_json(self, path) -> None:
-        obj = {
-            "variables": list(self.variables),
-            "coefficients": list(self.coefficients),
-            "intercept": self.intercept,
-            "meta": self.meta,
-        }
-        with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {"variables": list(self.variables),
+                          "coefficients": list(self.coefficients),
+                          "intercept": self.intercept, "meta": self.meta})
 
     @classmethod
     def from_json(cls, path) -> "CompositeModel":
@@ -203,15 +198,8 @@ _TSV_HEADER = ["rc_id", "fy", "ty", "ry", "papers_in_fy", "score", "predicted",
 def write_forecast_tsv(path, records: list[ForecastRecord]) -> None:
     """Machine twin of the published forecast listings, sorted by score descending."""
     ranked = sorted(records, key=lambda r: (-r.score, r.rc_id))
-    with open(path, "w") as fh:
-        fh.write("\t".join(_TSV_HEADER) + "\n")
-        for r in ranked:
-            fh.write("\t".join([
-                str(r.rc_id), str(r.fy), str(r.ty), str(r.ry), str(r.papers_in_fy),
-                repr(float(r.score)), str(r.predicted),
-                "" if r.outcome is None else str(r.outcome),
-                "" if r.growth_rate is None else repr(float(r.growth_rate)),
-            ]) + "\n")
+    write_tsv(path, _TSV_HEADER, ((r.rc_id, r.fy, r.ty, r.ry, r.papers_in_fy, r.score,
+                                   r.predicted, r.outcome, r.growth_rate) for r in ranked))
 
 
 def read_forecast_tsv(path) -> list[ForecastRecord]:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_tsv
 from .cluster import Partition
 from .corpus import DOC_TYPES, Corpus, CorpusError
 
@@ -277,7 +278,4 @@ def write_indicator_tsv(path, table: IndicatorTable) -> None:
     columns = ([table.raw["rc_id"], np.full(len(table), table.fy), table.raw["pk"],
                 table.raw["papers_in_fy"]] + [table.raw[name] for name in INDICATOR_NAMES]
                + [table.std[name] for name in INDICATOR_NAMES])
-    with open(path, "w") as fh:
-        fh.write("\t".join(_TSV_COLUMNS) + "\n")
-        for row in zip(*(column.tolist() for column in columns)):
-            fh.write("\t".join(map(repr, row)) + "\n")
+    write_tsv(path, _TSV_COLUMNS, zip(*(column.tolist() for column in columns)))

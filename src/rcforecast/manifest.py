@@ -9,11 +9,11 @@ are compared without them.
 from __future__ import annotations
 
 import hashlib
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .artifacts import write_json
 
 
 def file_digest(path) -> str:
@@ -39,7 +39,7 @@ def _plain(value):
 def write_manifest(path, command: str, arguments: dict, inputs: dict | None = None,
                    seeds: dict | None = None) -> None:
     """``inputs`` maps a label to an existing file path."""
-    obj = {
+    write_json(path, {
         "command": command,
         "arguments": {k: _plain(v) for k, v in sorted(arguments.items())
                       if k != "func"},
@@ -48,7 +48,4 @@ def write_manifest(path, command: str, arguments: dict, inputs: dict | None = No
         "rng_seeds": seeds or {},
         "tool_version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

@@ -8,12 +8,12 @@ step is deterministic for fixed seeds.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .assign import AssignmentReport, assign_new_papers
 from .citegraph import CitationGraph, build_graph
 from .cluster import ClusterConfig, Partition, leiden, save_partition, tune_resolution
@@ -66,7 +66,7 @@ def extend_model(corpus: Corpus, partition: Partition, through_year: int,
             if cluster_config is None:
                 raise ValueError("seeded extension needs a ClusterConfig")
             graph = build_graph(corpus, extended=extended_graph, year_cutoff=year)
-            partition = leiden(graph, replace(cluster_config, seed_assignment=partition))
+            partition = leiden(graph, cluster_config, partition)
             partition.model_year = root_my
             partition.extended_through = year
             rows, _, _ = corpus.partition_rows(partition)
@@ -182,9 +182,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                                       cluster_config=cluster_config,
                                       extended_graph=cfg.extended_graph)
     save_partition(partition, out / "partition.tsv", out / "partition.json")
-    with open(out / "extension.json", "w") as fh:
-        json.dump([r.as_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "extension.json", list(map(asdict, reports)))
     write_manifest(out / "partition.manifest.json", "pipeline:model", vars(cfg).copy(),
                    inputs, seeds)
 
@@ -231,7 +229,5 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         overall = next(r for r in slice_reports if r.slice == "overall")
         summary["overall_csi"] = overall.csi
         summary["meets_csi_threshold"] = overall.meets_csi_threshold
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
     return summary

@@ -14,7 +14,8 @@ dict-of-records corpus with the loader, graph build, panel and reference
 vote that walked it, the indicator row types with their TSV reader, the
 synthetic generator with one-element numpy draws and a linear year scan, and
 the dict loops over a partition: node labels, a seed's initial communities,
-Leiden's canonical rc ids and the common-paper taxonomy mapping.
+Leiden's canonical rc ids and the common-paper taxonomy mapping, and the
+line-by-line dict reader of ``partition.tsv``.
 """
 
 import json
@@ -415,6 +416,26 @@ def canonical_ids(graph, flat):
             else:
                 external_assignment[node_ids[i]] = rc
     return assignment, external_assignment, len(keyed)
+
+
+def read_partition_rows(tsv_path) -> dict[int, int]:
+    """The rows of ``partition.tsv`` as the dict loop of ``load_partition``
+    read them: ClusterError for the first bad line, ids of any size."""
+    with open(tsv_path) as fh:
+        header = fh.readline()
+        if header.strip() != "paper_id\trc_id":
+            raise ClusterError(f"bad partition header: {header.strip()!r}")
+        assignment: dict[int, int] = {}
+        try:
+            for i, line in enumerate(fh, start=2):
+                pid, rc = line.split()
+                assignment[int(pid)] = int(rc)
+                if len(assignment) < i - 1:     # lines 2..i hold i - 1 rows
+                    raise ClusterError(f"partition line {i}: duplicate paper_id {pid}")
+        except ValueError:
+            raise ClusterError(f"partition line {i}: expected paper_id and rc_id, "
+                               f"got {line.strip()!r}") from None
+    return assignment
 
 
 def taxonomy_from_common_papers(partition, reference, reference_taxonomy):

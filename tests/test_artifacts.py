@@ -1,0 +1,249 @@
+"""The exact text of every artifact writer, on small hand-built inputs.
+
+JSON artifacts have 2-space indents, sorted keys and a final newline. A TSV
+cell is empty for None, 0 or 1 for a bool, the repr of a float and the str of
+anything else.
+"""
+
+import hashlib
+import math
+from datetime import datetime, timezone
+from unittest import mock
+
+import numpy as np
+
+from rcforecast.cluster import Partition, save_partition
+from rcforecast.evaluate import (
+    LifecycleRow,
+    TaxonomyMap,
+    contingency,
+    evaluate_slices,
+    write_evaluation,
+    write_lifecycle_tsv,
+)
+from rcforecast.forecast import CompositeModel, ForecastRecord, write_forecast_tsv
+from rcforecast.indicators import INDICATOR_NAMES, IndicatorTable, write_indicator_tsv
+from rcforecast.manifest import write_manifest
+
+THIRD = 0.1 + 0.2       # 0.30000000000000004: only its repr round-trips
+
+
+def test_save_partition_text(tmp_path):
+    part = Partition.from_assignment(
+        {7: 1, -2: 0, 5: 1}, {100: 0, -9: 2}, model_year=2009, rc_count=2,
+        quality=THIRD, extended_through=2011,
+        config_used={"quality": "cpm", "resolution": 0.05, "rng_seed": 3,
+                     "max_iterations": 10, "seeded": False})
+    save_partition(part, tmp_path / "p.tsv", tmp_path / "p.json")
+    assert (tmp_path / "p.tsv").read_text() == "paper_id\trc_id\n-2\t0\n5\t1\n7\t1\n"
+    assert (tmp_path / "p.json").read_text() == """\
+{
+  "config": {
+    "max_iterations": 10,
+    "quality": "cpm",
+    "resolution": 0.05,
+    "rng_seed": 3,
+    "seeded": false
+  },
+  "extended_through": 2011,
+  "external_assignment": {
+    "-9": 2,
+    "100": 0
+  },
+  "model_year": 2009,
+  "quality": 0.30000000000000004,
+  "rc_count": 2
+}
+"""
+
+
+def test_save_partition_without_rows_or_externals(tmp_path):
+    save_partition(Partition.from_assignment({}, model_year=None), tmp_path / "p.tsv",
+                   tmp_path / "p.json")
+    assert (tmp_path / "p.tsv").read_text() == "paper_id\trc_id\n"
+    assert (tmp_path / "p.json").read_text() == """\
+{
+  "config": {},
+  "extended_through": null,
+  "external_assignment": {},
+  "model_year": null,
+  "quality": 0.0,
+  "rc_count": 0
+}
+"""
+
+
+def test_taxonomy_save_text(tmp_path):
+    TaxonomyMap({3: (1, 2), -1: (0, 5), 10: (4, 4)}).save(tmp_path / "t.tsv")
+    assert (tmp_path / "t.tsv").read_text() == (
+        "rc_id\tdiscipline_id\tfield_id\n-1\t0\t5\n3\t1\t2\n10\t4\t4\n")
+
+
+def test_forecast_tsv_text(tmp_path):
+    records = [
+        ForecastRecord(rc_id=4, fy=2011, ty=2014, ry=2, score=-0.5, predicted=0,
+                       papers_in_fy=25),
+        ForecastRecord(rc_id=9, fy=2011, ty=2014, ry=2, score=THIRD, predicted=1,
+                       papers_in_fy=40, outcome=1, growth_rate=1.2),
+        ForecastRecord(rc_id=2, fy=2011, ty=2014, ry=2, score=THIRD, predicted=0,
+                       papers_in_fy=31, outcome=0, growth_rate=1 / 3),
+    ]
+    write_forecast_tsv(tmp_path / "f.tsv", records)
+    assert (tmp_path / "f.tsv").read_text() == (
+        "rc_id\tfy\tty\try\tpapers_in_fy\tscore\tpredicted\toutcome\tgrowth_rate\n"
+        "2\t2011\t2014\t2\t31\t0.30000000000000004\t0\t0\t0.3333333333333333\n"
+        "9\t2011\t2014\t2\t40\t0.30000000000000004\t1\t1\t1.2\n"
+        "4\t2011\t2014\t2\t25\t-0.5\t0\t\t\n")
+
+
+def test_lifecycle_tsv_text(tmp_path):
+    write_lifecycle_tsv(tmp_path / "lc.tsv", [
+        LifecycleRow(gap="2", stage=1 / 3, n_rc=3, pct_rc=100 / 3, n_xg=1,
+                     pct_xg=100 / 3, n_new_peak=0, pct_new_peak=0.0),
+        LifecycleRow(gap=">5", stage=None, n_rc=0, pct_rc=0.0),
+    ])
+    assert (tmp_path / "lc.tsv").read_text() == (
+        "gap\tstage\tn_rc\tpct_rc\tn_xg\tpct_xg\tn_new_peak\tpct_new_peak\n"
+        "2\t0.3333333333333333\t3\t33.333333333333336\t1\t33.333333333333336\t0\t0.0\n"
+        ">5\t\t0\t0.0\t\t\t\t\n")
+
+
+def _record(rc, predicted, outcome, ry):
+    return ForecastRecord(rc_id=rc, fy=2011, ty=2014, ry=ry, score=0.0,
+                          predicted=predicted, papers_in_fy=30, outcome=outcome)
+
+
+def test_evaluation_text(tmp_path):
+    records = [_record(1, 1, 1, 0), _record(2, 1, 0, 0), _record(3, 0, 1, -1),
+               _record(4, 0, 0, -1)]
+    reports = evaluate_slices(records, min_papers=0, mode="inherit", by=("actionable",))
+    reports.append(contingency([_record(5, 0, 0, 1)], "none"))
+    assert [r.slice for r in reports] == ["overall", "actionable ry>0",
+                                          "circumstantial ry<=0", "none"]
+    write_evaluation(reports[1:3], tmp_path / "e.json")
+    write_evaluation(reports, tsv_path=tmp_path / "e.tsv")
+    assert (tmp_path / "e.tsv").read_text() == (
+        "slice\tmode\tmin_papers\tn_records\tn_xg\tn_selected\ttp\tfp\tfn\ttn"
+        "\tprecision\trecall\tcsi\tmeets_csi_threshold\tdegenerate\n"
+        "overall\tinherit\t0\t4\t2\t2\t1\t1\t1\t1\t0.5\t0.5\t0.3333333333333333\t1\t\n"
+        "actionable ry>0\tinherit\t0\t0\t0\t0\t0\t0\t0\t0\t0.0\t0.0\t0.0\t0\tempty\n"
+        "circumstantial ry<=0\tinherit\t0\t4\t2\t2\t1\t1\t1\t1\t0.5\t0.5"
+        "\t0.3333333333333333\t1\t\n"
+        "none\tas-is\t0\t1\t0\t0\t0\t0\t0\t1\t0.0\t0.0\t0.0\t0\tprecision,recall,csi\n")
+    assert (tmp_path / "e.json").read_text() == """\
+{
+  "csi_threshold": 0.25,
+  "slices": [
+    {
+      "csi": 0.0,
+      "degenerate": [
+        "empty"
+      ],
+      "fn": 0,
+      "fp": 0,
+      "meets_csi_threshold": false,
+      "min_papers": 0,
+      "mode": "inherit",
+      "n_records": 0,
+      "n_selected": 0,
+      "n_xg": 0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "slice": "actionable ry>0",
+      "tn": 0,
+      "tp": 0
+    },
+    {
+      "csi": 0.3333333333333333,
+      "degenerate": [],
+      "fn": 1,
+      "fp": 1,
+      "meets_csi_threshold": true,
+      "min_papers": 0,
+      "mode": "inherit",
+      "n_records": 4,
+      "n_selected": 2,
+      "n_xg": 2,
+      "precision": 0.5,
+      "recall": 0.5,
+      "slice": "circumstantial ry<=0",
+      "tn": 1,
+      "tp": 1
+    }
+  ]
+}
+"""
+
+
+def test_indicator_tsv_text(tmp_path):
+    raw = {"rc_id": np.array([3, 8]), "pk": np.array([2009, 2011]),
+           "papers_in_fy": np.array([12, 0]), "stage": np.array([1 / 3, 1.0]),
+           "cvit": np.array([0.5, THIRD]), "rvit": np.array([math.nan, 0.25]),
+           "delta_rvit": np.array([0.0, -5.0])}
+    raw.update((name, np.array([i, 0])) for i, name in enumerate(INDICATOR_NAMES[4:], 1))
+    std = {name: np.array([-1.0, 1.0]) for name in INDICATOR_NAMES}
+    std["cvit"] = np.array([THIRD, -THIRD])
+    write_indicator_tsv(tmp_path / "i.tsv", IndicatorTable(2011, raw, std))
+    assert (tmp_path / "i.tsv").read_text() == (
+        "rc_id\tfy\tpk\tpapers_in_fy\tstage\tcvit\trvit\tdelta_rvit\tntopj\tctopj\teigen"
+        "\tnart\tnrev\tnref\tstage_s\tcvit_s\trvit_s\tdelta_rvit_s\tntopj_s\tctopj_s"
+        "\teigen_s\tnart_s\tnrev_s\tnref_s\n"
+        "3\t2011\t2009\t12\t0.3333333333333333\t0.5\tnan\t0.0\t1\t2\t3\t4\t5\t6"
+        "\t-1.0\t0.30000000000000004" + "\t-1.0" * 8 + "\n"
+        "8\t2011\t2011\t0\t1.0\t0.30000000000000004\t0.25\t-5.0\t0\t0\t0\t0\t0\t0"
+        "\t1.0\t-0.30000000000000004" + "\t1.0" * 8 + "\n")
+
+
+def test_composite_json_text(tmp_path):
+    CompositeModel(("stage", "nref"), (THIRD, -1), intercept=None,
+                   meta={"source": "hand", "fit_fys": [2010, 2011]}).to_json(tmp_path / "c.json")
+    assert (tmp_path / "c.json").read_text() == """\
+{
+  "coefficients": [
+    0.30000000000000004,
+    -1.0
+  ],
+  "intercept": null,
+  "meta": {
+    "fit_fys": [
+      2010,
+      2011
+    ],
+    "source": "hand"
+  },
+  "variables": [
+    "stage",
+    "nref"
+  ]
+}
+"""
+
+
+def test_manifest_text(tmp_path):
+    (tmp_path / "in.txt").write_text("abc\n")
+    fixed = mock.Mock(now=lambda tz: datetime(2020, 1, 2, 3, 4, 5, tzinfo=timezone.utc))
+    with mock.patch("rcforecast.manifest.datetime", fixed):
+        write_manifest(tmp_path / "m.json", "fit", {"z": 1.5, "out": tmp_path / "x",
+                                                    "func": print, "fys": (2010,)},
+                       {"papers": tmp_path / "in.txt", "gone": tmp_path / "no"}, {"cluster": 3})
+    digest = hashlib.sha256(b"abc\n").hexdigest()
+    assert (tmp_path / "m.json").read_text() == f"""\
+{{
+  "arguments": {{
+    "fys": [
+      2010
+    ],
+    "out": "{tmp_path / 'x'}",
+    "z": 1.5
+  }},
+  "command": "fit",
+  "inputs": {{
+    "papers": "{digest}"
+  }},
+  "rng_seeds": {{
+    "cluster": 3
+  }},
+  "timestamp_utc": "2020-01-02T03:04:05+00:00",
+  "tool_version": "0.1.0"
+}}
+"""

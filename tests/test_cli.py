@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -297,6 +298,14 @@ def _broken_model(model_dir, tmp_path, tsv=None, meta=None):
      "partition line 3: expected paper_id and rc_id, got '5'"),
     (lambda t: _with_line(t, 2, "7\t1.5"), None, "partition line 3: expected paper_id"),
     (lambda t: _with_line(t, 3, t.splitlines()[1]), None, "partition line 4: duplicate"),
+    pytest.param(lambda t: _with_line(t, 2, "99999999999999999999\t1"), None,
+                 "partition line 3: paper_id and rc_id must fit int64", id="tsv-id-int64"),
+    pytest.param(lambda t: _with_line(t, 2, "7\t-9999999999999999999"), None,
+                 "partition line 3: paper_id and rc_id must fit int64", id="tsv-rc-int64"),
+    pytest.param(None, lambda m: dict(m, external_assignment={"99999999999999999999": 1}),
+                 "external_assignment", id="external-key-int64"),
+    pytest.param(None, lambda m: dict(m, external_assignment={"5": 99999999999999999999}),
+                 "external_assignment", id="external-value-int64"),
 ])
 def test_bad_partition_file_exits_2(synth_dir, model_dir, tmp_path, capsys, tsv, meta,
                                     problem):
@@ -306,12 +315,38 @@ def test_bad_partition_file_exits_2(synth_dir, model_dir, tmp_path, capsys, tsv,
     assert problem in _one_line_error(capsys)["error"]
 
 
+@pytest.mark.parametrize("key,value,problem", [
+    ("resolution", "0.02", "resolution must be a number"),
+    ("max_iterations", "10", "max_iterations must be an int"),
+    ("rng_seed", 1.5, "rng_seed must be an int"),
+    ("quality", None, "quality must be a string"),
+])
+def test_seeded_extend_checks_the_stored_config_types(synth_dir, model_dir, tmp_path, capsys,
+                                                      key, value, problem):
+    model = _broken_model(model_dir, tmp_path, meta=lambda m: dict(
+        m, extended_through=2013, config=dict(m["config"], **{key: value})))
+    assert run(["model", "extend", "--corpus", str(synth_dir / "papers.jsonl"),
+                "--model", str(model), "--through-year", "2014", "--seeded"]) == 2
+    assert problem in _one_line_error(capsys)["error"]
+
+
+def test_evaluate_unknown_slice_name_exits_2(synth_dir, model_dir, tmp_path, capsys):
+    assert run(["evaluate", "--corpus", str(synth_dir / "papers.jsonl"),
+                "--model", str(model_dir), "--fy-range", "2010:2011", "--by", "fy,bogus",
+                "--out-json", str(tmp_path / "e.json")]) == 2
+    assert "'bogus'" in _one_line_error(capsys)["error"]
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_duplicate_partition_row_names_its_line(tmp_path):
     (tmp_path / "p.tsv").write_text("paper_id\trc_id\n1\t0\n2\t0\n1\t3\n")
     with pytest.raises(ClusterError, match="partition line 4: duplicate paper_id 1"):
         load_partition(tmp_path / "p.tsv")
     (tmp_path / "p.tsv").write_text("paper_id\trc_id\n1\t0\r\n 2 0\n-3\t7")
-    assert load_partition(tmp_path / "p.tsv").assignment == {1: 0, 2: 0, -3: 7}
+    part = load_partition(tmp_path / "p.tsv")
+    assert part.assignment == {1: 0, 2: 0, -3: 7}
+    assert part.paper_ids.tolist() == [-3, 1, 2] and part.rc.tolist() == [7, 0, 0]
+    assert part.paper_ids.dtype == part.rc.dtype == np.int64 and part.rc_count == 2
 
 
 def _validate_error(tmp_path, capsys, records, journal_rows=None):

@@ -1,3 +1,4 @@
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -118,8 +119,8 @@ def test_seeded_run_never_degrades_quality():
     cfg = ClusterConfig(quality="cpm", resolution=0.4, rng_seed=1)
     seed_part = leiden(g, cfg)
     for s in range(5):
-        reseeded = leiden(g, ClusterConfig(quality="cpm", resolution=0.4, rng_seed=100 + s,
-                                           seed_assignment=seed_part))
+        reseeded = leiden(g, ClusterConfig(quality="cpm", resolution=0.4, rng_seed=100 + s),
+                          seed_part)
         assert reseeded.quality >= seed_part.quality - 1e-12
 
 
@@ -197,7 +198,7 @@ def test_partition_round_trip(tmp_path):
 # --- equivalence with the dict-based cores kept in tests/oracles.py ----------
 
 
-def _oracle_leiden(graph, config):
+def _oracle_leiden(graph, config, seed_partition=None):
     """``leiden`` with the replaced local-move, refinement, aggregation,
     components and seed-labelling code, and the partition the dict loop over
     its final node labels builds."""
@@ -212,7 +213,7 @@ def _oracle_leiden(graph, config):
             oracles.initial_communities(g, seed), np.int64))
         mp.setattr(cluster, "_canonical_ids",
                    lambda g, flat: flats.append(flat) or canonical(g, flat))
-        part = leiden(graph, config)
+        part = leiden(graph, config, seed_partition)
     if not flats:       # an empty graph
         return part
     assignment, external, rc_count = oracles.canonical_ids(graph, flats[0])
@@ -246,9 +247,8 @@ def test_leiden_matches_oracle_on_synth_graphs(synth_graphs, monkeypatch, qualit
             got = leiden(graph, cfg)
             assert_same_partition(got, _oracle_leiden(graph, cfg))
         # warm start from a partition found with another seed
-        warm = ClusterConfig(quality=quality, resolution=resolution, rng_seed=3,
-                             seed_assignment=got)
-        assert_same_partition(leiden(graph, warm), _oracle_leiden(graph, warm))
+        warm = ClusterConfig(quality=quality, resolution=resolution, rng_seed=3)
+        assert_same_partition(leiden(graph, warm, got), _oracle_leiden(graph, warm, got))
     # the graphs exercise aggregation, not only the first level
     assert len(levels) >= 2 * len(synth_graphs)
 
@@ -282,9 +282,8 @@ def test_leiden_matches_oracle_on_small_graphs(graph, quality_res, rng_seed, war
     got = leiden(graph, cfg)
     assert_same_partition(got, _oracle_leiden(graph, cfg))
     if warm:
-        cfg = ClusterConfig(quality=quality, resolution=resolution,
-                            rng_seed=rng_seed + 1, seed_assignment=got)
-        assert_same_partition(leiden(graph, cfg), _oracle_leiden(graph, cfg))
+        cfg = ClusterConfig(quality=quality, resolution=resolution, rng_seed=rng_seed + 1)
+        assert_same_partition(leiden(graph, cfg, got), _oracle_leiden(graph, cfg, got))
 
 
 def test_refinement_draw_matches_generator_choice():
@@ -345,6 +344,70 @@ def test_from_assignment_round_trip(assignment, external):
         part.assignment[0] = 1          # the views are read-only
 
 
+_IDS = st.sampled_from(["0", "1", "-2", "7", "+1", "01", "1_0", str(2**63 - 1), str(-2**63)])
+_CELLS = _IDS | st.sampled_from(["x", "1.5", str(2**63), str(-2**63 - 1)])
+
+
+@st.composite
+def _partition_text(draw):
+    """A partition.tsv that is mostly well formed: tab- or space-separated
+    rows, CRLF or CR endings, maybe no final newline, and now and then a
+    short or long row, a non-integer, an id outside int64 or a repeat."""
+    pair = st.lists(_IDS, min_size=2, max_size=2)
+    rows = draw(st.lists(st.one_of(pair, pair, pair, st.lists(_CELLS, max_size=3)),
+                         max_size=8))
+    seps = st.sampled_from(["\t", " ", " \t ", "\x0c"])
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = ["paper_id\trc_id"] + [draw(st.sampled_from(["", " "])) + draw(seps).join(row)
+                                   for row in rows]
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outside_int64(cells: list[str]) -> bool:
+    """Whether a row is two integers, one of them outside int64."""
+    try:
+        values = [int(c) for c in cells]
+    except ValueError:
+        return False
+    return len(values) == 2 and not all(-2**63 <= v < 2**63 for v in values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_partition_text())
+@example(text="paper_id\trc_id\n1\t0\n2\t0\n1\t3\nx\t1\n")     # the repeat comes first
+@example(text="paper_id\trc_id\n1\t0\nx\t1\n2\t0\n1\t3\n")     # the bad row comes first
+@example(text="paper_id\trc_id\n5\t0\n3\t1\n5\t1\n3\t2\n+1\t0\n01\t2")
+@example(text="paper_id\trc_id\n1\t0\n\n2\t0\t5\n")
+@example(text="paper_id\trc_id\n3\t1\n9223372036854775808\t0\n3\t2\n")
+def test_partition_reader_matches_the_dict_reader(text):
+    """The column reader accepts, orders and rejects rows as the dict loop did;
+    a row the dict loop read but outside int64 is now the bad line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.tsv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            expected, stop = oracles.read_partition_rows(path), math.inf
+        except ClusterError as e:
+            expected, stop = e, int(str(e).split()[2].rstrip(":"))
+        with open(path) as fh:
+            too_large = [(i, line) for i, line in enumerate(fh, start=1)
+                         if i > 1 and _outside_int64(line.split())]
+        if too_large and too_large[0][0] <= stop:     # a row's own fault comes first
+            i, line = too_large[0]
+            expected = ClusterError(f"partition line {i}: paper_id and rc_id must fit "
+                                    f"int64, got {line.strip()!r}")
+        if isinstance(expected, ClusterError):
+            with pytest.raises(ClusterError) as raised:
+                load_partition(path)
+            assert str(raised.value) == str(expected)
+        else:
+            part = load_partition(path)
+            assert part.assignment == expected and ascending(part.paper_ids)
+            assert part.paper_ids.dtype == part.rc.dtype == np.int64
+
+
 def _same_grouping(a, b) -> bool:
     """Whether two label arrays put the same nodes together."""
     pairs = set(zip(a.tolist(), b.tolist()))
@@ -392,8 +455,8 @@ def test_seeded_leiden_matches_dict_oracles_on_synth_graphs(synth_corpora, synth
         later = build_graph(corpus, extended=True, year_cutoff=2011)
         for g in (graph, later):
             _assert_labels_match_oracles(g, base)
-            warm = replace(cfg, rng_seed=3, seed_assignment=base)
-            assert_same_partition(leiden(g, warm), _oracle_leiden(g, warm))
+            warm = replace(cfg, rng_seed=3)
+            assert_same_partition(leiden(g, warm, base), _oracle_leiden(g, warm, base))
 
 
 @settings(max_examples=300, deadline=None)

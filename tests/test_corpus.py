@@ -69,10 +69,13 @@ def test_missing_journals_file_gives_empty_ranks(tmp_path):
 
 
 def test_journal_ranks_parsed(corpus_factory):
-    corpus = corpus_factory([paper(1, 2010)], journals=[(5, 10, None), (6, None, 3)])
+    corpus = corpus_factory([paper(1, 2010)], journals=[(5, 10, None), (6, None, 3),
+                                                         (" 7", "\t2 ", "4 ")])
     assert corpus.ranks[5].citescore_rank == 10
     assert corpus.ranks[5].eigenfactor_rank is None
     assert corpus.ranks[6].eigenfactor_rank == 3
+    # integer cells may carry surrounding whitespace
+    assert (corpus.ranks[7].citescore_rank, corpus.ranks[7].eigenfactor_rank) == (2, 4)
 
 
 def test_normalize_terms():

@@ -160,6 +160,11 @@ def test_empty_slice_marked_degenerate():
     assert reports[0].degenerate == ("empty",)
 
 
+def test_unknown_slice_names_are_rejected():
+    with pytest.raises(ValueError, match="unknown slices 'bogus', 'FY'; choose from fy, ry"):
+        evaluate_slices(_bulk(1, 1, 1, 1), by=("fy", "bogus", "FY"))
+
+
 def test_taxonomy_round_trip_and_common_papers(tmp_path):
     tax = TaxonomyMap({1: (9, 1), 2: (27, 1), 3: (5, 2)})
     path = tmp_path / "tax.tsv"
