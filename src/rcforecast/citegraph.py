@@ -18,15 +18,13 @@ from .corpus import Corpus
 class CitationGraph:
     """CSR adjacency over a fixed, sorted node-id set. Immutable once built."""
 
-    def __init__(self, node_ids, internal, indptr, indices, weights, year_cutoff=None,
-                 extended=False):
+    def __init__(self, node_ids, internal, indptr, indices, weights, year_cutoff=None):
         self.node_ids = node_ids            # original ids, sorted ascending
         self.internal = internal            # bool per node
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
         self.year_cutoff = year_cutoff
-        self.extended = extended
 
     @property
     def n_nodes(self) -> int:
@@ -58,8 +56,8 @@ class CitationGraph:
                         fh.write(f"{self.node_ids[i]}\t{self.node_ids[j]}\t{w:g}\n")
 
     @classmethod
-    def from_edges(cls, edges, nodes=None, internal_ids=None, year_cutoff=None,
-                   extended=False) -> "CitationGraph":
+    def from_edges(cls, edges, nodes=None, internal_ids=None,
+                   year_cutoff=None) -> "CitationGraph":
         """Build from an iterable of (u, v) id pairs; isolated nodes via ``nodes``."""
         edges = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
         node_ids = np.unique(np.concatenate([edges.ravel(), np.array(
@@ -71,7 +69,7 @@ class CitationGraph:
                                                      count=len(internal_ids)))
         pairs = _canonical_pairs(edges, node_ids)
         indptr, indices, weights = _csr_from_pairs(pairs, len(node_ids))
-        return cls(node_ids, internal, indptr, indices, weights, year_cutoff, extended)
+        return cls(node_ids, internal, indptr, indices, weights, year_cutoff)
 
 
 def _canonical_pairs(edges: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
@@ -130,7 +128,7 @@ def build_graph(corpus: Corpus, extended: bool = True, year_cutoff: int | None =
     edges = np.column_stack([corpus.paper_ids[citing[kept]], cited[kept]])
     pairs = _canonical_pairs(edges, node_ids)
     indptr, indices, weights = _csr_from_pairs(pairs, len(node_ids))
-    return CitationGraph(node_ids, internal, indptr, indices, weights, year_cutoff, extended)
+    return CitationGraph(node_ids, internal, indptr, indices, weights, year_cutoff)
 
 
 def connected_components(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:

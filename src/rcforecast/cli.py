@@ -23,12 +23,13 @@ from .corpus import CorpusError, load_corpus
 from .evaluate import (
     SLICES,
     TaxonomyMap,
+    check_slices,
     evaluate_slices,
     lifecycle_report,
     write_evaluation,
     write_lifecycle_tsv,
 )
-from .forecast import HORIZON, CompositeModel, write_forecast_tsv
+from .forecast import HORIZON, CompositeModel, outcome_observed, write_forecast_tsv
 from .indicators import Panel, write_indicator_tsv
 from .manifest import write_manifest
 from .pipeline import (
@@ -48,18 +49,28 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _load_corpus_args(args):
-    return load_corpus(args.corpus, getattr(args, "journals", None))
-
-
-def _load_model(model_dir) -> tuple[Path, Path]:
+def _model_files(model_dir) -> tuple[Path, Path]:
     d = Path(model_dir)
     return d / "partition.tsv", d / "partition.json"
 
 
 def _load_panel(args) -> Panel:
-    partition = load_partition(*_load_model(args.model))
-    return Panel(_load_corpus_args(args), partition, window=args.window)
+    partition = load_partition(*_model_files(args.model))
+    return Panel(load_corpus(args.corpus, args.journals), partition, window=args.window)
+
+
+#: argument -> manifest label of each input file an argument may name
+_INPUT_ARGS = {"corpus": "papers", "journals": "journals", "composite": "composite",
+               "taxonomy": "taxonomy", "config": "config"}
+
+
+def _write_manifest(path, command: str, args, seeds: dict | None = None) -> None:
+    """Manifest of one artifact, with the digest of every input file the
+    arguments name; a ``--model`` directory names its two partition files."""
+    inputs = {label: getattr(args, name, None) for name, label in _INPUT_ARGS.items()}
+    if getattr(args, "model", None) is not None:
+        inputs["partition.tsv"], inputs["partition.json"] = _model_files(args.model)
+    write_manifest(path, command, vars(args), inputs, seeds)
 
 
 def _fy_range(text: str) -> list[int]:
@@ -86,7 +97,7 @@ def cmd_corpus_validate(args) -> int:
 def cmd_model_build(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)      # a bad --out fails before the clustering
-    corpus = _load_corpus_args(args)
+    corpus = load_corpus(args.corpus, args.journals)
     config = ClusterConfig(quality=args.quality, resolution=args.resolution,
                            rng_seed=args.seed, max_iterations=args.max_iterations)
     partition, graph = build_model(corpus, args.through_year, config,
@@ -95,21 +106,21 @@ def cmd_model_build(args) -> int:
     save_partition(partition, out / "partition.tsv", out / "partition.json")
     if args.dump_graph:
         graph.dump_edgelist(out / "graph.tsv")
-    write_manifest(out / "partition.manifest.json", "model build", vars(args).copy(),
-                   {"papers": args.corpus, "journals": args.journals},
-                   {"cluster": args.seed})
+    _write_manifest(out / "partition.manifest.json", "model build", args,
+                    {"cluster": args.seed})
     print(json.dumps({"rc_count": partition.rc_count, "quality": partition.quality,
                       "model_year": partition.model_year}, sort_keys=True))
     return 0
 
 
 def cmd_model_extend(args) -> int:
-    corpus = _load_corpus_args(args)
-    tsv, meta = _load_model(args.model)
+    stray = [flag for flag, value in (("--seed", args.seed), ("--resolution", args.resolution),
+                                      ("--quality", args.quality)) if value is not None]
+    if stray and not args.seeded:
+        return _fail(f"clustering flags need --seeded: {', '.join(stray)}")
+    corpus = load_corpus(args.corpus, args.journals)
+    tsv, meta = _model_files(args.model)
     partition = load_partition(tsv, meta)
-    through = args.through_year if args.through_year is not None else args.year
-    if through is None:
-        return _fail("model extend needs --year or --through-year")
     config = None
     if args.seeded:
         base = partition.config_used or {}
@@ -119,13 +130,13 @@ def cmd_model_extend(args) -> int:
             rng_seed=args.seed if args.seed is not None else base.get("rng_seed", 0),
             max_iterations=base.get("max_iterations", 10),
         )
-    partition, reports = extend_model(corpus, partition, through,
+    partition, reports = extend_model(corpus, partition, args.through_year,
                                       seeded=args.seeded, cluster_config=config)
+    # the manifest digests the partition that was read, before it is overwritten
+    stem = Path(args.model) / f"extension_{args.through_year}"
+    _write_manifest(f"{stem}.manifest.json", "model extend", args, {"cluster": args.seed})
     save_partition(partition, tsv, meta)
-    write_json(Path(args.model) / f"extension_{through}.json", list(map(asdict, reports)))
-    write_manifest(Path(args.model) / f"extension_{through}.manifest.json",
-                   "model extend", vars(args).copy(),
-                   {"papers": args.corpus}, {"cluster": args.seed})
+    write_json(f"{stem}.json", list(map(asdict, reports)))
     print(json.dumps({"extended_through": partition.extended_through,
                       "assigned": sum(r.n_papers - len(r.unassigned) for r in reports),
                       "unassigned": sum(len(r.unassigned) for r in reports)},
@@ -136,8 +147,7 @@ def cmd_model_extend(args) -> int:
 def cmd_indicators(args) -> int:
     table = indicator_table(_load_panel(args), args.fy)
     write_indicator_tsv(args.out, table)
-    write_manifest(str(args.out) + ".manifest.json", "indicators", vars(args).copy(),
-                   {"papers": args.corpus, "journals": args.journals})
+    _write_manifest(str(args.out) + ".manifest.json", "indicators", args)
     print(json.dumps({"rows": len(table), "fy": args.fy}, sort_keys=True))
     return 0
 
@@ -148,8 +158,7 @@ def cmd_fit(args) -> int:
     model = fit_composite(panel, tables, min_papers=args.min_papers,
                           z_threshold=args.z_threshold)
     model.to_json(args.out)
-    write_manifest(str(args.out) + ".manifest.json", "fit", vars(args).copy(),
-                   {"papers": args.corpus, "journals": args.journals})
+    _write_manifest(str(args.out) + ".manifest.json", "fit", args)
     print(json.dumps({"variables": list(model.variables),
                       "pseudo_r2": model.meta.get("pseudo_r2")}, sort_keys=True))
     return 0
@@ -163,39 +172,37 @@ def cmd_forecast(args) -> int:
                             min_papers=args.min_papers, top_n=args.top,
                             oracle=args.oracle_n)
     write_forecast_tsv(args.out, records)
-    write_manifest(str(args.out) + ".manifest.json", "forecast", vars(args).copy(),
-                   {"papers": args.corpus, "journals": args.journals,
-                    "composite": args.composite})
+    _write_manifest(str(args.out) + ".manifest.json", "forecast", args)
     print(json.dumps({"records": len(records),
                       "selected": sum(r.predicted for r in records)}, sort_keys=True))
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    by = tuple(args.by.split(",")) if args.by else SLICES
+    check_slices(by)
+    fys = _fy_range(args.fy_range)
     panel = _load_panel(args)
     model = (CompositeModel.from_json(args.composite) if args.composite
              else CompositeModel.default())
     taxonomy = TaxonomyMap.load(args.taxonomy) if args.taxonomy else None
-    records = []
-    missing_ty = []
-    for fy in _fy_range(args.fy_range):
-        recs = forecast_year(panel, indicator_table(panel, fy), model,
-                             min_papers=args.min_papers)
-        with_outcome = [r for r in recs if r.outcome is not None]
-        if not with_outcome:
-            missing_ty.append(fy + HORIZON)
-            continue
-        records.extend(with_outcome)
-    if not records:
+    observed = [fy for fy in fys if outcome_observed(panel, fy)]
+    if not observed:
         return _fail(f"no outcomes available: corpus/model must extend through "
-                     f"target years {missing_ty}")
-    by = tuple(args.by.split(",")) if args.by else SLICES
+                     f"target years {[fy + HORIZON for fy in fys]}")
+    # each forecast year flags its own oracle n, so inherited slices add up
+    records = [r for fy in observed
+               for r in forecast_year(panel, indicator_table(panel, fy), model,
+                                      min_papers=args.min_papers, oracle=True)]
+    if not records:
+        return _fail(f"no records of at least {args.min_papers} papers in the observed "
+                     f"forecast years {observed}")
     reports = evaluate_slices(records, taxonomy=taxonomy, min_papers=args.min_papers,
                               mode=args.mode, by=by)
     write_evaluation(reports, args.out_json, args.out_tsv)
-    if args.out_json:
-        write_manifest(str(args.out_json) + ".manifest.json", "evaluate",
-                       vars(args).copy(), {"papers": args.corpus})
+    out = args.out_json or args.out_tsv
+    if out:
+        _write_manifest(str(out) + ".manifest.json", "evaluate", args)
     overall = next(r for r in reports if r.slice == "overall")
     print(json.dumps({"slices": len(reports), "overall_csi": overall.csi,
                       "meets_csi_threshold": overall.meets_csi_threshold},
@@ -206,8 +213,7 @@ def cmd_evaluate(args) -> int:
 def cmd_lifecycle(args) -> int:
     rows = lifecycle_report(_load_panel(args), args.fy, min_papers=args.min_papers)
     write_lifecycle_tsv(args.out, rows)
-    write_manifest(str(args.out) + ".manifest.json", "lifecycle", vars(args).copy(),
-                   {"papers": args.corpus})
+    _write_manifest(str(args.out) + ".manifest.json", "lifecycle", args)
     print(json.dumps({"rows": len(rows), "fy": args.fy}, sort_keys=True))
     return 0
 
@@ -217,8 +223,8 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         config.rng_seed = args.seed
     result = generate(config, args.out)
-    write_manifest(Path(args.out) / "synth.manifest.json", "synth", vars(args).copy(),
-                   {"config": args.config}, {"synth": config.rng_seed})
+    _write_manifest(Path(args.out) / "synth.manifest.json", "synth", args,
+                    {"synth": config.rng_seed})
     print(json.dumps({"papers": result.n_papers,
                       "communities": result.n_communities,
                       "planted": result.summary["n_planted"]}, sort_keys=True))
@@ -231,10 +237,16 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def _add_corpus_args(p, journals=True):
+def _add_corpus_args(p):
     p.add_argument("--corpus", required=True, help="papers JSON-lines file")
-    if journals:
-        p.add_argument("--journals", default=None, help="journal rank CSV")
+    p.add_argument("--journals", default=None, help="journal rank CSV")
+
+
+def _add_panel_args(p):
+    """The inputs of a command that reads a model into an RC x year panel."""
+    _add_corpus_args(p)
+    p.add_argument("--model", required=True, help="model directory")
+    p.add_argument("--window", type=int, default=10)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,43 +284,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext = model_sub.add_parser("extend", help="assign one or more new years")
     _add_corpus_args(p_ext)
     p_ext.add_argument("--model", required=True, help="model directory")
-    p_ext.add_argument("--year", type=int, default=None, help="single year to add")
-    p_ext.add_argument("--through-year", type=int, default=None,
+    p_ext.add_argument("--through-year", type=int, required=True,
                        help="extend year by year through this year")
     p_ext.add_argument("--seeded", action="store_true",
                        help="re-cluster seeded by the prior partition")
-    p_ext.add_argument("--seed", type=int, default=None)
-    p_ext.add_argument("--resolution", type=float, default=None)
-    p_ext.add_argument("--quality", choices=("cpm", "modularity"), default=None)
+    p_ext.add_argument("--seed", type=int, default=None, help="with --seeded")
+    p_ext.add_argument("--resolution", type=float, default=None, help="with --seeded")
+    p_ext.add_argument("--quality", choices=("cpm", "modularity"), default=None,
+                       help="with --seeded")
     p_ext.set_defaults(func=cmd_model_extend)
 
     p_ind = sub.add_parser("indicators", help="per-RC indicator table for one fy")
-    _add_corpus_args(p_ind)
-    p_ind.add_argument("--model", required=True)
+    _add_panel_args(p_ind)
     p_ind.add_argument("--fy", type=int, required=True)
-    p_ind.add_argument("--window", type=int, default=10)
     p_ind.add_argument("--out", required=True)
     p_ind.set_defaults(func=cmd_indicators)
 
     p_fit = sub.add_parser("fit", help="stepwise probit composite")
-    _add_corpus_args(p_fit)
-    p_fit.add_argument("--model", required=True)
+    _add_panel_args(p_fit)
     p_fit.add_argument("--fy-range", required=True, help="A:B or single year")
     p_fit.add_argument("--min-papers", type=int, default=0,
                        help="size filter for fit rows (published fit used all RCs)")
     p_fit.add_argument("--z-threshold", type=float, default=4.0)
-    p_fit.add_argument("--window", type=int, default=10)
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 
     p_fc = sub.add_parser("forecast", help="score and rank one forecast year")
-    _add_corpus_args(p_fc)
-    p_fc.add_argument("--model", required=True)
+    _add_panel_args(p_fc)
     p_fc.add_argument("--composite", default=None, help="fitted composite JSON "
                       "(default: published coefficients)")
     p_fc.add_argument("--fy", type=int, required=True)
     p_fc.add_argument("--min-papers", type=int, default=20)
-    p_fc.add_argument("--window", type=int, default=10)
     group = p_fc.add_mutually_exclusive_group()
     group.add_argument("--top", type=int, default=None, help="production-mode N")
     group.add_argument("--oracle-n", action="store_true",
@@ -317,27 +323,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.set_defaults(func=cmd_forecast)
 
     p_ev = sub.add_parser("evaluate", help="contingency metrics over slices")
-    _add_corpus_args(p_ev)
-    p_ev.add_argument("--model", required=True)
+    _add_panel_args(p_ev)
     p_ev.add_argument("--composite", default=None)
     p_ev.add_argument("--fy-range", required=True)
     p_ev.add_argument("--min-papers", type=int, default=20)
-    p_ev.add_argument("--window", type=int, default=10)
     p_ev.add_argument("--by", default=None,
                       help="comma list from fy,ry,actionable,field,discipline")
     p_ev.add_argument("--taxonomy", default=None,
                       help="TSV rc_id<TAB>discipline_id<TAB>field_id")
-    p_ev.add_argument("--mode", choices=("reselect", "inherit"), default="reselect")
+    p_ev.add_argument("--mode", choices=("reselect", "inherit"), default="reselect",
+                      help="reselect: each slice flags its own oracle n; inherit: keep "
+                           "each forecast year's oracle-n flags")
     p_ev.add_argument("--out-json", default=None)
     p_ev.add_argument("--out-tsv", default=None)
     p_ev.set_defaults(func=cmd_evaluate)
 
     p_lc = sub.add_parser("lifecycle", help="time-since-peak lifecycle table")
-    _add_corpus_args(p_lc)
-    p_lc.add_argument("--model", required=True)
+    _add_panel_args(p_lc)
     p_lc.add_argument("--fy", type=int, required=True)
     p_lc.add_argument("--min-papers", type=int, default=0)
-    p_lc.add_argument("--window", type=int, default=10)
     p_lc.add_argument("--out", required=True)
     p_lc.set_defaults(func=cmd_lifecycle)
 

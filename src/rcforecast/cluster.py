@@ -27,6 +27,8 @@ from .config import check_types
 from .corpus import lookup
 
 _EPS = 1e-12
+TUNE_TOLERANCE = 0.10   # tune_resolution stops within 10% of the target count
+TUNE_MAX_PROBES = 20
 
 
 class ClusterError(Exception):
@@ -437,10 +439,11 @@ def leiden_best_of(graph: CitationGraph, config: ClusterConfig, restarts: int) -
     return best
 
 
-def tune_resolution(graph: CitationGraph, target_rc_count: int, config: ClusterConfig,
-                    tolerance: float = 0.10, max_probes: int = 20) -> float:
-    """Bisect log-resolution until the community count lands within ``tolerance``
-    of the target, or the probe budget runs out; returns the best resolution found."""
+def tune_resolution(graph: CitationGraph, target_rc_count: int,
+                    config: ClusterConfig) -> float:
+    """Bisect log-resolution until the community count lands within
+    TUNE_TOLERANCE of the target, or TUNE_MAX_PROBES Leiden runs are spent;
+    returns the best resolution found."""
     if target_rc_count < 1:
         raise ClusterError("target_rc_count must be >= 1")
     comp = connected_components(graph.indptr, graph.indices, graph.n_nodes)
@@ -465,7 +468,7 @@ def tune_resolution(graph: CitationGraph, target_rc_count: int, config: ClusterC
         return part.rc_count
 
     def within(c: int) -> bool:
-        return abs(c - target_rc_count) <= tolerance * target_rc_count
+        return abs(c - target_rc_count) <= TUNE_TOLERANCE * target_rc_count
 
     res = config.resolution
     c = count_at(res)
@@ -474,7 +477,7 @@ def tune_resolution(graph: CitationGraph, target_rc_count: int, config: ClusterC
     # bracket the target: lo yields too few communities, hi too many
     if c < target_rc_count:
         lo, hi = res, res
-        while probes < max_probes:
+        while probes < TUNE_MAX_PROBES:
             hi *= 8.0
             c_hi = count_at(hi)
             if within(c_hi):
@@ -484,7 +487,7 @@ def tune_resolution(graph: CitationGraph, target_rc_count: int, config: ClusterC
             lo = hi
     else:
         lo, hi = res, res
-        while probes < max_probes:
+        while probes < TUNE_MAX_PROBES:
             lo /= 8.0
             c_lo = count_at(lo)
             if within(c_lo):
@@ -492,7 +495,7 @@ def tune_resolution(graph: CitationGraph, target_rc_count: int, config: ClusterC
             if c_lo <= target_rc_count:
                 break
             hi = lo
-    while probes < max_probes:
+    while probes < TUNE_MAX_PROBES:
         mid = math.sqrt(lo * hi)
         c_mid = count_at(mid)
         if within(c_mid):

@@ -2,12 +2,14 @@
 
 CSI (critical success index) is TP / (TP + FP + FN); the accuracy benchmark it
 is compared against is 0.25. Slices can either re-select their own top-N
-(matching how the per-field tables are sized) or inherit the global predicted
-flags (which makes disjoint sub-slices additive).
+(matching how the per-field tables are sized) or inherit the records' predicted
+flags, each forecast year's oracle N in ``rcf evaluate`` (which makes disjoint
+sub-slices additive).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -15,7 +17,14 @@ import numpy as np
 from .artifacts import INT_TEXT, write_json, write_tsv
 from .cluster import Partition
 from .corpus import lookup
-from .forecast import HORIZON, ForecastRecord, growth_labels, oracle_n, select_top_n
+from .forecast import (
+    HORIZON,
+    ForecastRecord,
+    growth_labels,
+    last_observed_year,
+    outcome_observed,
+    select_top_n,
+)
 from .indicators import Panel
 
 CSI_THRESHOLD = 0.25
@@ -45,42 +54,22 @@ def contingency(records: list[ForecastRecord], slice_desc: str = "overall",
                 min_papers: int = 0, mode: str = "as-is") -> ContingencyReport:
     """2x2 contingency over (predicted, outcome) with derived metrics.
 
-    Denominator-free cells report 0 and are flagged degenerate.
+    Denominator-free cells report 0 and are flagged degenerate; no records at
+    all are flagged "empty" instead.
     """
     missing = [r.rc_id for r in records if r.outcome is None]
     if missing:
         raise ValueError(f"records missing outcomes for rc_ids: {sorted(missing)}")
-    tp = sum(1 for r in records if r.predicted == 1 and r.outcome == 1)
-    fp = sum(1 for r in records if r.predicted == 1 and r.outcome == 0)
-    fn = sum(1 for r in records if r.predicted == 0 and r.outcome == 1)
-    tn = sum(1 for r in records if r.predicted == 0 and r.outcome == 0)
-    degenerate = []
-    if tp + fp == 0:
-        precision = 0.0
-        degenerate.append("precision")
-    else:
-        precision = tp / (tp + fp)
-    if tp + fn == 0:
-        recall = 0.0
-        degenerate.append("recall")
-    else:
-        recall = tp / (tp + fn)
-    if tp + fp + fn == 0:
-        csi = 0.0
-        degenerate.append("csi")
-    else:
-        csi = tp / (tp + fp + fn)
+    cells = Counter((r.predicted, r.outcome) for r in records)
+    tp, fp, fn, tn = cells[1, 1], cells[1, 0], cells[0, 1], cells[0, 0]
+    denominators = {"precision": tp + fp, "recall": tp + fn, "csi": tp + fp + fn}
+    precision, recall, csi = (tp / d if d else 0.0 for d in denominators.values())
+    degenerate = [name for name, d in denominators.items() if not d] if records else ["empty"]
     return ContingencyReport(
-        slice=slice_desc, tp=tp, fp=fp, fn=fn, tn=tn,
-        precision=precision, recall=recall, csi=csi,
-        degenerate=tuple(degenerate),
-        meets_csi_threshold=csi >= CSI_THRESHOLD,
-        n_records=len(records),
-        n_xg=tp + fn,
-        n_selected=tp + fp,
-        min_papers=min_papers,
-        mode=mode,
-    )
+        slice=slice_desc, tp=tp, fp=fp, fn=fn, tn=tn, precision=precision, recall=recall,
+        csi=csi, degenerate=tuple(degenerate), meets_csi_threshold=csi >= CSI_THRESHOLD,
+        n_records=len(records), n_xg=tp + fn, n_selected=tp + fp, min_papers=min_papers,
+        mode=mode)
 
 
 @dataclass
@@ -141,63 +130,60 @@ class TaxonomyMap:
         return cls(mapping, method="common-paper matching")
 
 
-def _reselect(subset: list[ForecastRecord]) -> list[ForecastRecord]:
-    n = min(oracle_n(subset), len(subset))
-    return select_top_n(subset, n)
+def check_slices(by: tuple[str, ...]) -> None:
+    """ValueError for a slice name outside ``SLICES``."""
+    unknown = [name for name in by if name not in SLICES]
+    if unknown:
+        raise ValueError(f"unknown slices {', '.join(map(repr, unknown))}; "
+                         f"choose from {', '.join(SLICES)}")
+
+
+def _slice_keys(taxonomy: TaxonomyMap | None) -> dict:
+    """Slice name -> (group key of a record, label of a key, keys reported even
+    when empty). Records whose key is None fall in no group of that slice."""
+    keys = {"fy": (lambda r: r.fy, "fy={}".format, ()),
+            "ry": (lambda r: r.ry, "ry={:+d}".format, ()),
+            "actionable": (lambda r: r.ry <= 0,
+                           {False: "actionable ry>0", True: "circumstantial ry<=0"}.get,
+                           (False, True))}
+    if taxonomy is not None:
+        keys["field"] = (lambda r: taxonomy.field(r.rc_id), "field={}".format, ())
+        keys["discipline"] = (lambda r: taxonomy.discipline(r.rc_id),
+                              "discipline={}".format, ())
+    return keys
 
 
 def evaluate_slices(records: list[ForecastRecord], taxonomy: TaxonomyMap | None = None,
                     min_papers: int = 20, mode: str = "reselect",
                     by: tuple[str, ...] = SLICES) -> list[ContingencyReport]:
-    """One contingency report per slice, after the size filter.
+    """One contingency report per slice, after the size filter: overall, then
+    the groups of each ``by`` name in ``SLICES`` order, each in key order.
 
     mode "reselect": each slice is independently sized with its own oracle-n
     and re-ranked. mode "inherit": the records' predicted flags are kept, which
     makes disjoint sub-slices additive. The actionable slices separate relative
-    year > 0 (no future information in the assignments) from RY <= 0.
-    ValueError for a ``by`` name outside ``SLICES``.
+    year > 0 (no future information in the assignments) from RY <= 0; field
+    and discipline need a taxonomy. ValueError for a ``by`` name outside
+    ``SLICES``.
     """
     if mode not in ("reselect", "inherit"):
         raise ValueError(f"unknown mode {mode!r}")
-    unknown = [name for name in by if name not in SLICES]
-    if unknown:
-        raise ValueError(f"unknown slices {', '.join(map(repr, unknown))}; "
-                         f"choose from {', '.join(SLICES)}")
+    check_slices(by)
     kept = [r for r in records if r.papers_in_fy >= min_papers]
 
     slices: list[tuple[str, list[ForecastRecord]]] = [("overall", kept)]
-    if "fy" in by:
-        for fy in sorted({r.fy for r in kept}):
-            slices.append((f"fy={fy}", [r for r in kept if r.fy == fy]))
-    if "ry" in by:
-        for ry in sorted({r.ry for r in kept}):
-            slices.append((f"ry={ry:+d}", [r for r in kept if r.ry == ry]))
-    if "actionable" in by:
-        slices.append(("actionable ry>0", [r for r in kept if r.ry > 0]))
-        slices.append(("circumstantial ry<=0", [r for r in kept if r.ry <= 0]))
-    if taxonomy is not None:
-        if "field" in by:
-            for f in sorted({taxonomy.field(r.rc_id) for r in kept}
-                            - {None}):
-                slices.append((f"field={f}",
-                               [r for r in kept if taxonomy.field(r.rc_id) == f]))
-        if "discipline" in by:
-            for d in sorted({taxonomy.discipline(r.rc_id) for r in kept}
-                            - {None}):
-                slices.append((f"discipline={d}",
-                               [r for r in kept if taxonomy.discipline(r.rc_id) == d]))
-
-    reports = []
-    for desc, subset in slices:
-        if not subset:
-            reports.append(ContingencyReport(
-                slice=desc, tp=0, fp=0, fn=0, tn=0, precision=0.0, recall=0.0,
-                csi=0.0, degenerate=("empty",), meets_csi_threshold=False,
-                n_records=0, n_xg=0, n_selected=0, min_papers=min_papers, mode=mode))
+    for name, (key, label, always) in _slice_keys(taxonomy).items():
+        if name not in by:
             continue
-        flagged = _reselect(subset) if mode == "reselect" else subset
-        reports.append(contingency(flagged, desc, min_papers=min_papers, mode=mode))
-    return reports
+        groups: dict = {k: [] for k in always}
+        for r in kept:
+            groups.setdefault(key(r), []).append(r)
+        groups.pop(None, None)
+        slices.extend((label(k), groups[k]) for k in sorted(groups))
+
+    return [contingency(select_top_n(subset, None) if mode == "reselect" else subset,
+                        desc, min_papers=min_papers, mode=mode)
+            for desc, subset in slices]
 
 
 @dataclass(frozen=True)
@@ -216,34 +202,27 @@ def lifecycle_report(panel: Panel, fy: int, min_papers: int = 0) -> list[Lifecyc
     """Distribution of (fy - peak year) gaps with, where the corpus allows,
     the share of RCs achieving exceptional growth by fy+3 and the share
     reaching a new peak in fy+1."""
-    extended = panel.partition.extended_through
-    if extended is None:
-        extended = panel.last_year
-    can_xg = fy + HORIZON <= min(panel.last_year, extended)
-    can_peak = fy + 1 <= min(panel.last_year, extended)
-
     rows = panel.in_window(fy)
     rows = rows[panel.papers_in(fy)[rows] >= min_papers]
     pk = panel.peak_years(fy, rows)
     gap = fy - pk
+    # per row, where observed: exceptional growth by fy + 3, a new peak share in fy + 1
+    xg = (np.array(growth_labels(panel, rows, pk, fy + HORIZON)[1], dtype=bool)
+          if outcome_observed(panel, fy) else None)
+    new_peak = (panel.share_column(fy + 1)[rows] > panel.shares[rows, pk - panel.first_year]
+                if len(rows) and fy + 1 <= last_observed_year(panel) else None)
 
     out = []
     for g in list(range(6)) + [None]:
         members = gap > 5 if g is None else gap == g
-        member_rows, member_pk = rows[members], pk[members]
-        n_rc = len(member_rows)
-        n_xg = pct_xg = n_new = pct_new = None
-        if n_rc and can_xg:
-            n_xg = sum(growth_labels(panel, member_rows, member_pk, fy + HORIZON)[1])
-            pct_xg = 100.0 * n_xg / n_rc
-        if n_rc and can_peak:
-            at_peak = panel.shares[member_rows, member_pk - panel.first_year]
-            n_new = int(np.sum(panel.share_column(fy + 1)[member_rows] > at_peak))
-            pct_new = 100.0 * n_new / n_rc
+        n_rc = int(np.count_nonzero(members))
+        n_xg, n_new = (None if flags is None or not n_rc else int(flags[members].sum())
+                       for flags in (xg, new_peak))
         out.append(LifecycleRow(
             gap=">5" if g is None else str(g), stage=None if g is None else 1.0 / (g + 1),
             n_rc=n_rc, pct_rc=(100.0 * n_rc / len(rows)) if len(rows) else 0.0,
-            n_xg=n_xg, pct_xg=pct_xg, n_new_peak=n_new, pct_new_peak=pct_new,
+            n_xg=n_xg, pct_xg=None if n_xg is None else 100.0 * n_xg / n_rc,
+            n_new_peak=n_new, pct_new_peak=None if n_new is None else 100.0 * n_new / n_rc,
         ))
     return out
 

@@ -106,11 +106,11 @@ def growth_rate(shares: dict[int, float], pk: int, ty: int) -> float:
     return float((s_ty / s_pk) ** (1.0 / (ty - pk)))
 
 
-def label_exceptional(gr: float, threshold: float = GROWTH_THRESHOLD) -> int:
-    """1 iff the growth rate strictly exceeds the threshold."""
+def label_exceptional(gr: float) -> int:
+    """1 iff the growth rate strictly exceeds GROWTH_THRESHOLD."""
     if gr < 0:
         raise ValueError("growth rate cannot be negative")
-    return 1 if gr > threshold else 0
+    return 1 if gr > GROWTH_THRESHOLD else 0
 
 
 def growth_labels(panel: Panel, rows: np.ndarray, pk: np.ndarray,
@@ -127,19 +127,29 @@ def growth_labels(panel: Panel, rows: np.ndarray, pk: np.ndarray,
     return rates, [label_exceptional(gr) for gr in rates]
 
 
+def last_observed_year(panel: Panel) -> int:
+    """The last year within both the corpus and the partition's extension."""
+    extended = panel.partition.extended_through
+    return panel.last_year if extended is None else min(panel.last_year, extended)
+
+
+def outcome_observed(panel: Panel, fy: int) -> bool:
+    """Whether the target year fy + HORIZON of forecast year ``fy`` is observed."""
+    return fy + HORIZON <= last_observed_year(panel)
+
+
 def table_outcomes(panel: Panel, table: IndicatorTable, min_papers: int = 0
                    ) -> tuple[np.ndarray, list[float] | None, list[int] | None]:
     """The rows of ``table`` with at least ``min_papers`` papers in its fy, and
-    their growth rates and labels; both None when the corpus or the partition
-    ends before the target year fy + HORIZON."""
+    their growth rates and labels; both None when the target year is not
+    observed."""
     if panel.partition.model_year is None:
         raise ValueError("partition has no model_year; cannot compute relative year")
     kept = np.flatnonzero(table.raw["papers_in_fy"] >= min_papers)
-    ty = table.fy + HORIZON
-    if ty > panel.last_year or ty > panel.partition.extended_through:
+    if not outcome_observed(panel, table.fy):
         return kept, None, None
     rows = np.searchsorted(panel.rc_ids, table.raw["rc_id"][kept])
-    return kept, *growth_labels(panel, rows, table.raw["pk"][kept], ty)
+    return kept, *growth_labels(panel, rows, table.raw["pk"][kept], table.fy + HORIZON)
 
 
 def composite_score(values, model: CompositeModel):
@@ -160,12 +170,23 @@ def oracle_n(records: list[ForecastRecord]) -> int:
     return math.ceil(OVERSELECT * xg)
 
 
-def select_top_n(records: list[ForecastRecord], n: int) -> list[ForecastRecord]:
-    """Flag the top-n records by (score desc, rc_id asc); returns records in
-    that rank order with ``predicted`` set."""
-    if n > len(records):
+def rank_key(record: ForecastRecord) -> tuple[float, int]:
+    """Forecast rank order: score descending, then rc_id ascending."""
+    return (-record.score, record.rc_id)
+
+
+def select_top_n(records: list[ForecastRecord], n: int | None) -> list[ForecastRecord]:
+    """Flag the top ``n`` records in rank order; returns them in that order
+    with ``predicted`` set. ``n`` None takes the oracle n of the records'
+    outcomes, at most all of them; ``n`` 0 flags none."""
+    if n is None:
+        missing = sorted({r.ty for r in records if r.outcome is None})
+        if missing:
+            raise ValueError(f"oracle-n needs outcomes; missing target years {missing}")
+        n = min(oracle_n(records), len(records))
+    elif n > len(records):
         raise ValueError(f"n={n} exceeds record count {len(records)}")
-    ranked = sorted(records, key=lambda r: (-r.score, r.rc_id))
+    ranked = sorted(records, key=rank_key)
     return [replace(r, predicted=1 if i < n else 0) for i, r in enumerate(ranked)]
 
 
@@ -174,7 +195,7 @@ def build_forecasts(panel: Panel, table: IndicatorTable, model: CompositeModel,
     """Score one forecast year's table and attach outcomes where the corpus and
     partition extend through the target year.
 
-    ``predicted`` is left 0; run select_top_n (production n or oracle_n) after.
+    ``predicted`` is left 0; select_top_n sets it.
     """
     kept, rates, labels = table_outcomes(panel, table, min_papers)
     if rates is None:
@@ -197,9 +218,9 @@ _TSV_HEADER = ["rc_id", "fy", "ty", "ry", "papers_in_fy", "score", "predicted",
 
 def write_forecast_tsv(path, records: list[ForecastRecord]) -> None:
     """Machine twin of the published forecast listings, sorted by score descending."""
-    ranked = sorted(records, key=lambda r: (-r.score, r.rc_id))
     write_tsv(path, _TSV_HEADER, ((r.rc_id, r.fy, r.ty, r.ry, r.papers_in_fy, r.score,
-                                   r.predicted, r.outcome, r.growth_rate) for r in ranked))
+                                   r.predicted, r.outcome, r.growth_rate)
+                                  for r in sorted(records, key=rank_key)))
 
 
 def read_forecast_tsv(path) -> list[ForecastRecord]:

@@ -24,7 +24,6 @@ from .forecast import (
     CompositeModel,
     ForecastRecord,
     build_forecasts,
-    oracle_n,
     select_top_n,
     table_outcomes,
     write_forecast_tsv,
@@ -114,20 +113,11 @@ def fit_composite(panel: Panel, tables: dict, min_papers: int = 20,
 def forecast_year(panel: Panel, table: IndicatorTable, model: CompositeModel,
                   min_papers: int = 20, top_n: int | None = None,
                   oracle: bool = False) -> list[ForecastRecord]:
-    """Scored records for one forecast year's ``indicator_table``, ranked, with
-    predicted flags set when a selection rule (explicit top_n, or oracle
-    sizing) applies."""
+    """Scored records for one forecast year's ``indicator_table`` in rank
+    order: the top ``top_n`` flagged, else with ``oracle`` the top oracle n,
+    else none."""
     records = build_forecasts(panel, table, model, min_papers=min_papers)
-    if top_n is not None:
-        if top_n > len(records):
-            raise ValueError(f"top_n={top_n} exceeds {len(records)} records")
-        return select_top_n(records, top_n)
-    if oracle:
-        if any(r.outcome is None for r in records):
-            missing = sorted({r.ty for r in records if r.outcome is None})
-            raise ValueError(f"oracle-n needs outcomes; missing target years {missing}")
-        return select_top_n(records, min(oracle_n(records), len(records)))
-    return sorted(records, key=lambda r: (-r.score, r.rc_id))
+    return select_top_n(records, 0 if top_n is None and not oracle else top_n)
 
 
 @dataclass
@@ -202,7 +192,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     for fy in sorted(cfg.forecast_fys):
         write_indicator_tsv(out / f"indicators_{fy}.tsv", tables[fy])
         records = forecast_year(panel, tables[fy], model, min_papers=cfg.min_papers,
-                                top_n=cfg.top_n, oracle=cfg.oracle_n and cfg.top_n is None)
+                                top_n=cfg.top_n, oracle=cfg.oracle_n)
         write_forecast_tsv(out / f"forecast_{fy}.tsv", records)
         write_manifest(out / f"forecast_{fy}.manifest.json", "pipeline:forecast",
                        vars(cfg).copy(), inputs, seeds)

@@ -18,6 +18,8 @@ from .forecast import CompositeModel
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 SEPARATION_BOUND = 50.0
+NEWTON_TOL = 1e-8       # converged once the largest coefficient update is smaller
+NEWTON_MAX_ITER = 100
 
 
 class SeparationError(RuntimeError):
@@ -52,8 +54,7 @@ class ProbitFit:
 
     def linear_predictor(self, X: np.ndarray) -> np.ndarray:
         """X has one column per non-intercept term, in fit order."""
-        Xm = _design(X, add_intercept=self.names[0] == "intercept")
-        return Xm @ self.coefficients
+        return _design(X) @ self.coefficients
 
 
 def probit_loglik(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -75,13 +76,12 @@ def _gen_residual(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _design(X: np.ndarray, add_intercept: bool) -> np.ndarray:
+def _design(X: np.ndarray) -> np.ndarray:
+    """X with a leading intercept column."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
-    if add_intercept:
-        return np.column_stack([np.ones(len(X)), X])
-    return X
+    return np.column_stack([np.ones(len(X)), X])
 
 
 def _collinear_columns(X: np.ndarray, names) -> list[str]:
@@ -90,11 +90,10 @@ def _collinear_columns(X: np.ndarray, names) -> list[str]:
     return [names[i] for i in np.flatnonzero(v > 0.3 * v.max())]
 
 
-def fit_probit(X, y, names=None, add_intercept: bool = True,
-               tol: float = 1e-8, max_iter: int = 100) -> ProbitFit:
-    """Probit MLE via Newton iterations with step halving.
+def fit_probit(X, y, names=None) -> ProbitFit:
+    """Probit MLE, with an intercept, via Newton iterations with step halving.
 
-    Converges when the largest coefficient update falls below ``tol``.
+    Converges when the largest coefficient update falls below NEWTON_TOL.
     Standard errors come from the inverse observed information. Raises
     SeparationError when coefficients diverge and CollinearityError (naming
     the offending columns) when the information matrix is singular.
@@ -112,8 +111,8 @@ def fit_probit(X, y, names=None, add_intercept: bool = True,
         raise ValueError("names must match X columns")
     if X.shape[0] != len(y):
         raise ValueError("X rows must match len(y)")
-    Xm = _design(X, add_intercept)
-    all_names = (("intercept",) + names) if add_intercept else names
+    Xm = _design(X)
+    all_names = ("intercept",) + names
     n, k = Xm.shape
     if n < 10 * k:
         raise ValueError(f"need at least {10 * k} rows for {k} columns, got {n}")
@@ -122,12 +121,11 @@ def fit_probit(X, y, names=None, add_intercept: bool = True,
         raise ValueError("y must contain both classes")
 
     beta = np.zeros(k)
-    if add_intercept:
-        beta[0] = ndtri(min(max(ybar, 1.0 / n), 1.0 - 1.0 / n))
+    beta[0] = ndtri(min(max(ybar, 1.0 / n), 1.0 - 1.0 / n))
     ll = probit_loglik(beta, Xm, y)
     ll_path = [ll]
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, NEWTON_MAX_ITER + 1):
         z = Xm @ beta
         lam = _gen_residual(z, y)
         grad = Xm.T @ lam
@@ -149,7 +147,7 @@ def fit_probit(X, y, names=None, add_intercept: bool = True,
             raise SeparationError("separation detected: coefficients diverging")
         ll = probit_loglik(beta, Xm, y)
         ll_path.append(ll)
-        if np.max(np.abs(step * delta)) < tol:
+        if np.max(np.abs(step * delta)) < NEWTON_TOL:
             break
 
     z = Xm @ beta

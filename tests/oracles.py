@@ -1195,7 +1195,7 @@ def build_graph(corpus, extended=True, year_cutoff=None):
     edges = np.array(raw_edges, dtype=np.int64).reshape(-1, 2)
     pairs = _canonical_pairs(edges, node_ids)
     indptr, indices, weights = _csr_from_pairs(pairs, len(node_ids))
-    return CitationGraph(node_ids, internal, indptr, indices, weights, year_cutoff, extended)
+    return CitationGraph(node_ids, internal, indptr, indices, weights, year_cutoff)
 
 
 def _top(rank, which):

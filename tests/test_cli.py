@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from rcforecast.cli import run
 from rcforecast.cluster import ClusterError, load_partition
 from rcforecast.forecast import CompositeModel
+from rcforecast.manifest import file_digest
 from rcforecast.corpus import load_corpus, normalize_terms
 from rcforecast.synth import SynthConfig, generate
 
@@ -132,6 +133,61 @@ def test_evaluate_cli(synth_dir, model_dir, tmp_path, capsys):
     slices = {s["slice"] for s in payload["slices"]}
     assert {"overall", "fy=2010", "fy=2011", "actionable ry>0",
             "circumstantial ry<=0"} <= slices
+
+
+def test_evaluate_inherit_keeps_each_years_oracle_flags(synth_dir, model_dir, tmp_path):
+    ejson = tmp_path / "eval.json"
+    assert run(["evaluate", "--corpus", str(synth_dir / "papers.jsonl"),
+                "--model", str(model_dir), "--fy-range", "2009:2011", "--by", "fy",
+                "--min-papers", "5", "--mode", "inherit", "--out-json", str(ejson)]) == 0
+    reports = json.loads(ejson.read_text())["slices"]
+    overall, years = reports[0], reports[1:]
+    assert overall["slice"] == "overall" and overall["n_selected"] > 0
+    assert [r["slice"] for r in years] == ["fy=2009", "fy=2010", "fy=2011"]
+    for cell in ("tp", "fp", "fn", "tn", "n_selected"):
+        assert overall[cell] == sum(r[cell] for r in years)
+
+
+def test_evaluate_observed_years_without_records_exit_2(synth_dir, model_dir, tmp_path,
+                                                         capsys):
+    assert run(["evaluate", "--corpus", str(synth_dir / "papers.jsonl"),
+                "--model", str(model_dir), "--fy-range", "2010:2011",
+                "--min-papers", "100000", "--out-json", str(tmp_path / "e.json")]) == 2
+    assert _one_line_error(capsys)["error"] == (
+        "no records of at least 100000 papers in the observed forecast years [2010, 2011]")
+
+
+def _manifest_inputs(path) -> list[str]:
+    return sorted(json.loads(Path(path).read_text())["inputs"])
+
+
+def test_manifests_record_every_input(synth_dir, model_dir, tmp_path):
+    corpus = ["--corpus", str(synth_dir / "papers.jsonl"),
+              "--journals", str(synth_dir / "ranks.csv"), "--model", str(model_dir)]
+    composite = tmp_path / "composite.json"
+    CompositeModel.default().to_json(composite)
+    taxonomy = tmp_path / "tax.tsv"
+    taxonomy.write_text("rc_id\tdiscipline_id\tfield_id\n0\t1\t1\n")
+    fc = tmp_path / "fc.tsv"
+    assert run(["forecast", *corpus, "--composite", str(composite), "--fy", "2010",
+                "--out", str(fc)]) == 0
+    read = ["composite", "journals", "papers", "partition.json", "partition.tsv"]
+    assert _manifest_inputs(f"{fc}.manifest.json") == read
+    etsv = tmp_path / "eval.tsv"     # --out-tsv alone gets a manifest too
+    assert run(["evaluate", *corpus, "--composite", str(composite), "--fy-range", "2010",
+                "--taxonomy", str(taxonomy), "--out-tsv", str(etsv)]) == 0
+    assert _manifest_inputs(f"{etsv}.manifest.json") == [*read, "taxonomy"]
+    recorded = json.loads(Path(f"{etsv}.manifest.json").read_text())["inputs"]
+    assert recorded["partition.tsv"] == file_digest(model_dir / "partition.tsv")
+
+
+def test_model_extend_manifest_digests_the_partition_it_read(synth_dir, model_dir, tmp_path):
+    model = _broken_model(model_dir, tmp_path, meta=lambda m: dict(m, extended_through=2013))
+    before = file_digest(model / "partition.json")
+    assert run(["model", "extend", "--corpus", str(synth_dir / "papers.jsonl"),
+                "--model", str(model), "--through-year", "2014"]) == 0
+    recorded = json.loads((model / "extension_2014.manifest.json").read_text())["inputs"]
+    assert recorded["partition.json"] == before != file_digest(model / "partition.json")
 
 
 def test_lifecycle_cli(synth_dir, model_dir, tmp_path):
@@ -336,6 +392,33 @@ def test_evaluate_unknown_slice_name_exits_2(synth_dir, model_dir, tmp_path, cap
                 "--out-json", str(tmp_path / "e.json")]) == 2
     assert "'bogus'" in _one_line_error(capsys)["error"]
     assert not (tmp_path / "e.json").exists()
+
+
+def test_evaluate_checks_slice_names_before_reading_input(tmp_path, capsys):
+    assert run(["evaluate", "--corpus", str(tmp_path / "absent.jsonl"),
+                "--model", str(tmp_path), "--fy-range", "2010:2011", "--by", "fy,bogus"]) == 2
+    error = _one_line_error(capsys)["error"]
+    assert "'bogus'" in error and "missing input" not in error
+
+
+def test_model_extend_needs_through_year_before_reading_input(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["model", "extend", "--corpus", str(tmp_path / "absent.jsonl"),
+             "--model", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--through-year" in err and "missing input" not in err
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--seed", "3"], "--seed"),
+    (["--resolution", "0.1"], "--resolution"),
+    (["--quality", "cpm", "--seed", "0"], "--seed, --quality"),
+])
+def test_model_extend_clustering_flags_need_seeded(tmp_path, capsys, flags, named):
+    assert run(["model", "extend", "--corpus", str(tmp_path / "absent.jsonl"),
+                "--model", str(tmp_path), "--through-year", "2014", *flags]) == 2
+    assert _one_line_error(capsys)["error"] == f"clustering flags need --seeded: {named}"
 
 
 def test_duplicate_partition_row_names_its_line(tmp_path):

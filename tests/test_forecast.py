@@ -119,6 +119,20 @@ def test_select_top_n_flags_and_ties():
         select_top_n(records, 4)
 
 
+def test_select_top_n_oracle_sizing():
+    # two events of four: n = ceil(1.5 * 2) = 3, flagged in rank order
+    records = [_record(1, 0.5, outcome=1), _record(2, 2.0, outcome=0),
+               _record(3, 1.0, outcome=1), _record(4, 1.0, outcome=0)]
+    out = select_top_n(records, None)
+    assert [(r.rc_id, r.predicted) for r in out] == [(2, 1), (3, 1), (4, 1), (1, 0)]
+    # every record an event: ceil(1.5 * 2) = 3 is capped at the two records
+    assert [r.predicted for r in select_top_n(records[:1] + records[2:3], None)] == [1, 1]
+    assert select_top_n([], None) == []
+    assert [r.predicted for r in select_top_n(records, 0)] == [0, 0, 0, 0]
+    with pytest.raises(ValueError, match=r"oracle-n needs outcomes; missing target years \[2014\]"):
+        select_top_n(records + [_record(5, 0.0)], None)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-5000, 5000), min_size=1, max_size=30, unique=True),
        st.integers(-10_000, 10_000))
