@@ -1,24 +1,26 @@
 """Wall time and peak RSS of corpus generation, the corpus-facing stages and
 a whole run.
 
-    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_9.json]
+    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_11.json]
 
 Each ``--variant`` names an ``src`` directory holding an ``rcforecast``
 package (default: this checkout's ``src`` as ``current``); naming two, such
 as a parent commit's and a change's, gives two columns from one host. For
 each size in ``SIZES`` the corpus is generated once, with ``synth.generate``
 from the first variant and seed ``SEED``, into a temporary directory. Then,
-for each of ``REPEATS`` repeats and each variant in turn, three fresh Python
+for each of ``REPEATS`` repeats and each variant in turn (in reverse order on
+odd repeats, so that no variant always runs first), three fresh Python
 processes run:
 
 * ``generate``: ``synth.generate`` of that size and seed into a scratch
   directory, which is removed afterwards;
 * ``stages``: ``load_corpus``, ``build_graph`` through 2009, the first use of
-  ``term_matrix``, ``assign_new_papers`` for 2010..2014 (summed) on the
-  2009 Leiden partition, ``Panel.__init__`` (``panel_init``) on the
-  extended partition, and ``save_partition`` followed by ``load_partition``
-  of it (``partition_io``); ``corpus_stages_s`` sums the load, graph, term
-  matrix and panel;
+  ``term_matrix``, ``leiden`` of the 2009 graph, ``assign_new_papers`` for
+  2010..2014 (summed) on its partition, ``Panel.__init__`` (``panel_init``)
+  on the extended partition, ``save_partition`` followed by
+  ``load_partition`` of it (``partition_io``), and ``write_indicator_tsv``
+  of the fy 2010 indicator table (``indicator_tsv``); ``corpus_stages_s``
+  sums the load, graph, term matrix and panel;
 * ``pipeline``: ``run_pipeline`` with the model year 2009, extension through
   2014, resolution 0.02 and forecast and fit years 2010 and 2011.
 
@@ -45,7 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODEL_YEAR, THROUGH_YEAR, RESOLUTION, FYS = 2009, 2014, 0.02, [2010, 2011]
-SIZES, SEED, REPEATS = (1000, 10000), 101, 3
+SIZES, SEED, REPEATS = (1000, 10000), 101, 5
 
 
 def _timed(record: dict, name: str, fn):
@@ -61,8 +63,8 @@ def child(kind: str, size: int, inputs: Path, out: Path) -> dict:
     from rcforecast.citegraph import build_graph
     from rcforecast.cluster import ClusterConfig, leiden, load_partition, save_partition
     from rcforecast.corpus import load_corpus
-    from rcforecast.indicators import Panel
-    from rcforecast.pipeline import PipelineConfig, run_pipeline
+    from rcforecast.indicators import Panel, write_indicator_tsv
+    from rcforecast.pipeline import PipelineConfig, indicator_table, run_pipeline
     from rcforecast.synth import SynthConfig, generate
 
     papers, ranks = inputs / "papers.jsonl", inputs / "ranks.csv"
@@ -80,18 +82,21 @@ def child(kind: str, size: int, inputs: Path, out: Path) -> dict:
         graph = _timed(record, "build_graph",
                        lambda: build_graph(corpus, extended=True, year_cutoff=MODEL_YEAR))
         _timed(record, "term_matrix", lambda: corpus.term_matrix)
-        partition = leiden(graph, ClusterConfig(quality="cpm", resolution=RESOLUTION,
-                                                rng_seed=0))
+        partition = _timed(record, "leiden", lambda: leiden(graph, ClusterConfig(
+            quality="cpm", resolution=RESOLUTION, rng_seed=0)))
         record["assign_new_papers_s"] = 0.0
         for year in range(MODEL_YEAR + 1, THROUGH_YEAR + 1):
             t0 = time.perf_counter()
             partition, _ = assign_new_papers(partition, corpus, year)
             record["assign_new_papers_s"] += time.perf_counter() - t0
-        _timed(record, "panel_init", lambda: Panel(corpus, partition))
+        panel = _timed(record, "panel_init", lambda: Panel(corpus, partition))
         out.mkdir()
         paths = out / "partition.tsv", out / "partition.json"
         _timed(record, "partition_io",
                lambda: save_partition(partition, *paths) or load_partition(*paths))
+        table = indicator_table(panel, FYS[0])
+        _timed(record, "indicator_tsv",
+               lambda: write_indicator_tsv(out / f"indicators_{FYS[0]}.tsv", table))
         record["corpus_stages_s"] = sum(record[f"{name}_s"] for name in (
             "load_corpus", "build_graph", "term_matrix", "panel_init"))
     record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -109,7 +114,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--variant", action="append", default=[],
                         help="NAME=SRC; repeatable (default: current=<checkout>/src)")
-    parser.add_argument("--out", default="BENCH_9.json")
+    parser.add_argument("--out", default="BENCH_11.json")
     parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
@@ -133,7 +138,8 @@ def main() -> None:
             _spawn(first, "generate", size, "-", inputs)
             runs: dict = {name: [] for name in variants}
             for rep in range(REPEATS):
-                for name, src in variants.items():
+                order = list(variants.items())
+                for name, src in order[::-1] if rep % 2 else order:
                     scratch = Path(tmp) / f"generate_{name}_{rep}"
                     record = {"generate": _spawn(src, "generate", size, "-", scratch)}
                     shutil.rmtree(scratch)

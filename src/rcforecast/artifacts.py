@@ -1,14 +1,17 @@
 """How artifacts are written, in one place.
 
 JSON artifacts have 2-space indents, sorted keys and a final newline. TSV
-artifacts have a header row, tabs between cells and one row per line, and a
-cell is empty for None, 0 or 1 for a bool, the repr of a float (which ``str``
-gives) and the ``str`` of anything else. Integer cells and keys are read back
-by one rule, ``INT_TEXT``, and ids must fit numpy's int64.
+artifacts have a header row, tabs between cells and one row per line. They are
+written by column, and the format is decided once per column: an int or float
+numpy array by ``str`` (a float's is its repr); any other column cell by cell,
+None as an empty cell, a bool as 0 or 1 and anything else by ``str``. Integer
+cells and keys are read back by one rule, ``INT_TEXT``; ids must fit int64.
 """
 
 import json
 import re
+
+import numpy as np
 
 #: the text of an integer cell or key: an optional minus and ASCII digits
 INT_TEXT = re.compile(r"-?[0-9]+")
@@ -33,8 +36,14 @@ def _cell(value) -> str:
     return str(value)           # a float's str is its repr
 
 
-def write_tsv(path, header, rows) -> None:
-    """``header`` and then each of ``rows``, a sequence of cells, as a line."""
+def _column_text(column):
+    if isinstance(column, np.ndarray):
+        return map(str if column.dtype.kind in "iuf" else _cell, column.tolist())
+    return map(_cell, column)
+
+
+def write_tsv(path, columns: dict) -> None:
+    """``columns``, a mapping of name to column, as a header and one line per row."""
     with open(path, "w") as fh:
-        fh.write("\t".join(header) + "\n")
-        fh.writelines("\t".join(map(_cell, row)) + "\n" for row in rows)
+        fh.write("\t".join(columns) + "\n")
+        fh.writelines("\t".join(row) + "\n" for row in zip(*map(_column_text, columns.values())))

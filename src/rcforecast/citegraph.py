@@ -48,12 +48,12 @@ class CitationGraph:
 
     def dump_edgelist(self, path) -> None:
         """Write ``src\\tdst\\tweight`` with original ids, one line per edge."""
+        src = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+        upper, ids = src < self.indices, self.node_ids
         with open(path, "w") as fh:
-            for i in range(self.n_nodes):
-                nbr, wts = self.neighbors(i)
-                for j, w in zip(nbr.tolist(), wts.tolist()):
-                    if i < j:
-                        fh.write(f"{self.node_ids[i]}\t{self.node_ids[j]}\t{w:g}\n")
+            fh.writelines(f"{u}\t{v}\t{w:g}\n" for u, v, w in zip(
+                ids[src[upper]].tolist(), ids[self.indices[upper]].tolist(),
+                self.weights[upper].tolist()))
 
     @classmethod
     def from_edges(cls, edges, nodes=None, internal_ids=None,

@@ -126,7 +126,7 @@ def cmd_model_extend(args) -> int:
         base = partition.config_used or {}
         config = ClusterConfig(
             quality=args.quality or base.get("quality", "cpm"),
-            resolution=args.resolution or base.get("resolution", 1.0),
+            resolution=base.get("resolution", 1.0) if args.resolution is None else args.resolution,
             rng_seed=args.seed if args.seed is not None else base.get("rng_seed", 0),
             max_iterations=base.get("max_iterations", 10),
         )

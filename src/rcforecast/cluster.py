@@ -511,8 +511,7 @@ def tune_resolution(graph: CitationGraph, target_rc_count: int,
 
 
 def save_partition(partition: Partition, tsv_path, meta_path=None) -> None:
-    write_tsv(tsv_path, ["paper_id", "rc_id"],
-              zip(partition.paper_ids.tolist(), partition.rc.tolist()))
+    write_tsv(tsv_path, {"paper_id": partition.paper_ids, "rc_id": partition.rc})
     if meta_path is not None:
         write_json(meta_path, {
             "model_year": partition.model_year,

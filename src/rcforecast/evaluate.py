@@ -10,7 +10,7 @@ sub-slices additive).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -79,14 +79,6 @@ class TaxonomyMap:
     mapping: dict[int, tuple[int, int]]
     method: str = "direct"
 
-    def discipline(self, rc_id: int) -> int | None:
-        pair = self.mapping.get(rc_id)
-        return pair[0] if pair else None
-
-    def field(self, rc_id: int) -> int | None:
-        pair = self.mapping.get(rc_id)
-        return pair[1] if pair else None
-
     @classmethod
     def load(cls, path) -> "TaxonomyMap":
         """Read ``rc_id<TAB>discipline_id<TAB>field_id`` rows; ValueError naming
@@ -107,8 +99,9 @@ class TaxonomyMap:
         return cls(mapping, method="direct")
 
     def save(self, path) -> None:
-        write_tsv(path, ["rc_id", "discipline_id", "field_id"],
-                  ((rc, *self.mapping[rc]) for rc in sorted(self.mapping)))
+        rcs = sorted(self.mapping)
+        write_tsv(path, {"rc_id": rcs, "discipline_id": [self.mapping[rc][0] for rc in rcs],
+                         "field_id": [self.mapping[rc][1] for rc in rcs]})
 
     @classmethod
     def from_common_papers(cls, partition: Partition, reference: Partition,
@@ -147,8 +140,9 @@ def _slice_keys(taxonomy: TaxonomyMap | None) -> dict:
                            {False: "actionable ry>0", True: "circumstantial ry<=0"}.get,
                            (False, True))}
     if taxonomy is not None:
-        keys["field"] = (lambda r: taxonomy.field(r.rc_id), "field={}".format, ())
-        keys["discipline"] = (lambda r: taxonomy.discipline(r.rc_id),
+        pair_of = taxonomy.mapping.get
+        keys["field"] = (lambda r: pair_of(r.rc_id, (None, None))[1], "field={}".format, ())
+        keys["discipline"] = (lambda r: pair_of(r.rc_id, (None, None))[0],
                               "discipline={}".format, ())
     return keys
 
@@ -228,7 +222,7 @@ def lifecycle_report(panel: Panel, fy: int, min_papers: int = 0) -> list[Lifecyc
 
 
 def write_lifecycle_tsv(path, rows: list[LifecycleRow]) -> None:
-    write_tsv(path, [f.name for f in fields(LifecycleRow)], map(astuple, rows))
+    write_tsv(path, {f.name: [getattr(r, f.name) for r in rows] for f in fields(LifecycleRow)})
 
 
 _EVALUATION_COLUMNS = ["slice", "mode", "min_papers", "n_records", "n_xg", "n_selected",
@@ -241,6 +235,6 @@ def write_evaluation(reports: list[ContingencyReport], json_path=None, tsv_path=
         write_json(json_path, {"csi_threshold": CSI_THRESHOLD,
                                "slices": [asdict(r) for r in reports]})
     if tsv_path is not None:
-        write_tsv(tsv_path, _EVALUATION_COLUMNS,
-                  ([getattr(r, c) for c in _EVALUATION_COLUMNS[:-1]] + [",".join(r.degenerate)]
-                   for r in reports))
+        columns = {name: [getattr(r, name) for r in reports] for name in _EVALUATION_COLUMNS}
+        columns["degenerate"] = list(map(",".join, columns["degenerate"]))
+        write_tsv(tsv_path, columns)

@@ -218,9 +218,8 @@ _TSV_HEADER = ["rc_id", "fy", "ty", "ry", "papers_in_fy", "score", "predicted",
 
 def write_forecast_tsv(path, records: list[ForecastRecord]) -> None:
     """Machine twin of the published forecast listings, sorted by score descending."""
-    write_tsv(path, _TSV_HEADER, ((r.rc_id, r.fy, r.ty, r.ry, r.papers_in_fy, r.score,
-                                   r.predicted, r.outcome, r.growth_rate)
-                                  for r in sorted(records, key=rank_key)))
+    ranked = sorted(records, key=rank_key)
+    write_tsv(path, {name: [getattr(r, name) for r in ranked] for name in _TSV_HEADER})
 
 
 def read_forecast_tsv(path) -> list[ForecastRecord]:

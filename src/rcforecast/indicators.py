@@ -271,11 +271,8 @@ _TSV_COLUMNS = (["rc_id", "fy", "pk", "papers_in_fy"]
 
 
 def write_indicator_tsv(path, table: IndicatorTable) -> None:
-    """Raw and standardized columns side by side, one row per (rc_id, fy).
-
-    Counts print as integers and every float by its repr, undefined rvit as nan.
-    """
-    columns = ([table.raw["rc_id"], np.full(len(table), table.fy), table.raw["pk"],
-                table.raw["papers_in_fy"]] + [table.raw[name] for name in INDICATOR_NAMES]
-               + [table.std[name] for name in INDICATOR_NAMES])
-    write_tsv(path, _TSV_COLUMNS, zip(*(column.tolist() for column in columns)))
+    """Raw and standardized columns side by side, one row per (rc_id, fy);
+    undefined rvit prints as nan."""
+    columns = {"fy": np.full(len(table), table.fy), **table.raw,
+               **{name + "_s": table.std[name] for name in INDICATOR_NAMES}}
+    write_tsv(path, {name: columns[name] for name in _TSV_COLUMNS})

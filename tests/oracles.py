@@ -14,8 +14,9 @@ dict-of-records corpus with the loader, graph build, panel and reference
 vote that walked it, the indicator row types with their TSV reader, the
 synthetic generator with one-element numpy draws and a linear year scan, and
 the dict loops over a partition: node labels, a seed's initial communities,
-Leiden's canonical rc ids and the common-paper taxonomy mapping, and the
-line-by-line dict reader of ``partition.tsv``.
+Leiden's canonical rc ids and the common-paper taxonomy mapping, the
+line-by-line dict reader of ``partition.tsv``, and the TSV writer that
+formatted every cell by one rule, row by row.
 """
 
 import json
@@ -436,6 +437,22 @@ def read_partition_rows(tsv_path) -> dict[int, int]:
             raise ClusterError(f"partition line {i}: expected paper_id and rc_id, "
                                f"got {line.strip()!r}") from None
     return assignment
+
+
+def _tsv_cell(value) -> str:
+    if value is None:
+        return ""
+    if value is True or value is False:
+        return "1" if value else "0"
+    return str(value)           # a float's str is its repr
+
+
+def write_tsv_rows(path, header, rows) -> None:
+    """``header`` and then each of ``rows``, a sequence of cells, as a line,
+    every cell by the one cell rule."""
+    with open(path, "w") as fh:
+        fh.write("\t".join(header) + "\n")
+        fh.writelines("\t".join(map(_tsv_cell, row)) + "\n" for row in rows)
 
 
 def taxonomy_from_common_papers(partition, reference, reference_taxonomy):

@@ -1,4 +1,5 @@
-"""The exact text of every artifact writer, on small hand-built inputs.
+"""The exact text of every artifact writer, on small hand-built inputs, and
+the column rule of ``write_tsv`` against the per-cell rule it replaced.
 
 JSON artifacts have 2-space indents, sorted keys and a final newline. A TSV
 cell is empty for None, 0 or 1 for a bool, the repr of a float and the str of
@@ -7,11 +8,16 @@ anything else.
 
 import hashlib
 import math
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rcforecast.artifacts import write_tsv
 from rcforecast.cluster import Partition, save_partition
 from rcforecast.evaluate import (
     LifecycleRow,
@@ -24,6 +30,8 @@ from rcforecast.evaluate import (
 from rcforecast.forecast import CompositeModel, ForecastRecord, write_forecast_tsv
 from rcforecast.indicators import INDICATOR_NAMES, IndicatorTable, write_indicator_tsv
 from rcforecast.manifest import write_manifest
+
+from oracles import write_tsv_rows
 
 THIRD = 0.1 + 0.2       # 0.30000000000000004: only its repr round-trips
 
@@ -247,3 +255,40 @@ def test_manifest_text(tmp_path):
   "tool_version": "0.1.0"
 }}
 """
+
+
+FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                        2.2250738585072014e-308, THIRD])
+#: per column kind, the cells it holds and how they become a column
+COLUMN_KINDS = {
+    "int64": (st.integers(-2**63, 2**63 - 1), lambda cells: np.array(cells, dtype=np.int64)),
+    "float64": (FLOATS, lambda cells: np.array(cells, dtype=np.float64)),
+    "bool": (st.booleans(), lambda cells: np.array(cells, dtype=bool)),
+    "object": (st.none() | st.booleans() | st.integers() | st.text(
+        st.characters(min_codepoint=32, max_codepoint=126)), list),
+}
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=6))
+    columns = {}
+    for i, kind in enumerate(kinds):
+        cells, column = COLUMN_KINDS[kind]
+        columns[f"{kind}_{i}"] = column(draw(st.lists(cells, min_size=n, max_size=n)))
+    return n, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_column_rule_matches_the_cell_rule(table):
+    n, columns = table
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "columns.tsv", Path(tmp) / "rows.tsv"
+        write_tsv(got, columns)
+        write_tsv_rows(want, list(columns), rows)
+        text = got.read_text()
+        assert text == want.read_text()
+    assert text.count("\n") == n + 1 and text.startswith("\t".join(columns) + "\n")

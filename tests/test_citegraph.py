@@ -98,6 +98,19 @@ def test_edgelist_dump(tmp_path, corpus_factory):
     assert out.read_text() == "1\t2\t1\n"
 
 
+def test_edgelist_dump_order(tmp_path, corpus_factory):
+    # each edge once, lower node first, in node order and then neighbour order;
+    # the external item 900 bridges papers 2 and 3, and paper 5 is isolated
+    corpus = corpus_factory([paper(3, 2010, refs=[1, 900]), paper(1, 2009),
+                             paper(2, 2010, refs=[900, 3, 1]), paper(4, 2010, refs=[2]),
+                             paper(5, 2010)])
+    g = build_graph(corpus, extended=True)
+    assert g.node_ids.tolist() == [1, 2, 3, 4, 5, 900]
+    out = tmp_path / "edges.tsv"
+    g.dump_edgelist(out)
+    assert out.read_text() == "1\t2\t1\n1\t3\t1\n2\t3\t1\n2\t4\t1\n2\t900\t1\n3\t900\t1\n"
+
+
 def test_from_edges_helper():
     g = CitationGraph.from_edges([(0, 1), (1, 2), (1, 2), (2, 2)], nodes=[5])
     assert g.n_nodes == 4          # 0,1,2,5; self-loop dropped; duplicate collapsed

@@ -386,6 +386,16 @@ def test_seeded_extend_checks_the_stored_config_types(synth_dir, model_dir, tmp_
     assert problem in _one_line_error(capsys)["error"]
 
 
+def test_seeded_extend_rejects_resolution_0(synth_dir, model_dir, tmp_path, capsys):
+    # 0 is a value given, not an absent one: it must not fall back to the stored resolution
+    model = _broken_model(model_dir, tmp_path, meta=lambda m: dict(m, extended_through=2013))
+    assert run(["model", "extend", "--corpus", str(synth_dir / "papers.jsonl"),
+                "--model", str(model), "--through-year", "2014", "--seeded",
+                "--resolution", "0"]) == 2
+    assert "resolution must be positive" in _one_line_error(capsys)["error"]
+    assert json.loads((model / "partition.json").read_text())["extended_through"] == 2013
+
+
 def test_evaluate_unknown_slice_name_exits_2(synth_dir, model_dir, tmp_path, capsys):
     assert run(["evaluate", "--corpus", str(synth_dir / "papers.jsonl"),
                 "--model", str(model_dir), "--fy-range", "2010:2011", "--by", "fy,bogus",
