@@ -5,7 +5,9 @@ artifacts have a header row, tabs between cells and one row per line. They are
 written by column, and the format is decided once per column: an int or float
 numpy array by ``str`` (a float's is its repr); any other column cell by cell,
 None as an empty cell, a bool as 0 or 1 and anything else by ``str``. Integer
-cells and keys are read back by one rule, ``INT_TEXT``; ids must fit int64.
+cells and keys are read back by one rule, ``INT_TEXT``, in ``partition.tsv``
+too (``+5``, ``1_000`` and non-ASCII digits are not integers); ids must fit
+int64. JSON values read back are checked by the kinds of ``config``.
 """
 
 import json

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .artifacts import write_json
 from .cluster import ClusterConfig, ClusterError, load_partition, save_partition
-from .config import load_config
+from .config import has_type, load_config
 from .corpus import CorpusError, load_corpus
 from .evaluate import (
     SLICES,
@@ -95,11 +95,11 @@ def cmd_corpus_validate(args) -> int:
 
 
 def cmd_model_build(args) -> int:
+    config = ClusterConfig(quality=args.quality, resolution=args.resolution,
+                           rng_seed=args.seed, max_iterations=args.max_iterations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)      # a bad --out fails before the clustering
     corpus = load_corpus(args.corpus, args.journals)
-    config = ClusterConfig(quality=args.quality, resolution=args.resolution,
-                           rng_seed=args.seed, max_iterations=args.max_iterations)
     partition, graph = build_model(corpus, args.through_year, config,
                                    extended=not args.no_extended,
                                    target_rcs=args.target_rcs)
@@ -153,6 +153,8 @@ def cmd_indicators(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if not has_type("float", args.z_threshold):
+        return _fail(f"--z-threshold must be a number, not {args.z_threshold}")
     panel = _load_panel(args)
     tables = {fy: indicator_table(panel, fy) for fy in _fy_range(args.fy_range)}
     model = fit_composite(panel, tables, min_papers=args.min_papers,
@@ -232,7 +234,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    summary = run_pipeline(load_config(PipelineConfig, args.config))
+    config = load_config(PipelineConfig, args.config)
+    summary = run_pipeline(config)
+    _write_manifest(Path(config.out_dir) / "pipeline.manifest.json", "pipeline", args)
     print(json.dumps(summary, sort_keys=True))
     return 0
 

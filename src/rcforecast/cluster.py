@@ -9,13 +9,11 @@ be extended year by year.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -23,7 +21,7 @@ from scipy import sparse
 
 from .artifacts import INT_TEXT, is_int64, write_json, write_tsv
 from .citegraph import CitationGraph, connected_components
-from .config import check_types
+from .config import check_types, has_type, load_object
 from .corpus import lookup
 
 _EPS = 1e-12
@@ -524,11 +522,6 @@ def save_partition(partition: Partition, tsv_path, meta_path=None) -> None:
         })
 
 
-_META_TYPES = {"model_year": (int, type(None)), "extended_through": (int, type(None)),
-               "rc_count": (int,), "quality": (int, float), "config": (dict,),
-               "external_assignment": (dict,)}
-
-
 def load_partition(tsv_path, meta_path=None) -> Partition:
     """Read a partition written by ``save_partition``. ClusterError for a bad
     row (naming its line), a repeated paper id, or a meta field of the wrong
@@ -537,14 +530,11 @@ def load_partition(tsv_path, meta_path=None) -> Partition:
         header = fh.readline()
         if header.strip() != "paper_id\trc_id":
             raise ClusterError(f"bad partition header: {header.strip()!r}")
-        paper_ids, rc = _read_rows(fh.readlines())
-    meta = {}
-    if meta_path is not None:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        if type(meta) is not dict:
-            raise ClusterError(f"partition meta {meta_path} must hold a JSON object")
-    wrong = [k for k, types in _META_TYPES.items() if k in meta and type(meta[k]) not in types]
+        paper_ids, rc = _read_rows(fh.read())
+    meta = {} if meta_path is None else load_object(meta_path, "partition meta", ClusterError)
+    kinds = {"model_year": "int | None", "extended_through": "int | None", "rc_count": "int",
+             "quality": "float", "config": "dict", "external_assignment": "dict"}
+    wrong = [key for key, kind in kinds.items() if key in meta and not has_type(kind, meta[key])]
     external = meta.get("external_assignment", {})
     if wrong or not all(INT_TEXT.fullmatch(k) and is_int64(int(k)) and is_int64(v)
                         for k, v in external.items()):
@@ -559,38 +549,40 @@ def load_partition(tsv_path, meta_path=None) -> Partition:
                      config_used=meta.get("config", {}))
 
 
-def _row_problem(row: list[str]) -> str | None:
+def _row_problem(cells: list[str]) -> str | None:
     """Why the cells of a partition row are not a paper id and an rc id."""
-    try:
-        values = list(map(int, row))
-    except ValueError:
-        values = []
-    if len(values) != 2:
+    if len(cells) != 2 or not all(map(INT_TEXT.fullmatch, cells)):
         return "expected paper_id and rc_id"
-    return None if all(map(is_int64, values)) else "paper_id and rc_id must fit int64"
+    return None if all(is_int64(int(c)) for c in cells) else "paper_id and rc_id must fit int64"
 
 
-def _read_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The paper ids (ascending) and rc ids of the partition rows ``lines``,
+def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The paper ids (ascending) and rc ids of the partition rows ``text``,
     which follow the header line; ClusterError naming the first line that is
-    not two int64 integers or that repeats a paper id."""
+    not two int64 integers or that repeats a paper id. Cells are split at
+    whitespace, and each must be an ``INT_TEXT``."""
+    if text and not text.endswith("\n"):
+        text += "\n"
+    n = text.count("\n")
     try:
-        if set(map(len, map(str.split, lines))) - {2}:
+        # as written: per row, digits and minus signs around one tab, then a newline
+        if text.translate(str.maketrans("", "", "0123456789-")) != "\t\n" * n:
             raise ValueError
-        cells = chain.from_iterable(map(str.split, lines))
-        values = np.fromiter(map(int, cells), np.int64, 2 * len(lines))
-        bad = len(lines)
+        values = np.fromiter(map(int, text.split()), np.int64, 2 * n)
+        bad = n
     except (ValueError, OverflowError):
-        bad = next(i for i, line in enumerate(lines) if _row_problem(line.split()))
-        values = np.array([int(x) for line in lines[:bad] for x in line.split()], np.int64)
+        rows = list(map(str.split, text.split("\n")[:n]))
+        bad = next((i for i, cells in enumerate(rows) if _row_problem(cells)), n)
+        values = np.array([int(c) for cells in rows[:bad] for c in cells], np.int64)
     values = values.reshape(-1, 2)
     order = np.argsort(values[:, 0], kind="stable")
     paper_ids = values[order, 0]
     repeats = order[1:][paper_ids[1:] == paper_ids[:-1]]
+    lines = text.split("\n") if len(repeats) or bad < n else []
     if len(repeats):
         i = int(repeats.min())
         raise ClusterError(f"partition line {i + 2}: duplicate paper_id {lines[i].split()[0]}")
-    if bad < len(lines):
+    if bad < n:
         raise ClusterError(f"partition line {bad + 2}: {_row_problem(lines[bad].split())}, "
                            f"got {lines[bad].strip()!r}")
     return paper_ids, values[order, 1]

@@ -300,12 +300,6 @@ def save_corpus(corpus: Corpus, papers_path, journals_path=None) -> None:
         with open(journals_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["journal_id", "citescore_rank", "eigenfactor_rank"])
-            for jid in sorted(corpus.ranks):
-                r = corpus.ranks[jid]
-                writer.writerow(
-                    [
-                        jid,
-                        "" if r.citescore_rank is None else r.citescore_rank,
-                        "" if r.eigenfactor_rank is None else r.eigenfactor_rank,
-                    ]
-                )
+            # csv writes None, a missing rank, as an empty cell
+            writer.writerows([jid, r.citescore_rank, r.eigenfactor_rank]
+                             for jid, r in sorted(corpus.ranks.items()))

@@ -8,13 +8,13 @@ indicators used only to rank communities; it carries no intercept.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .artifacts import write_json, write_tsv
+from .config import has_type, load_object
 from .indicators import INDICATOR_NAMES, IndicatorTable, Panel
 
 GROWTH_THRESHOLD = 1.08
@@ -55,28 +55,19 @@ class CompositeModel:
         """Load a composite; ValueError unless the file holds an object whose
         ``variables`` are indicator names, ``coefficients`` as many finite
         numbers, and ``intercept`` null or a finite number."""
-        with open(path) as fh:
-            obj = json.load(fh)
-        if type(obj) is not dict:
-            raise ValueError(f"composite {path} must hold a JSON object")
+        obj = load_object(path, "composite")
         variables, coefficients = obj.get("variables"), obj.get("coefficients")
         intercept = obj.get("intercept")
-        if type(variables) is not list or not all(v in INDICATOR_NAMES for v in variables):
+        if not has_type("list[str]", variables) or not set(variables) <= set(INDICATOR_NAMES):
             raise ValueError(f"composite {path}: variables must be a list of indicator "
                              f"names from {', '.join(INDICATOR_NAMES)}")
-        if type(coefficients) is not list or len(coefficients) != len(variables) \
-                or not all(map(_is_number, coefficients)):
+        if not has_type("list[float]", coefficients) or len(coefficients) != len(variables):
             raise ValueError(f"composite {path}: coefficients must be a list of "
                              f"{len(variables)} numbers, one per variable")
-        if intercept is not None and not _is_number(intercept):
+        if intercept is not None and not has_type("float", intercept):
             raise ValueError(f"composite {path}: intercept must be null or a number")
         return cls(tuple(variables), tuple(coefficients), intercept=intercept,
                    meta=obj.get("meta", {}))
-
-
-def _is_number(x) -> bool:
-    # exact types: JSON true/false are not numbers, nor are NaN and infinities
-    return type(x) in (int, float) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -214,6 +205,9 @@ def build_forecasts(panel: Panel, table: IndicatorTable, model: CompositeModel,
 
 _TSV_HEADER = ["rc_id", "fy", "ty", "ry", "papers_in_fy", "score", "predicted",
                "outcome", "growth_rate"]
+#: how a cell is read, by the annotation of its ``ForecastRecord`` field
+_CELL_PARSERS = {"int": int, "float": float, "int | None": lambda c: int(c) if c else None,
+                 "float | None": lambda c: float(c) if c else None}
 
 
 def write_forecast_tsv(path, records: list[ForecastRecord]) -> None:
@@ -223,17 +217,11 @@ def write_forecast_tsv(path, records: list[ForecastRecord]) -> None:
 
 
 def read_forecast_tsv(path) -> list[ForecastRecord]:
-    out = []
+    parse = {f.name: _CELL_PARSERS[f.type] for f in fields(ForecastRecord)}
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != _TSV_HEADER:
             raise ValueError(f"unexpected forecast header: {header}")
-        for line in fh:
-            c = line.rstrip("\n").split("\t")
-            out.append(ForecastRecord(
-                rc_id=int(c[0]), fy=int(c[1]), ty=int(c[2]), ry=int(c[3]),
-                papers_in_fy=int(c[4]), score=float(c[5]), predicted=int(c[6]),
-                outcome=None if c[7] == "" else int(c[7]),
-                growth_rate=None if c[8] == "" else float(c[8]),
-            ))
-    return out
+        return [ForecastRecord(**{name: parse[name](cell) for name, cell in
+                                  zip(_TSV_HEADER, line.rstrip("\n").split("\t"))})
+                for line in fh]

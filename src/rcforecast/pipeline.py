@@ -154,9 +154,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     ``cfg.out_dir``. Returns a summary dict (also written as summary.json)."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    inputs = {"papers": cfg.papers}
-    if cfg.journals:
-        inputs["journals"] = cfg.journals
+    inputs = {"papers": cfg.papers, "journals": cfg.journals}
     seeds = {"cluster": cfg.seed}
 
     corpus = load_corpus(cfg.papers, cfg.journals)

@@ -60,9 +60,9 @@ class SynthConfig:
     # community total-size distributions (log-normal; medians in papers)
     size_median: float = 3.0
     size_sigma: float = 1.2
-    lifecycle_mix: dict = field(default_factory=lambda: dict(_DEFAULT_MIX))
+    lifecycle_mix: dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_MIX))
     planted_xg_fraction: float = 0.015
-    signal_strengths: dict = field(default_factory=lambda: dict(_DEFAULT_SIGNALS))
+    signal_strengths: dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_SIGNALS))
     # per-reference routing probabilities; the remainder goes to external items
     intra_p: float = 0.75
     inter_p: float = 0.10

@@ -419,9 +419,18 @@ def canonical_ids(graph, flat):
     return assignment, external_assignment, len(keyed)
 
 
+def int_cell(text: str) -> int:
+    """The integer a partition cell holds: an optional minus and ASCII digits,
+    so not ``+5``, ``1_000`` or a non-ASCII digit, which ``int`` would take."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer cell: {text!r}")
+    return int(text)
+
+
 def read_partition_rows(tsv_path) -> dict[int, int]:
-    """The rows of ``partition.tsv`` as the dict loop of ``load_partition``
-    read them: ClusterError for the first bad line, ids of any size."""
+    """The rows of ``partition.tsv`` by the dict loop ``load_partition`` once
+    ran, each cell read by ``int_cell``: ClusterError for the first bad line,
+    ids of any size."""
     with open(tsv_path) as fh:
         header = fh.readline()
         if header.strip() != "paper_id\trc_id":
@@ -430,7 +439,7 @@ def read_partition_rows(tsv_path) -> dict[int, int]:
         try:
             for i, line in enumerate(fh, start=2):
                 pid, rc = line.split()
-                assignment[int(pid)] = int(rc)
+                assignment[int_cell(pid)] = int_cell(rc)
                 if len(assignment) < i - 1:     # lines 2..i hold i - 1 rows
                     raise ClusterError(f"partition line {i}: duplicate paper_id {pid}")
         except ValueError:

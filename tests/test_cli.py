@@ -14,12 +14,17 @@ from hypothesis import strategies as st
 
 from rcforecast.cli import run
 from rcforecast.cluster import ClusterError, load_partition
+from rcforecast.config import has_type
 from rcforecast.forecast import CompositeModel
 from rcforecast.manifest import file_digest
 from rcforecast.corpus import load_corpus, normalize_terms
 from rcforecast.synth import SynthConfig, generate
 
 from conftest import assert_loads_like_oracle, paper, write_papers
+
+# numbers JSON input must not hold: json.dumps writes NaN, Infinity and -Infinity,
+# which json.load reads back, and a 400-digit integer that float() cannot convert
+NAN, INF, BIG = float("nan"), float("inf"), 10**400
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +236,16 @@ def test_synth_cli(tmp_path, capsys):
     ({"intra_p": False}, "intra_p must be a number"),
     ({"lifecycle_mix": [0.5, 0.5]}, "lifecycle_mix must be an object"),
     ({"signal_strengths": {"rvit": "2"}}, "signal_strengths must be an object"),
+    pytest.param({"intra_p": NAN}, "intra_p must be a number", id="nan"),
+    pytest.param({"size_median": INF}, "size_median must be a number", id="inf"),
+    pytest.param({"noise_sigma": -INF}, "noise_sigma must be a number", id="-inf"),
+    pytest.param({"refs_mean": BIG}, "refs_mean must be a number", id="400-digit"),
+    pytest.param({"lifecycle_mix": {"emerging": NAN, "mature": 0.5}},
+                 "lifecycle_mix must be an object of numbers", id="mix-nan"),
+    pytest.param({"signal_strengths": {"rvit": INF}}, "signal_strengths must be an object",
+                 id="signal-inf"),
+    pytest.param({"signal_strengths": {"ntopj": BIG}}, "signal_strengths must be an object",
+                 id="signal-400-digit"),
 ])
 def test_synth_bad_config_exits_2(tmp_path, capsys, config, problem):
     cfg = tmp_path / "synth.json"
@@ -264,6 +279,17 @@ def test_pipeline_cli_small_fixture(synth_dir, tmp_path, capsys):
         assert (out_dir / name).exists(), name
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["extended_through"] == 2014
+
+
+def test_pipeline_manifest_records_the_config(synth_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"papers": str(synth_dir / "papers.jsonl"),
+                                    "out_dir": str(tmp_path / "o"), "model_year": 2009,
+                                    "extend_through": 2010, "resolution": 0.02}))
+    assert run(["pipeline", "--config", str(cfg_path)]) == 0
+    manifest = json.loads((tmp_path / "o" / "pipeline.manifest.json").read_text())
+    assert manifest["command"] == "pipeline"
+    assert manifest["inputs"] == {"config": file_digest(cfg_path)}
 
 
 def test_pipeline_config_unknown_key_exits_2(tmp_path, capsys):
@@ -307,6 +333,12 @@ def _one_line_error(capsys) -> dict:
     ({"variables": ["stage"], "coefficients": [True]}, "coefficients"),
     ({"variables": ["stage"], "coefficients": 0.5}, "coefficients"),
     ({"variables": ["stage"], "coefficients": [0.5], "intercept": "1"}, "intercept"),
+    ({"variables": ["stage"], "coefficients": [NAN]}, "coefficients"),
+    ({"variables": ["stage"], "coefficients": [INF]}, "coefficients"),
+    ({"variables": ["stage"], "coefficients": [-INF]}, "coefficients"),
+    ({"variables": ["stage"], "coefficients": [BIG]}, "coefficients"),
+    ({"variables": ["stage"], "coefficients": [0.5], "intercept": NAN}, "intercept"),
+    ({"variables": ["stage"], "coefficients": [0.5], "intercept": BIG}, "intercept"),
 ])
 @pytest.mark.parametrize("command", ["forecast", "evaluate"])
 def test_bad_composite_file_exits_2(synth_dir, model_dir, tmp_path, capsys, composite,
@@ -318,6 +350,22 @@ def test_bad_composite_file_exits_2(synth_dir, model_dir, tmp_path, capsys, comp
             str(tmp_path / "out"), "--fy-range" if command == "evaluate" else "--fy", "2010"]
     assert run(argv) == 2
     assert problem in _one_line_error(capsys)["error"]
+
+
+@pytest.mark.parametrize("value,number", [
+    (0, True), (-2.5, True), (1e308, True), (-1e308, True),
+    pytest.param(2**1024 - 2**970 - 1, True, id="float-max-int"),    # float() rounds to max
+    pytest.param(-2**1024 + 2**970 + 1, True, id="-float-max-int"),
+    pytest.param(2**1024 - 2**970, False, id="float-overflow-int"),  # float() overflows
+    pytest.param(-2**1024 + 2**970, False, id="-float-overflow-int"),
+    (NAN, False), (INF, False), (-INF, False),
+    pytest.param(BIG, False, id="400-digit"), pytest.param(-BIG, False, id="-400-digit"),
+    (True, False), ("1", False), (None, False),
+])
+def test_a_number_has_a_finite_float_value(value, number):
+    assert has_type("float", value) is number
+    assert has_type("list[float]", [1.0, value]) is number
+    assert has_type("dict[str, float]", {"a": value}) is number
 
 
 def test_composite_file_with_int_coefficient_and_null_intercept_loads(tmp_path):
@@ -362,6 +410,16 @@ def _broken_model(model_dir, tmp_path, tsv=None, meta=None):
                  "external_assignment", id="external-key-int64"),
     pytest.param(None, lambda m: dict(m, external_assignment={"5": 99999999999999999999}),
                  "external_assignment", id="external-value-int64"),
+    pytest.param(None, lambda m: dict(m, quality=NAN), "quality", id="quality-nan"),
+    pytest.param(None, lambda m: dict(m, quality=INF), "quality", id="quality-inf"),
+    pytest.param(None, lambda m: dict(m, quality=-INF), "quality", id="quality--inf"),
+    pytest.param(None, lambda m: dict(m, quality=BIG), "quality", id="quality-400-digit"),
+    pytest.param(lambda t: _with_line(t, 2, "1_000\t1"), None,
+                 "partition line 3: expected paper_id and rc_id", id="tsv-underscore"),
+    pytest.param(lambda t: _with_line(t, 2, "7\t+5"), None,
+                 "partition line 3: expected paper_id and rc_id", id="tsv-plus"),
+    pytest.param(lambda t: _with_line(t, 2, "\u0663\t1"), None,
+                 "partition line 3: expected paper_id and rc_id", id="tsv-arabic-indic-digit"),
 ])
 def test_bad_partition_file_exits_2(synth_dir, model_dir, tmp_path, capsys, tsv, meta,
                                     problem):
@@ -376,6 +434,10 @@ def test_bad_partition_file_exits_2(synth_dir, model_dir, tmp_path, capsys, tsv,
     ("max_iterations", "10", "max_iterations must be an int"),
     ("rng_seed", 1.5, "rng_seed must be an int"),
     ("quality", None, "quality must be a string"),
+    pytest.param("resolution", NAN, "resolution must be a number", id="resolution-nan"),
+    pytest.param("resolution", INF, "resolution must be a number", id="resolution-inf"),
+    pytest.param("resolution", -INF, "resolution must be a number", id="resolution--inf"),
+    pytest.param("resolution", BIG, "resolution must be a number", id="resolution-400-digit"),
 ])
 def test_seeded_extend_checks_the_stored_config_types(synth_dir, model_dir, tmp_path, capsys,
                                                       key, value, problem):
@@ -384,6 +446,33 @@ def test_seeded_extend_checks_the_stored_config_types(synth_dir, model_dir, tmp_
     assert run(["model", "extend", "--corpus", str(synth_dir / "papers.jsonl"),
                 "--model", str(model), "--through-year", "2014", "--seeded"]) == 2
     assert problem in _one_line_error(capsys)["error"]
+
+
+def _strict_json(line: str) -> dict:
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(line, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("model build", "--resolution", "nan"),
+    ("model build", "--resolution", "inf"),
+    ("model build", "--resolution", "1e400"),
+    ("fit", "--z-threshold", "inf"),
+    ("fit", "--z-threshold", "-inf"),
+    ("fit", "--z-threshold", "nan"),
+])
+def test_float_flag_that_is_not_a_number_exits_2(synth_dir, model_dir, tmp_path, capsys,
+                                                 command, flag, value):
+    out = tmp_path / "out"
+    argv = (["model", "build", "--through-year", "2009"] if command == "model build" else
+            ["fit", "--model", str(model_dir), "--fy-range", "2005:2011"])
+    assert run([*argv, "--corpus", str(synth_dir / "papers.jsonl"), f"{flag}={value}",
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "must be a number" in _strict_json(lines[0])["error"]
+    assert captured.out == "" and not out.exists()
 
 
 def test_seeded_extend_rejects_resolution_0(synth_dir, model_dir, tmp_path, capsys):
@@ -604,6 +693,10 @@ def test_other_os_errors_are_not_reported_as_bad_input(tmp_path):
     ("journals", 3, "journals must be a string or null"),
     ("target_rcs", False, "target_rcs must be an int or null"),
     ("lifecycle", 1, "lifecycle must be a bool"),
+    pytest.param("resolution", NAN, "resolution must be a number", id="resolution-nan"),
+    pytest.param("resolution", INF, "resolution must be a number", id="resolution-inf"),
+    pytest.param("z_threshold", -INF, "z_threshold must be a number", id="z_threshold--inf"),
+    pytest.param("resolution", BIG, "resolution must be a number", id="resolution-400-digit"),
 ])
 def test_pipeline_config_wrong_type_exits_2(synth_dir, tmp_path, capsys, key, value,
                                             problem):

@@ -367,7 +367,7 @@ def _partition_text(draw):
 def _outside_int64(cells: list[str]) -> bool:
     """Whether a row is two integers, one of them outside int64."""
     try:
-        values = [int(c) for c in cells]
+        values = [oracles.int_cell(c) for c in cells]
     except ValueError:
         return False
     return len(values) == 2 and not all(-2**63 <= v < 2**63 for v in values)

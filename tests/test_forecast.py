@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcforecast import forecast
 from rcforecast.cluster import Partition
 from rcforecast.forecast import (
     CompositeModel,
@@ -204,6 +205,19 @@ def test_forecast_tsv_round_trip(tmp_path):
     loaded = read_forecast_tsv(path)
     assert [r.rc_id for r in loaded] == [1, 2, 3]  # sorted by score desc
     assert loaded[1].outcome == 1 and loaded[0].outcome is None
+
+
+def test_forecast_tsv_reads_fields_by_header_name(tmp_path, monkeypatch):
+    # the reader must follow the one header list, whatever its order
+    monkeypatch.setattr(forecast, "_TSV_HEADER", list(reversed(forecast._TSV_HEADER)))
+    records = [ForecastRecord(rc_id=4, fy=2010, ty=2013, ry=1, score=2.5, predicted=1,
+                              papers_in_fy=30, outcome=1, growth_rate=1.25),
+               ForecastRecord(rc_id=9, fy=2010, ty=2013, ry=1, score=-0.5, predicted=0,
+                              papers_in_fy=21)]
+    path = tmp_path / "f.tsv"
+    write_forecast_tsv(path, records)
+    assert path.read_text().startswith("growth_rate\toutcome\tpredicted\t")
+    assert read_forecast_tsv(path) == records
 
 
 def test_composite_model_json_round_trip(tmp_path):
