@@ -1,7 +1,7 @@
 """Wall time and peak RSS of corpus generation, the corpus-facing stages and
-a whole run.
+a whole run, and wall time and allocation peak of ``load_corpus``.
 
-    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_11.json]
+    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_13.json]
 
 Each ``--variant`` names an ``src`` directory holding an ``rcforecast``
 package (default: this checkout's ``src`` as ``current``); naming two, such
@@ -27,12 +27,21 @@ processes run:
 Times come from ``time.perf_counter``; ``peak_rss_mb`` is the process's own
 ``resource.getrusage(RUSAGE_SELF).ru_maxrss``, read when the process ends, so
 a stages process reports the peak over all of its stages and set-up.
-The report holds per-repeat values and their medians.
+
+Process-level times of identical code spread by 20-40% on a shared host, too
+much to resolve a change to one stage. So ``load_corpus`` is also measured in
+one process that imports every variant's package side by side: ``LOAD_REPEATS``
+loads of each, alternating variants (in reverse order on odd repeats), then one
+more load of each under ``tracemalloc`` for its allocation peak
+(``tracemalloc_peak_mib``). The report holds per-repeat values and their
+medians.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib.util
 import json
 import os
 import platform
@@ -43,11 +52,12 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODEL_YEAR, THROUGH_YEAR, RESOLUTION, FYS = 2009, 2014, 0.02, [2010, 2011]
-SIZES, SEED, REPEATS = (1000, 10000), 101, 5
+SIZES, SEED, REPEATS, LOAD_REPEATS = (1000, 10000), 101, 5, 10
 
 
 def _timed(record: dict, name: str, fn):
@@ -103,6 +113,43 @@ def child(kind: str, size: int, inputs: Path, out: Path) -> dict:
     return record
 
 
+def _import_corpus(name: str, src: str):
+    """The ``corpus`` module of the ``rcforecast`` package under ``src``,
+    imported as the package ``_variant_<name>`` so that variants coexist."""
+    package = Path(src) / "rcforecast"
+    spec = importlib.util.spec_from_file_location(
+        f"_variant_{name}", package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{spec.name}.corpus")
+
+
+def load_pairs(corpora: dict, inputs: Path) -> dict:
+    """Per variant: wall times of ``load_corpus`` alternating with the other
+    variants in this process, their median, and the ``tracemalloc`` peak of
+    one more load."""
+    papers, ranks = inputs / "papers.jsonl", inputs / "ranks.csv"
+    runs: dict = {name: [] for name in corpora}
+    for rep in range(LOAD_REPEATS):
+        order = list(corpora.items())
+        for name, corpus in order[::-1] if rep % 2 else order:
+            gc.collect()
+            t0 = time.perf_counter()
+            corpus.load_corpus(papers, ranks)
+            runs[name].append(time.perf_counter() - t0)
+    report = {}
+    for name, corpus in corpora.items():
+        gc.collect()
+        tracemalloc.start()
+        corpus.load_corpus(papers, ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        report[name] = {"load_corpus_s": statistics.median(runs[name]), "runs_s": runs[name],
+                        "tracemalloc_peak_mib": peak / 2**20}
+    return report
+
+
 def _spawn(src: str, *args) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, __file__, "--child", *map(str, args)],
@@ -114,7 +161,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--variant", action="append", default=[],
                         help="NAME=SRC; repeatable (default: current=<checkout>/src)")
-    parser.add_argument("--out", default="BENCH_11.json")
+    parser.add_argument("--out", default="BENCH_13.json")
     parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
@@ -127,7 +174,8 @@ def main() -> None:
     first = next(iter(variants.values()))
     import numpy
     import scipy
-    report = {"seed": SEED, "repeats": REPEATS,
+    corpora = {name: _import_corpus(name, src) for name, src in variants.items()}
+    report = {"seed": SEED, "repeats": REPEATS, "load_repeats": LOAD_REPEATS,
               "host": {"python": platform.python_version(), "numpy": numpy.__version__,
                        "scipy": scipy.__version__, "machine": platform.machine(),
                        "nproc": os.cpu_count()},
@@ -136,6 +184,11 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             inputs = Path(tmp) / "inputs"
             _spawn(first, "generate", size, "-", inputs)
+            loads = load_pairs(corpora, inputs)
+            for name, load in loads.items():
+                print(f"size {size} {name}: load_corpus {load['load_corpus_s']:.3f} s, "
+                      f"tracemalloc peak {load['tracemalloc_peak_mib']:.2f} MiB",
+                      file=sys.stderr)
             runs: dict = {name: [] for name in variants}
             for rep in range(REPEATS):
                 order = list(variants.items())
@@ -156,7 +209,8 @@ def main() -> None:
         report["sizes"][str(size)] = {
             name: {part: {key: statistics.median(r[part][key] for r in recs)
                           for key in recs[0][part]}
-                   for part in ("generate", "stages", "pipeline")} | {"runs": recs}
+                   for part in ("generate", "stages", "pipeline")}
+            | {"load": loads[name], "runs": recs}
             for name, recs in runs.items()}
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 

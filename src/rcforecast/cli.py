@@ -16,7 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .artifacts import write_json
+from .artifacts import INT_TEXT, write_json
 from .cluster import ClusterConfig, ClusterError, load_partition, save_partition
 from .config import has_type, load_config
 from .corpus import CorpusError, load_corpus
@@ -73,14 +73,21 @@ def _write_manifest(path, command: str, args, seeds: dict | None = None) -> None
     write_manifest(path, command, vars(args), inputs, seeds)
 
 
+def integer(text: str) -> int:
+    """An integer flag's value, by the rule of integer cells (``INT_TEXT``)."""
+    if not INT_TEXT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _fy_range(text: str) -> list[int]:
     if ":" in text:
         a, b = text.split(":", 1)
-        lo, hi = int(a), int(b)
+        lo, hi = integer(a), integer(b)
         if hi < lo:
             raise ValueError(f"empty fy range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(text)]
+    return [integer(text)]
 
 
 def cmd_corpus_validate(args) -> int:
@@ -155,8 +162,9 @@ def cmd_indicators(args) -> int:
 def cmd_fit(args) -> int:
     if not has_type("float", args.z_threshold):
         return _fail(f"--z-threshold must be a number, not {args.z_threshold}")
+    fys = _fy_range(args.fy_range)
     panel = _load_panel(args)
-    tables = {fy: indicator_table(panel, fy) for fy in _fy_range(args.fy_range)}
+    tables = {fy: indicator_table(panel, fy) for fy in fys}
     model = fit_composite(panel, tables, min_papers=args.min_papers,
                           z_threshold=args.z_threshold)
     model.to_json(args.out)
@@ -250,7 +258,7 @@ def _add_panel_args(p):
     """The inputs of a command that reads a model into an RC x year panel."""
     _add_corpus_args(p)
     p.add_argument("--model", required=True, help="model directory")
-    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--window", type=integer, default=10)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     model_sub = p_model.add_subparsers(dest="subcommand", required=True)
     p_build = model_sub.add_parser("build", help="cluster the citation graph")
     _add_corpus_args(p_build)
-    p_build.add_argument("--through-year", type=int, required=True)
+    p_build.add_argument("--through-year", type=integer, required=True)
     p_build.add_argument("--resolution", type=float, default=0.05)
-    p_build.add_argument("--seed", type=int, default=0)
+    p_build.add_argument("--seed", type=integer, default=0)
     p_build.add_argument("--quality", choices=("cpm", "modularity"), default="cpm")
-    p_build.add_argument("--max-iterations", type=int, default=10)
-    p_build.add_argument("--target-rcs", type=int, default=None,
+    p_build.add_argument("--max-iterations", type=integer, default=10)
+    p_build.add_argument("--target-rcs", type=integer, default=None,
                          help="tune resolution toward this community count")
     p_build.add_argument("--no-extended", action="store_true",
                          help="drop external cited items from the graph")
@@ -288,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext = model_sub.add_parser("extend", help="assign one or more new years")
     _add_corpus_args(p_ext)
     p_ext.add_argument("--model", required=True, help="model directory")
-    p_ext.add_argument("--through-year", type=int, required=True,
+    p_ext.add_argument("--through-year", type=integer, required=True,
                        help="extend year by year through this year")
     p_ext.add_argument("--seeded", action="store_true",
                        help="re-cluster seeded by the prior partition")
-    p_ext.add_argument("--seed", type=int, default=None, help="with --seeded")
+    p_ext.add_argument("--seed", type=integer, default=None, help="with --seeded")
     p_ext.add_argument("--resolution", type=float, default=None, help="with --seeded")
     p_ext.add_argument("--quality", choices=("cpm", "modularity"), default=None,
                        help="with --seeded")
@@ -300,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ind = sub.add_parser("indicators", help="per-RC indicator table for one fy")
     _add_panel_args(p_ind)
-    p_ind.add_argument("--fy", type=int, required=True)
+    p_ind.add_argument("--fy", type=integer, required=True)
     p_ind.add_argument("--out", required=True)
     p_ind.set_defaults(func=cmd_indicators)
 
     p_fit = sub.add_parser("fit", help="stepwise probit composite")
     _add_panel_args(p_fit)
     p_fit.add_argument("--fy-range", required=True, help="A:B or single year")
-    p_fit.add_argument("--min-papers", type=int, default=0,
+    p_fit.add_argument("--min-papers", type=integer, default=0,
                        help="size filter for fit rows (published fit used all RCs)")
     p_fit.add_argument("--z-threshold", type=float, default=4.0)
     p_fit.add_argument("--out", required=True)
@@ -317,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_panel_args(p_fc)
     p_fc.add_argument("--composite", default=None, help="fitted composite JSON "
                       "(default: published coefficients)")
-    p_fc.add_argument("--fy", type=int, required=True)
-    p_fc.add_argument("--min-papers", type=int, default=20)
+    p_fc.add_argument("--fy", type=integer, required=True)
+    p_fc.add_argument("--min-papers", type=integer, default=20)
     group = p_fc.add_mutually_exclusive_group()
-    group.add_argument("--top", type=int, default=None, help="production-mode N")
+    group.add_argument("--top", type=integer, default=None, help="production-mode N")
     group.add_argument("--oracle-n", action="store_true",
                        help="evaluation-mode sizing from observed outcomes")
     p_fc.add_argument("--out", required=True)
@@ -330,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_panel_args(p_ev)
     p_ev.add_argument("--composite", default=None)
     p_ev.add_argument("--fy-range", required=True)
-    p_ev.add_argument("--min-papers", type=int, default=20)
+    p_ev.add_argument("--min-papers", type=integer, default=20)
     p_ev.add_argument("--by", default=None,
                       help="comma list from fy,ry,actionable,field,discipline")
     p_ev.add_argument("--taxonomy", default=None,
@@ -344,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lc = sub.add_parser("lifecycle", help="time-since-peak lifecycle table")
     _add_panel_args(p_lc)
-    p_lc.add_argument("--fy", type=int, required=True)
-    p_lc.add_argument("--min-papers", type=int, default=0)
+    p_lc.add_argument("--fy", type=integer, required=True)
+    p_lc.add_argument("--min-papers", type=integer, default=0)
     p_lc.add_argument("--out", required=True)
     p_lc.set_defaults(func=cmd_lifecycle)
 
     p_sy = sub.add_parser("synth", help="generate a synthetic corpus with truth")
     p_sy.add_argument("--config", default=None, help="SynthConfig JSON")
-    p_sy.add_argument("--seed", type=int, default=None, help="override rng_seed")
+    p_sy.add_argument("--seed", type=integer, default=None, help="override rng_seed")
     p_sy.add_argument("--out", required=True)
     p_sy.set_defaults(func=cmd_synth)
 

@@ -13,6 +13,7 @@ from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -87,24 +88,26 @@ class CorpusMeta:
 class Corpus:
     """Papers as columns, one row per paper in ascending ``paper_ids`` order,
     built from per-paper sequences in any order (``refs`` holds ``n_refs[i]``
-    references of paper i, paper after paper). ``doc_type`` indexes
-    ``DOC_TYPES`` and ``journal`` the sorted ``journal_ids`` (-1 for none). Row
-    r cites ``refs[ref_ptr[r]:ref_ptr[r+1]]`` in stored order; ``ref_row`` is
-    each cited paper's row, -1 for an external item. Terms are tokenized on
-    first use of ``term_matrix``. Immutable after load; safe for concurrent
-    reads."""
+    references of paper i, paper after paper, and ``journals`` the journal of
+    each paper i with ``has_journal[i]``). ``doc_type`` indexes ``DOC_TYPES``
+    and ``journal`` the sorted ``journal_ids`` (-1 for none). Row r cites
+    ``refs[ref_ptr[r]:ref_ptr[r+1]]`` in stored order; ``ref_row`` is each
+    cited paper's row, -1 for an external item. Terms are tokenized on first
+    use of ``term_matrix``. Immutable after load; safe for concurrent reads."""
 
-    def __init__(self, ids, years, doc_types, journals, n_refs, refs, terms, ranks):
+    def __init__(self, ids, years, doc_types, has_journal, journals, n_refs, refs, terms,
+                 ranks):
         self.ranks = ranks
         ids = np.array(ids, np.int64)
         order = np.argsort(ids, kind="stable")
         self.paper_ids = ids[order]
         self.year = np.array(years, np.int64)[order]
         self.doc_type = np.array(doc_types, np.int8)[order]
-        known = np.array([j is not None for j in journals], bool)
-        journal = np.array([0 if j is None else j for j in journals], np.int64)
-        self.journal_ids = np.unique(journal[known])
-        self.journal = np.where(known, np.searchsorted(self.journal_ids, journal), -1)[order]
+        journals = np.array(journals, np.int64)
+        self.journal_ids = np.unique(journals)
+        journal = np.full(len(ids), -1)
+        journal[np.array(has_journal, bool)] = np.searchsorted(self.journal_ids, journals)
+        self.journal = journal[order]
 
         # each reference moves with its paper, keeping its place in the paper's list
         n_refs = np.array(n_refs, np.int64)
@@ -122,10 +125,13 @@ class Corpus:
     @classmethod
     def from_records(cls, records, ranks: dict[int, JournalRank]) -> "Corpus":
         """A corpus of a non-empty collection of ``PaperRecord``s, unvalidated."""
-        scalars = zip(*[(p.paper_id, p.year, DOC_TYPES.index(p.doc_type), p.journal_id,
-                         len(p.references)) for p in records])
-        return cls(*scalars, [r for p in records for r in p.references],
-                   [p.terms for p in records], ranks)
+        ids, years, docs, has_journal, n_refs = zip(*[
+            (p.paper_id, p.year, DOC_TYPES.index(p.doc_type), p.journal_id is not None,
+             len(p.references)) for p in records])
+        return cls(ids, years, docs, has_journal,
+                   [p.journal_id for p in records if p.journal_id is not None], n_refs,
+                   [r for p in records for r in p.references], [p.terms for p in records],
+                   ranks)
 
     @cached_property
     def papers(self) -> dict[int, PaperRecord]:
@@ -182,10 +188,6 @@ def lookup(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndar
     return pos, sorted_ids.take(pos, mode="clip") == ids
 
 
-def _all_int64(xs: list) -> bool:
-    return not xs or set(map(type, xs)) == {int} and -2**63 <= min(xs) and max(xs) < 2**63
-
-
 def _parse_paper(obj: dict, line: int) -> tuple:
     """The validated fields of one paper; terms are type-checked, not tokenized."""
     pid = obj.get("paper_id") if type(obj) is dict else None
@@ -205,7 +207,7 @@ def _parse_paper(obj: dict, line: int) -> tuple:
         problem = f"unknown doc_type {doc_type!r}"
     elif jid is not None and not is_int64(jid):
         problem = f"non-integer or out-of-range journal_id {jid!r}"
-    elif type(refs) is not list or not _all_int64(refs):
+    elif type(refs) is not list or not all(map(is_int64, refs)):
         problem = "references must be a list of 64-bit integers"
     elif len(set(refs)) != len(refs):
         problem = "duplicate references"
@@ -253,42 +255,122 @@ def load_journal_ranks(path) -> dict[int, JournalRank]:
     return ranks
 
 
+#: lines per block of the batch loader: blocks of 256 lines ran ~7% faster at
+#: 1k communities, but left a pymalloc arena in use after the corpus was freed
+_BLOCK = 64
+_scan = json.JSONDecoder().scan_once
+#: what the batch loader raises on a line or field it cannot take
+_UNREAD = (StopIteration, ValueError, TypeError, KeyError, OverflowError, RecursionError)
+
+
+def _types(values) -> set:
+    return set(map(type, values))
+
+
+def _columns():
+    """Empty columns for ``Corpus``: ids, years, doc types, has-journal flags,
+    journals, reference counts, references and joined terms."""
+    return (array("q"), array("q"), array("b"), array("b"), array("q"), array("q"),
+            array("q"), [])
+
+
+def _read_blocks(fh) -> tuple | None:
+    """The columns of a papers file, decoded a block of lines at a time and
+    checked by column; None where ``_read_lines`` would raise. A line is one
+    JSON value: the scan must end where the line ends."""
+    columns = ids, years, doc_types, has_journal, journals, n_refs, refs, terms = _columns()
+    for block in iter(lambda: list(islice(fh, _BLOCK)), []):
+        lines = [line for line in map(str.strip, block) if line]
+        scanned = [_scan(line, 0) for line in lines]
+        objs = [obj for obj, _ in scanned]
+        if [end for _, end in scanned] != list(map(len, lines)) or _types(objs) - {dict}:
+            return None
+        pid = [o["paper_id"] for o in objs]
+        year = [o["year"] for o in objs]
+        jid = [o.get("journal_id") for o in objs]
+        cited = [o.get("references", []) for o in objs]
+        text = [o.get("terms", []) for o in objs]
+        if _types(cited) - {list}:
+            return None
+        flat = list(chain.from_iterable(cited))
+        if (_types(pid) | _types(year) | _types(flat)) - {int} \
+                or _types(jid) - {int, type(None)} or _types(text) - {str, list}:
+            return None
+        # one row per (paper, reference), sorted: no paper cites itself or an item twice
+        cites, n_cited = array("q", flat), list(map(len, cited))
+        row = np.repeat(np.arange(len(objs)), n_cited)
+        ref = np.frombuffer(cites, np.int64)
+        ordered = ref[np.lexsort((ref, row))]
+        if (ref == np.array(pid, np.int64)[row]).any() \
+                or ((ordered[1:] == ordered[:-1]) & (row[1:] == row[:-1])).any():
+            return None
+        ids.extend(pid)
+        years.extend(year)
+        doc_types.extend(map(DOC_TYPES.index, [o.get("doc_type", "article") for o in objs]))
+        has_journal.extend([j is not None for j in jid])
+        journals.extend([j for j in jid if j is not None])
+        n_refs.extend(n_cited)
+        refs.extend(cites)
+        # joined as normalize_terms would; a list holding a non-string is a TypeError
+        terms.extend([t if type(t) is str else " ".join(t) for t in text])
+    if not ids:
+        return None
+    sorted_ids = np.sort(np.frombuffer(ids, np.int64))
+    return None if (sorted_ids[1:] == sorted_ids[:-1]).any() else columns
+
+
+def _read_lines(fh) -> tuple:
+    """The columns of a papers file, read and checked line by line: the one
+    place a bad line is named, by the first ``CorpusError`` it raises."""
+    columns = ids, years, doc_types, has_journal, journals, n_refs, refs, terms = _columns()
+    seen = set()
+    for i, raw in enumerate(fh, start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as e:
+            raise CorpusError(f"malformed JSON: {e.msg}", line=i) from e
+        pid, year, doc_type, jid, cited, text = _parse_paper(obj, i)
+        if pid in seen:
+            raise CorpusError(f"duplicate paper_id {pid}", line=i, paper_id=pid)
+        seen.add(pid)
+        ids.append(pid)
+        years.append(year)
+        doc_types.append(DOC_TYPES.index(doc_type))
+        has_journal.append(jid is not None)
+        if jid is not None:
+            journals.append(jid)
+        n_refs.append(len(cited))
+        refs.extend(cited)
+        terms.append(text if type(text) is str else " ".join(text))
+    if not ids:
+        raise CorpusError("corpus is empty")
+    return columns
+
+
 def load_corpus(papers_path, journals_path=None) -> Corpus:
     """Load and validate a corpus.
 
     Duplicate paper ids and malformed lines are fatal. References to ids absent
     from the corpus are kept and flagged external. A missing journals file
-    yields an empty rank table.
+    yields an empty rank table. The file is read in blocks of lines; if any
+    line would fail, it is read again line by line to name the first bad one.
     """
-    years, doc_types, n_refs, refs = array("q"), array("b"), array("q"), array("q")
-    ids, journals, terms = {}, [], []       # ids: a dict of paper ids in file order
     with open(papers_path) as fh:
-        for i, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"malformed JSON: {e.msg}", line=i) from e
-            pid, year, doc_type, jid, cited, text = _parse_paper(obj, i)
-            if pid in ids:
-                raise CorpusError(f"duplicate paper_id {pid}", line=i, paper_id=pid)
-            ids[pid] = None
-            years.append(year)
-            doc_types.append(DOC_TYPES.index(doc_type))
-            journals.append(jid)
-            n_refs.append(len(cited))
-            refs.extend(cited)
-            # joined as normalize_terms would: no list per paper is left for the GC
-            terms.append(text if type(text) is str else " ".join(text))
-    if not ids:
-        raise CorpusError("corpus is empty")
+        try:
+            columns = _read_blocks(fh)
+        except _UNREAD:
+            columns = None
+    if columns is None:
+        with open(papers_path) as fh:
+            columns = _read_lines(fh)
 
     ranks: dict[int, JournalRank] = {}
     if journals_path is not None and Path(journals_path).exists():
         ranks = load_journal_ranks(journals_path)
-    return Corpus(list(ids), years, doc_types, journals, n_refs, refs, terms, ranks)
+    return Corpus(*columns, ranks)
 
 
 def save_corpus(corpus: Corpus, papers_path, journals_path=None) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
@@ -22,6 +23,15 @@ def file_digest(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+class InputFile(str):
+    """The path of an input that a run reads and does not write: its digest
+    is taken once, however many manifests name it."""
+
+    @cached_property
+    def digest(self) -> str:
+        return file_digest(self)
 
 
 def _plain(value):
@@ -38,12 +48,14 @@ def _plain(value):
 
 def write_manifest(path, command: str, arguments: dict, inputs: dict | None = None,
                    seeds: dict | None = None) -> None:
-    """``inputs`` maps a label to an existing file path."""
+    """``inputs`` maps a label to a file path (an ``InputFile`` or any other);
+    a path that does not exist is left out."""
     write_json(path, {
         "command": command,
         "arguments": {k: _plain(v) for k, v in sorted(arguments.items())
                       if k != "func"},
-        "inputs": {name: file_digest(p) for name, p in sorted((inputs or {}).items())
+        "inputs": {name: p.digest if isinstance(p, InputFile) else file_digest(p)
+                   for name, p in sorted((inputs or {}).items())
                    if p is not None and Path(p).exists()},
         "rng_seeds": seeds or {},
         "tool_version": __version__,

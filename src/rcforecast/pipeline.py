@@ -29,7 +29,7 @@ from .forecast import (
     write_forecast_tsv,
 )
 from .indicators import INDICATOR_NAMES, IndicatorTable, Panel, standardize, write_indicator_tsv
-from .manifest import write_manifest
+from .manifest import InputFile, write_manifest
 from .regression import stepwise_select
 
 
@@ -154,7 +154,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     ``cfg.out_dir``. Returns a summary dict (also written as summary.json)."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    inputs = {"papers": cfg.papers, "journals": cfg.journals}
+    # each input is hashed once, for the first manifest that names it
+    inputs = {label: InputFile(path) for label, path in (("papers", cfg.papers),
+                                                         ("journals", cfg.journals))
+              if path is not None}
     seeds = {"cluster": cfg.seed}
 
     corpus = load_corpus(cfg.papers, cfg.journals)

@@ -17,6 +17,7 @@ from rcforecast.cluster import ClusterError, load_partition
 from rcforecast.config import has_type
 from rcforecast.forecast import CompositeModel
 from rcforecast.manifest import file_digest
+from rcforecast.pipeline import PipelineConfig, run_pipeline
 from rcforecast.corpus import load_corpus, normalize_terms
 from rcforecast.synth import SynthConfig, generate
 
@@ -292,6 +293,23 @@ def test_pipeline_manifest_records_the_config(synth_dir, tmp_path, capsys):
     assert manifest["inputs"] == {"config": file_digest(cfg_path)}
 
 
+def test_run_pipeline_hashes_each_input_once(synth_dir, tmp_path):
+    papers, journals = synth_dir / "papers.jsonl", synth_dir / "ranks.csv"
+    out = tmp_path / "o"
+    with mock.patch("rcforecast.manifest.file_digest", wraps=file_digest) as digest:
+        run_pipeline(PipelineConfig(papers=str(papers), journals=str(journals),
+                                    out_dir=str(out), model_year=2009, extend_through=2014,
+                                    resolution=0.02, fit_fys=[2010], forecast_fys=[2010, 2011],
+                                    min_papers=5))
+    assert sorted(str(call.args[0]) for call in digest.call_args_list) == sorted(
+        [str(papers), str(journals)])
+    manifests = sorted(out.glob("*.manifest.json"))
+    assert len(manifests) == 5
+    for path in manifests:
+        assert json.loads(path.read_text())["inputs"] == {
+            "journals": file_digest(journals), "papers": file_digest(papers)}, path.name
+
+
 def test_pipeline_config_unknown_key_exits_2(tmp_path, capsys):
     # ``threads`` was accepted and ignored once; old configs now name it
     cfg_path = tmp_path / "run.json"
@@ -507,6 +525,43 @@ def test_model_extend_needs_through_year_before_reading_input(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--through-year" in err and "missing input" not in err
+
+
+_NOT_INT_TEXT = ["2_011", "+20", "\u0663"]      # \u0663 is ARABIC-INDIC DIGIT THREE
+
+
+@pytest.mark.parametrize("value", _NOT_INT_TEXT)
+@pytest.mark.parametrize("argv,flag", [
+    (["lifecycle", "--fy", "{}"], "--fy"),
+    (["lifecycle", "--fy", "2011", "--min-papers", "{}"], "--min-papers"),
+    (["lifecycle", "--fy", "2011", "--window", "{}"], "--window"),
+    (["forecast", "--fy", "2011", "--top", "{}"], "--top"),
+    (["model", "build", "--through-year", "{}"], "--through-year"),
+    (["model", "build", "--through-year", "2009", "--seed", "{}"], "--seed"),
+    (["model", "build", "--through-year", "2009", "--max-iterations", "{}"],
+     "--max-iterations"),
+    (["model", "build", "--through-year", "2009", "--target-rcs", "{}"], "--target-rcs"),
+])
+def test_integer_flag_takes_only_int_text(tmp_path, capsys, argv, flag, value):
+    inputs = ["--corpus", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "out")]
+    if argv[0] != "model":
+        inputs += ["--model", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        run([arg.format(value) for arg in argv] + inputs)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid integer value" in err and "missing input" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", _NOT_INT_TEXT)
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("fy_range", ["{}", "2005:{}", "{}:2011"])
+def test_fy_range_takes_only_int_text(tmp_path, capsys, command, fy_range, value):
+    assert run([command, "--corpus", str(tmp_path / "absent.jsonl"), "--model", str(tmp_path),
+                "--fy-range", fy_range.format(value), "--out", str(tmp_path / "out")]
+               [:-2 if command == "evaluate" else None]) == 2
+    assert _one_line_error(capsys)["error"] == f"not an integer: {value!r}"
 
 
 @pytest.mark.parametrize("flags,named", [

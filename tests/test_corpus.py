@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcforecast.assign import _plurality
+from rcforecast import corpus as corpus_module
 from rcforecast.citegraph import build_graph
 from rcforecast.cluster import Partition
 from rcforecast.corpus import DOC_TYPES, CorpusError, load_corpus, normalize_terms, save_corpus
@@ -227,6 +229,98 @@ def test_loader_matches_dict_loader(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("load") / "p.jsonl"
     path.write_text(text)
     assert_loads_like_oracle(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(papers_files())
+def test_loader_matches_dict_loader_in_blocks_of_2(tmp_path_factory, text):
+    # the same files read two lines a block, so a bad line or a repeated id
+    # lands in another block than its first line
+    path = tmp_path_factory.mktemp("load") / "p.jsonl"
+    path.write_text(text)
+    with mock.patch.object(corpus_module, "_BLOCK", 2):
+        assert_loads_like_oracle(path)
+
+
+def _error_of(path) -> dict:
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert_loads_like_oracle(path)
+    return exc.value.report()
+
+
+def test_lines_that_parse_only_when_joined_are_rejected(tmp_path):
+    # joined as "[" + ",".join(lines) + "]" these are three valid papers
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"paper_id":1,"year":2000,"x":[{}\n'
+                    '{}]}\n'
+                    '{"paper_id":2,"year":2000},{"paper_id":3,"year":2000}\n')
+    assert _error_of(path) == {"error": "malformed JSON: Expecting ',' delimiter", "line": 1}
+
+
+def test_two_objects_on_one_line_are_rejected(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps(paper(1, 2000)) + "\n"
+                    '{"paper_id":2,"year":2000},{"paper_id":3,"year":2000}\n')
+    assert _error_of(path) == {"error": "malformed JSON: Extra data", "line": 2}
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_line_starting_with_a_bom_is_rejected(tmp_path, line):
+    lines = [json.dumps(paper(i, 2000)) for i in (1, 2, 3)]
+    lines[line - 1] = "\ufeff" + lines[line - 1]
+    path = tmp_path / "p.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _error_of(path) == {"error": "malformed JSON: Unexpected UTF-8 BOM "
+                                        "(decode using utf-8-sig)", "line": line}
+
+
+def test_crlf_and_blank_lines_load(tmp_path):
+    lines = [json.dumps(paper(1, 2000, refs=[2])), "", "  \t", json.dumps(paper(2, 2001)), ""]
+    path = tmp_path / "p.jsonl"
+    path.write_bytes("\r\n".join(lines).encode())
+    assert_loads_like_oracle(path)
+    assert load_corpus(path).paper_ids.tolist() == [1, 2]
+
+
+def test_invalid_utf8_after_a_malformed_line_names_that_line(tmp_path):
+    # the bytes that do not decode lie past the first 8 KiB the line reader
+    # decodes, but in the batch loader's first block of lines
+    filler = [json.dumps(paper(i, 2000, terms=["x" * 200])) for i in range(3, 43)]
+    text = "\n".join([json.dumps(paper(1, 2000)), "{not json", *filler]) + "\n"
+    path = tmp_path / "p.jsonl"
+    path.write_bytes(text.encode() + b'{"paper_id": 9, "terms": "\xff\xfe"}\n')
+    assert len(text.encode()) > 8192 and len(filler) + 3 < corpus_module._BLOCK
+    assert _error_of(path) == {"error": "malformed JSON: Expecting property name enclosed "
+                                        "in double quotes", "line": 2}
+
+
+def test_duplicate_paper_id_in_a_later_block_names_its_line(tmp_path):
+    papers = [paper(i, 2000 + i % 3) for i in range(1, 11)] + [paper(3, 2005)]
+    path = write_papers(tmp_path / "p.jsonl", papers)
+    with mock.patch.object(corpus_module, "_BLOCK", 4):
+        assert _error_of(path) == {"error": "duplicate paper_id 3", "line": 11,
+                                   "paper_id": 3}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("paper_id", True), ("year", False), ("journal_id", True), ("references", [2, True]),
+])
+def test_bool_where_an_integer_goes_is_rejected(tmp_path, field, value):
+    # array("q") would store a bool as 0 or 1: the column type checks must refuse it
+    bad = paper(9, 2011)
+    bad[field] = value
+    path = write_papers(tmp_path / "p.jsonl", [paper(1, 2010), bad])
+    assert _error_of(path)["line"] == 2
+
+
+def test_valid_file_loads_without_the_line_reader(tmp_path):
+    papers = [paper(i, 2000, refs=[i + 1, 1000], journal_id=i % 2 or None, terms=["a b"])
+              for i in range(1, 600)]
+    path = write_papers(tmp_path / "p.jsonl", papers)
+    with mock.patch.object(corpus_module, "_read_lines", side_effect=AssertionError):
+        corpus = load_corpus(path)
+    assert corpus.papers == oracles.load_corpus(path).papers
 
 
 @pytest.fixture(scope="module", params=[201, 202])
