@@ -1,8 +1,13 @@
 """Partition the citation graph into research communities.
 
-Leiden-style clustering: greedy local moving, a refinement phase that keeps
-communities internally connected, and graph aggregation, iterated until the
-partition stops improving. Supports CPM and modularity quality functions,
+Leiden clustering (Traag, Waltman & van Eck 2019, Sci. Rep. 9:5233): local
+moving, a refinement phase that splits each community into connected pieces,
+and aggregation of the pieces, iterated until the partition stops improving.
+Local moving and refinement run in numpy rounds over each level's CSR arrays,
+after Lu, Halappanavar & Kalyanaraman (2015, Parallel Computing 47:19): each
+round scores the moves of all queued nodes at once, and a conflict rule with
+random priorities picks the moves made together, so that quality rises by at
+least the sum of their gains. Supports CPM and modularity quality functions,
 deterministic seeding, and warm starts from a prior partition so a model can
 be extended year by year.
 """
@@ -155,10 +160,8 @@ def partition_quality(graph: CitationGraph, partition, quality: str = "cpm",
 class _Level:
     """One aggregation level: CSR adjacency plus per-node self weight and size.
 
-    ``ptr``, ``ind`` and ``wt`` are the CSR arrays as Python lists, built once
-    and shared by local moving and refinement. Edge weights are integer counts
-    (every graph edge weighs 1 and aggregation sums them), so ``wt`` holds ints
-    and needs no float object per edge.
+    Edge weights are integer counts (every graph edge weighs 1 and aggregation
+    sums them), so float sums of them are exact in any order.
     """
 
     def __init__(self, indptr, indices, weights, self_w, sizes, strengths):
@@ -169,157 +172,206 @@ class _Level:
         self.sizes = sizes
         self.strengths = strengths
         self.n = len(self_w)
-        self.ptr, self.ind = indptr.tolist(), indices.tolist()
-        self.wt = weights.astype(np.int64).tolist()
 
 
-# Both cores sum neighbour weights per community in a buffer, list each community
-# on first touch (weights are positive, so zero means untouched) and zero it after
-# the scan: the same scan order and float sums as a dict, hence the same ties.
+def _rows(indptr, nodes):
+    """The edge positions of the CSR rows ``nodes``, row by row, and for each
+    edge the index of its row in ``nodes``."""
+    lens = indptr[nodes + 1] - indptr[nodes]
+    row = np.repeat(np.arange(len(nodes)), lens)
+    edge = np.repeat(indptr[nodes] - np.cumsum(lens) + lens, lens)
+    edge += np.arange(len(row))
+    return row, edge
 
 
-def _local_move(level: _Level, comm: list[int], use_cpm: bool, gamma: float,
+def _firsts(keys):
+    """Whether each entry of the sorted ``keys`` starts a run of equal keys."""
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new
+
+
+def _label_weights(row, labels, weights, n_rows, n_labels):
+    """The summed ``weights`` of each distinct (row, label) pair of the
+    ascending ``row``: the pairs' rows, labels and sums, in ascending (row,
+    label) order. One key reduction: the CSR matrix of the pairs sorts each
+    row's labels and sums the repeats."""
+    ptr = np.zeros(n_rows + 1, np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=ptr[1:])
+    pairs = sparse.csr_array((weights, labels, ptr), shape=(n_rows, n_labels))
+    pairs.sum_duplicates()
+    return np.repeat(np.arange(n_rows), np.diff(pairs.indptr)), pairs.indices, pairs.data
+
+
+def _earlier_sums(keys, values):
+    """For each entry, the sum of ``values`` over the earlier entries with the
+    same key (exact: the values are integers)."""
+    order = np.argsort(keys, kind="stable")
+    before = np.cumsum(values[order]) - values[order]
+    start = np.flatnonzero(_firsts(keys[order]))
+    out = np.empty(len(keys))
+    out[order] = before - np.repeat(before[start], np.diff(start, append=len(keys)))
+    return out
+
+
+def _local_move(level: _Level, comm: np.ndarray, use_cpm: bool, gamma: float,
                 two_m: float, rng) -> int:
-    """Greedy node moves to the best neighboring (or empty) community.
-
-    Strictly improving moves only; queue-based so only nodes whose neighborhood
-    changed are revisited. Mutates ``comm``; returns the number of moves.
-    """
-    n = level.n
-    ptr, ind, wt = level.ptr, level.ind, level.wt
-    attr = (level.sizes if use_cpm else level.strengths).tolist()
+    """Move nodes to their best neighbouring (or an empty) community, in rounds
+    over a queue that starts with every node, until no move gains. Mutates
+    ``comm``; returns the number of moves."""
+    attr = (level.sizes if use_cpm else level.strengths).astype(np.float64)
     # stay score / 2m but move scores * (1/2m), as the gains were always rounded
     scale = 1.0 if use_cpm else 1.0 / two_m
     div = 1.0 if use_cpm else two_m
-    n_comm = max(comm) + 1
-    cagg = [0.0] * n_comm
-    members = [0] * n_comm
-    for v in range(n):
-        cagg[comm[v]] += attr[v]
-        members[comm[v]] += 1
-    free: list[int] = [c for c in range(n_comm) if members[c] == 0]
-    buf = [0.0] * n_comm
-    touched: list[int] = []
-
-    queue = deque(rng.permutation(n).tolist())
-    queued = bytearray([1]) * n
-    moves = 0
-
-    while queue:
-        v = queue.popleft()
-        queued[v] = 0
-        cv = comm[v]
-        av = attr[v]
-        ga = gamma * av
-        lo, hi = ptr[v], ptr[v + 1]
-        nb = ind[lo:hi]
-        for u, w in zip(nb, wt[lo:hi]):
-            c = comm[u]
-            b = buf[c]
-            if not b:
-                touched.append(c)
-            buf[c] = b + w
-        best_c = cv
-        best = buf[cv] - ga * (cagg[cv] - av) / div
-        for c in touched:
-            if c != cv:
-                score = buf[c] - ga * cagg[c] * scale
-                if score > best + _EPS:
-                    best_c, best = c, score
-            buf[c] = 0.0
-        touched.clear()
-        if 0.0 > best + _EPS:  # an empty community beats every occupied one
-            best_c = free.pop() if free else len(cagg)
-            if best_c == len(cagg):
-                cagg.append(0.0)
-                members.append(0)
-                buf.append(0.0)
-        if best_c == cv:
-            continue
-        cagg[cv] -= av
-        members[cv] -= 1
-        if members[cv] == 0:
-            free.append(cv)
-        comm[v] = best_c
-        cagg[best_c] += av
-        members[best_c] += 1
-        moves += 1
-        for u in nb:
-            if comm[u] != best_c and not queued[u]:
-                queued[u] = 1
-                queue.append(u)
+    queue, moves = np.arange(level.n), 0
+    while len(queue):
+        gains, queue = _move_round(level, comm, queue, attr, gamma, scale, div, rng)
+        moves += len(gains)
     return moves
+
+
+def _move_round(level, comm, queue, attr, gamma, scale, div, rng):
+    """One local-move round over the ascending ``queue``. Mutates ``comm``;
+    returns the gains of the moves made and the next round's queue.
+
+    A node's candidate move goes to its best-scoring neighbouring community
+    (ties to the smaller id) if that beats staying by ``_EPS``, else to an
+    empty community if staying scores below ``-_EPS``. Candidates draw random
+    priorities, and each is charged the cross penalty of every candidate of
+    higher priority that leaves its community or enters its target. A
+    candidate moves if its charged gain exceeds ``_EPS`` and no adjacent
+    candidate of higher priority enters its community or leaves its target.
+    The interactions left between the moves made, an edge between two movers
+    of which neither enters the other's community and a node leaving a
+    community that another enters, only add to quality, so quality rises by
+    at least the sum of the charged gains. The next queue holds the
+    candidates that did not move and the neighbours of movers outside the
+    mover's new community.
+    """
+    agg = np.bincount(comm, weights=attr)
+    row, edge = _rows(level.indptr, queue)
+    nbr = level.indices[edge]
+    k = len(queue)
+    r, lab, w = _label_weights(row, comm[nbr], level.weights[edge], k, len(agg))
+    cv, av = comm[queue], attr[queue]
+    ga = gamma * av
+    own = lab == cv[r]
+    stay = np.zeros(k)
+    stay[r[own]] = w[own]
+    stay -= ga * (agg[cv] - av) / div
+    score = w - ga[r] * agg[lab] * scale
+    score[own] = -np.inf
+    best = np.full(k, -np.inf)
+    np.maximum.at(best, r, score)
+    hit = np.flatnonzero(score == best[r])         # labels ascend within a row
+    hit = hit[_firsts(r[hit])]
+    target = cv.copy()
+    target[r[hit]] = lab[hit]
+    move = best > stay + _EPS
+    target[~move] = cv[~move]
+    top = np.where(move, best, stay)
+    empty = 0.0 > top + _EPS                        # an empty community beats every other
+    gain = np.where(empty, 0.0, top) - stay
+    if empty.any():
+        n_empty = np.count_nonzero(empty)
+        free = np.flatnonzero(np.bincount(comm) == 0)
+        target[empty] = np.concatenate([free, len(agg) + np.arange(n_empty)])[:n_empty]
+    cand = np.flatnonzero(move | empty)
+    order = cand[rng.permutation(len(cand))]        # highest priority first
+    gain[order] -= ga[order] * scale * (_earlier_sums(cv[order], av[order])
+                                        + _earlier_sums(target[order], av[order]))
+    wins = np.zeros(k, bool)
+    wins[order] = gain[order] > _EPS
+    rank = np.full(level.n, len(cand))
+    rank[queue[order]] = np.arange(len(cand))
+    enters = np.full(level.n, -1)
+    enters[queue[cand]] = target[cand]
+    blocked = rank[nbr] < rank[queue][row]
+    blocked &= (enters[nbr] == cv[row]) | (comm[nbr] == target[row])
+    wins[row[blocked]] = False
+    moved = np.flatnonzero(wins)
+    comm[queue[moved]] = target[moved]
+    nxt = np.zeros(level.n, bool)
+    nxt[queue[cand]] = True
+    nxt[queue[moved]] = False
+    e = wins[row]
+    nxt[nbr[e][comm[nbr[e]] != target[row[e]]]] = True
+    return gain[moved], np.flatnonzero(nxt)
 
 
 _THETA = 0.01  # randomness scale for refinement merge selection
 
 
-def _draw(rng, gains: list[float]) -> int:
-    """Index drawn with probability proportional to exp(gain / theta): the
-    arithmetic and the one ``rng.random()`` of ``rng.choice(len(gains), p=p)``."""
-    p = np.exp((np.array(gains) - max(gains)) / _THETA)
-    p /= p.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _draw_in_segments(gains: np.ndarray, starts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each segment of ``gains`` (they begin at ``starts``), an index into
+    it drawn with probability proportional to exp(gain / theta) by the
+    segment's uniform in ``u``: the arithmetic of ``rng.choice(size, p=p)``,
+    row by row over the segments of one size."""
+    sizes = np.diff(starts, append=len(gains))
+    pick = np.empty(len(starts), np.int64)
+    for size in np.unique(sizes).tolist():
+        seg = np.flatnonzero(sizes == size)
+        g = gains[starts[seg, None] + np.arange(size)]
+        p = np.exp((g - g.max(axis=1, keepdims=True)) / _THETA)
+        cdf = (p / p.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        pick[seg] = (cdf <= u[seg, None]).sum(axis=1)
+    return pick
 
 
-def _refine(level: _Level, comm: list[int], use_cpm: bool, gamma: float,
-            two_m: float, rng) -> list[int]:
+def _refine(level: _Level, comm: np.ndarray, use_cpm: bool, gamma: float,
+            two_m: float, rng) -> np.ndarray:
     """Split each community into well-connected pieces for aggregation.
 
-    Starts from singletons inside every community; nodes that are still alone
-    merge into a positively-gaining sub-community of the same community, chosen
-    randomly with probability proportional to exp(gain / theta). Only edges
-    inside a community are considered, so every refined community is internally
-    connected.
+    Starts from singletons. In rounds, each node that is still alone draws a
+    positively-gaining sub-community of its own community to merge into, with
+    probability proportional to exp(gain / theta); a merge is made only if its
+    target is not moving itself in that round. Only edges inside a community
+    are considered, so every refined community is internally connected.
     """
-    n = level.n
-    ptr, ind, wt = level.ptr, level.ind, level.wt
-    attr = (level.sizes if use_cpm else level.strengths).tolist()
+    attr = (level.sizes if use_cpm else level.strengths).astype(np.float64)
     scale = 1.0 if use_cpm else 1.0 / two_m
-    rcomm = list(range(n))
-    ragg = [float(a) for a in attr]
-    rmembers = [1] * n
-    buf = [0.0] * n
-    touched: list[int] = []
-
-    for v in rng.permutation(n).tolist():
-        rv = rcomm[v]
-        if rmembers[rv] != 1:
-            continue
-        cv = comm[v]
-        av = attr[v]
-        ga = gamma * av
-        lo, hi = ptr[v], ptr[v + 1]
-        for u, w in zip(ind[lo:hi], wt[lo:hi]):
-            if comm[u] == cv:
-                r = rcomm[u]
-                if r != rv:
-                    b = buf[r]
-                    if not b:
-                        touched.append(r)
-                    buf[r] = b + w
-        cands: list[int] = []
-        gains: list[float] = []
-        for r in touched:
-            score = buf[r] - ga * ragg[r] * scale
-            buf[r] = 0.0
-            if score > _EPS:
-                cands.append(r)
-                gains.append(score)
-        touched.clear()
-        if not cands:
-            continue
-        target = cands[0] if len(cands) == 1 else cands[_draw(rng, gains)]
-        rmembers[rv] -= 1
-        rcomm[v] = target
-        ragg[target] += av
-        rmembers[target] += 1
+    rcomm = np.arange(level.n)
+    queue = rcomm.copy()
+    while len(queue):
+        queue = _merge_round(level, comm, rcomm, queue, attr, gamma, scale, rng)
     return rcomm
 
 
-def _aggregate(level: _Level, comm: list[int], rcomm: list[int]):
+def _merge_round(level, comm, rcomm, queue, attr, gamma, scale, rng):
+    """One refinement round over the singletons ``queue`` (ascending); returns
+    the singletons that drew a merge but did not make it.
+
+    A refined community always holds the node whose id labels it, and only
+    singletons move, so a singleton's label is its node. A mover merges only
+    if its priority beats that of the mover owning its target and of every
+    mover targeting it: no node merges into a community that is moving away.
+    """
+    ragg = np.bincount(rcomm, weights=attr, minlength=level.n)
+    row, edge = _rows(level.indptr, queue)
+    nbr = level.indices[edge]
+    inside = comm[nbr] == comm[queue][row]
+    row, nbr = row[inside], nbr[inside]
+    r, lab, w = _label_weights(row, rcomm[nbr], level.weights[edge[inside]], len(queue),
+                               level.n)
+    score = w - (gamma * attr[queue])[r] * ragg[lab] * scale
+    keep = score > _EPS
+    r, lab, score = r[keep], lab[keep], score[keep]
+    starts = np.flatnonzero(_firsts(r))
+    mover = queue[r[starts]]
+    target = lab[starts + _draw_in_segments(score, starts, rng.random(len(starts)))]
+    rank = np.full(level.n, len(mover))
+    rank[mover[rng.permutation(len(mover))]] = np.arange(len(mover))
+    targeted = np.full(level.n, len(mover))
+    np.minimum.at(targeted, target, rank[mover])
+    merge = (rank[mover] < rank[target]) & (rank[mover] < targeted[mover])
+    rcomm[mover[merge]] = target[merge]
+    rest = mover[~merge]
+    return rest[np.bincount(rcomm, minlength=level.n)[rest] == 1]
+
+
+def _aggregate(level: _Level, comm: np.ndarray, rcomm: np.ndarray):
     """Collapse refined communities into super-nodes; carry sizes and self weight."""
     uniq, inv = np.unique(rcomm, return_inverse=True)
     r = len(uniq)
@@ -336,9 +388,9 @@ def _aggregate(level: _Level, comm: list[int], rcomm: list[int]):
     sizes = np.bincount(inv, weights=level.sizes, minlength=r).astype(np.int64)
     strengths = np.bincount(inv, weights=level.strengths, minlength=r)
     new_level = _Level(adj.indptr, adj.indices, adj.data, self_w, sizes, strengths)
-    comm_next_arr = np.zeros(r, dtype=np.int64)
-    comm_next_arr[inv] = np.asarray(comm, dtype=np.int64)
-    return new_level, inv, comm_next_arr.tolist()
+    comm_next = np.zeros(r, dtype=np.int64)
+    comm_next[inv] = comm
+    return new_level, inv, comm_next
 
 
 def _split_disconnected(graph: CitationGraph, labels: np.ndarray) -> np.ndarray:
@@ -383,29 +435,24 @@ def leiden(graph: CitationGraph, config: ClusterConfig,
     level = _Level(graph.indptr, graph.indices, graph.weights,
                    np.zeros(n0), np.ones(n0, dtype=np.int64), strengths0)
     membership = np.arange(n0)
-    comm = (list(range(n0)) if seed_partition is None
-            else _node_labels(graph, seed_partition).tolist())
+    comm = np.arange(n0) if seed_partition is None else _node_labels(graph, seed_partition)
 
-    prev_q = partition_quality(graph, np.asarray(comm)[membership],
-                               config.quality, config.resolution)
+    prev_q = partition_quality(graph, comm[membership], config.quality, config.resolution)
     for _ in range(config.max_iterations):
         moved = _local_move(level, comm, use_cpm, gamma, two_m, rng)
-        flat = np.asarray(comm, dtype=np.int64)[membership]
-        q = partition_quality(graph, flat, config.quality, config.resolution)
+        q = partition_quality(graph, comm[membership], config.quality, config.resolution)
         if q < prev_q - 1e-9:
             raise AssertionError(f"quality decreased across iteration: {prev_q} -> {q}")
         prev_q = q
-        n_comm = len(set(comm))
-        if n_comm == level.n:
+        if len(np.unique(comm)) == level.n:
             break  # every node is its own community; aggregation cannot help
         rcomm = _refine(level, comm, use_cpm, gamma, two_m, rng)
-        if len(set(rcomm)) == level.n and moved == 0:
+        if len(np.unique(rcomm)) == level.n and moved == 0:
             break
         level, inv, comm = _aggregate(level, comm, rcomm)
         membership = inv[membership]
 
-    flat = np.asarray(comm, dtype=np.int64)[membership]
-    flat = _split_disconnected(graph, flat)
+    flat = _split_disconnected(graph, comm[membership])
     quality = partition_quality(graph, flat, config.quality, config.resolution)
 
     rc, rc_count = _canonical_ids(graph, flat)
@@ -445,7 +492,7 @@ def tune_resolution(graph: CitationGraph, target_rc_count: int,
     if target_rc_count < 1:
         raise ClusterError("target_rc_count must be >= 1")
     comp = connected_components(graph.indptr, graph.indices, graph.n_nodes)
-    internal_comps = len(set(comp[graph.internal].tolist()))
+    internal_comps = len(np.unique(comp[graph.internal]))
     n_int = graph.n_internal
     if not (internal_comps <= target_rc_count <= n_int):
         raise ClusterError(
@@ -559,8 +606,8 @@ def _row_problem(cells: list[str]) -> str | None:
 def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
     """The paper ids (ascending) and rc ids of the partition rows ``text``,
     which follow the header line; ClusterError naming the first line that is
-    not two int64 integers or that repeats a paper id. Cells are split at
-    whitespace, and each must be an ``INT_TEXT``."""
+    not two int64 integers or that repeats a paper id. A row is two cells
+    separated by one tab, as written, and each cell must be an ``INT_TEXT``."""
     if text and not text.endswith("\n"):
         text += "\n"
     n = text.count("\n")
@@ -571,7 +618,7 @@ def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
         values = np.fromiter(map(int, text.split()), np.int64, 2 * n)
         bad = n
     except (ValueError, OverflowError):
-        rows = list(map(str.split, text.split("\n")[:n]))
+        rows = [line.split("\t") for line in text.split("\n")[:n]]
         bad = next((i for i, cells in enumerate(rows) if _row_problem(cells)), n)
         values = np.array([int(c) for cells in rows[:bad] for c in cells], np.int64)
     values = values.reshape(-1, 2)
@@ -583,6 +630,6 @@ def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
         i = int(repeats.min())
         raise ClusterError(f"partition line {i + 2}: duplicate paper_id {lines[i].split()[0]}")
     if bad < n:
-        raise ClusterError(f"partition line {bad + 2}: {_row_problem(lines[bad].split())}, "
+        raise ClusterError(f"partition line {bad + 2}: {_row_problem(rows[bad])}, "
                            f"got {lines[bad].strip()!r}")
     return paper_ids, values[order, 1]

@@ -5,13 +5,14 @@ recomputed from edge lists with dictionaries, and optima come from exhaustive
 enumeration over all set partitions (Bell(8) = 4140, so n <= 8 stays fast).
 Indicators, growth labels and the lifecycle table are recomputed by loops over
 papers and references; only the result types and the scalar growth rule come
-from the library. The dict-based Leiden cores and the stack-walk connected
-components that the library replaced are kept here as references too, and so
-is the per-query BM25 scorer of the model extension, the row-based
-standardization, forecasts and composite fit that the indicator table replaced,
-the split-then-filter term tokenizer, Leiden's numpy-only random draw, the
-dict-of-records corpus with the loader, graph build, panel and reference
-vote that walked it, the indicator row types with their TSV reader, the
+from the library. The sequential dict-based Leiden cores (node-by-node local
+moving and refinement, the reference for the library's numpy rounds) and the
+stack-walk connected components that the library replaced are kept here as
+references too, and so is the per-query BM25 scorer of the model extension,
+the row-based standardization, forecasts and composite fit that the indicator
+table replaced, the split-then-filter term tokenizer, the refinement's
+exp-weighted draw, the dict-of-records corpus with the loader, graph build,
+panel and reference vote that walked it, the indicator row types with their TSV reader, the
 synthetic generator with one-element numpy draws and a linear year scan, and
 the dict loops over a partition: node labels, a seed's initial communities,
 Leiden's canonical rc ids and the common-paper taxonomy mapping, the
@@ -184,7 +185,8 @@ def small_graph_fixtures(min_count=50, seed=2024):
 #
 # Same signatures as ``rcforecast.cluster._local_move``, ``_refine``,
 # ``_aggregate`` and ``connected_components``, so a test can swap them in. The
-# cores read only the level's CSR arrays and draw with ``Generator.choice``.
+# cores visit one node at a time, read only the level's CSR arrays and draw
+# with ``Generator.choice``; they take and mutate the library's array ``comm``.
 
 
 def local_move(level, comm, use_cpm, gamma, two_m, rng):
@@ -327,7 +329,7 @@ def aggregate(level, comm, rcomm):
     new_level = _Level(indptr, nb, wsum, self_w, sizes, strengths)
     comm_next_arr = np.zeros(r, dtype=np.int64)
     comm_next_arr[inv] = np.asarray(comm, dtype=np.int64)
-    return new_level, inv, comm_next_arr.tolist()
+    return new_level, inv, comm_next_arr
 
 
 def connected_components_bfs(indptr, indices, n):
@@ -1317,7 +1319,8 @@ def plurality_vote(corpus, partition, new_year):
 
 
 def draw(rng, gains):
-    """Leiden's random merge draw with numpy's max and an out-of-place divide."""
+    """The refinement's exp-weighted merge draw over one node's gains, with
+    one ``rng.random()``: the arithmetic of ``rng.choice(len(gains), p=p)``."""
     g = np.array(gains)
     p = np.exp((g - g.max()) / _THETA)
     cdf = (p / p.sum()).cumsum()

@@ -579,7 +579,12 @@ def test_duplicate_partition_row_names_its_line(tmp_path):
     (tmp_path / "p.tsv").write_text("paper_id\trc_id\n1\t0\n2\t0\n1\t3\n")
     with pytest.raises(ClusterError, match="partition line 4: duplicate paper_id 1"):
         load_partition(tmp_path / "p.tsv")
+    # cells are separated by one tab and nothing else
     (tmp_path / "p.tsv").write_text("paper_id\trc_id\n1\t0\r\n 2 0\n-3\t7")
+    with pytest.raises(ClusterError, match="partition line 3: expected paper_id and rc_id, "
+                                           "got '2 0'"):
+        load_partition(tmp_path / "p.tsv")
+    (tmp_path / "p.tsv").write_text("paper_id\trc_id\n1\t0\r\n2\t0\n-3\t7")
     part = load_partition(tmp_path / "p.tsv")
     assert part.assignment == {1: 0, 2: 0, -3: 7}
     assert part.paper_ids.tolist() == [-3, 1, 2] and part.rc.tolist() == [7, 0, 0]
