@@ -2,7 +2,7 @@
 a whole run, and wall time and allocation peak of ``load_corpus``, ``leiden``
 and ``synth.generate`` run side by side in one process.
 
-    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_15.json]
+    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_16.json]
 
 Each ``--variant`` names an ``src`` directory holding an ``rcforecast``
 package (default: this checkout's ``src`` as ``current``); naming two, such
@@ -42,8 +42,8 @@ child's ``ru_maxrss`` starts at the peak of the process that spawned it:
   resolution ``RESOLUTION``, seed 0), each variant on the graph its own
   ``build_graph`` made, with the partition's ``rc_count``, ``quality`` and
   ``nmi`` against the planted communities of ``truth.tsv``;
-* ``generate`` (size ``GENERATE_SIZE`` only): ``GENERATE_REPEATS`` runs of
-  ``synth.generate`` of that size and seed into a scratch directory.
+* ``generate``: ``GENERATE_REPEATS[size]`` runs of ``synth.generate`` of
+  that size and seed into a scratch directory.
 
 The report holds per-repeat values and their medians; each variant's
 in-process runs are its ``inprocess`` entry.
@@ -73,7 +73,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 MODEL_YEAR, THROUGH_YEAR, RESOLUTION, FYS = 2009, 2014, 0.02, [2010, 2011]
 SIZES, SEED, REPEATS, LOAD_REPEATS = (1000, 10000), 101, 5, 10
-LEIDEN_REPEATS, GENERATE_REPEATS, GENERATE_SIZE = 5, 10, 1000
+LEIDEN_REPEATS, GENERATE_REPEATS = 5, {1000: 10, 10000: 4}
 
 
 def _timed(record: dict, name: str, fn):
@@ -232,7 +232,7 @@ def generate_pairs(variants: dict, size: int, scratch: Path) -> dict:
                        scratch / f"{name}_{rep}")
         shutil.rmtree(scratch / f"{name}_{rep}")
 
-    runs = _alternate(variants, GENERATE_REPEATS, run)
+    runs = _alternate(variants, GENERATE_REPEATS[size], run)
     return {name: _timings("generate_s", runs[name], _traced(lambda: run(name, "traced"))[1])
             for name in variants}
 
@@ -240,11 +240,9 @@ def generate_pairs(variants: dict, size: int, scratch: Path) -> dict:
 def inprocess(variants: dict, size: int, inputs: Path, scratch: Path) -> dict:
     """The in-process runs of one size, by kind and variant."""
     modules = {name: _import_variant(name, src) for name, src in variants.items()}
-    runs = {"load": load_pairs(modules, inputs), "leiden": leiden_pairs(modules, inputs)}
-    if size == GENERATE_SIZE:
-        scratch.mkdir()
-        runs["generate"] = generate_pairs(modules, size, scratch)
-    return runs
+    scratch.mkdir()
+    return {"load": load_pairs(modules, inputs), "leiden": leiden_pairs(modules, inputs),
+            "generate": generate_pairs(modules, size, scratch)}
 
 
 def _spawn(src: str, *args) -> dict:
@@ -258,7 +256,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--variant", action="append", default=[],
                         help="NAME=SRC; repeatable (default: current=<checkout>/src)")
-    parser.add_argument("--out", default="BENCH_15.json")
+    parser.add_argument("--out", default="BENCH_16.json")
     parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args()
     variants = dict(v.split("=", 1) for v in args.variant) or {"current": str(ROOT / "src")}

@@ -28,8 +28,9 @@ population. This is not a model of science, it is a test oracle.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +107,10 @@ class SynthConfig:
             raise SynthError("intra_p + inter_p cannot exceed 1")
         if not (0.0 <= self.planted_xg_fraction <= 0.2):
             raise SynthError("planted_xg_fraction must be in [0, 0.2]")
-        if self.top_journal_count >= self.n_journals:
-            raise SynthError("top_journal_count must be below n_journals")
+        if not (1 <= self.top_journal_count < self.n_journals):
+            raise SynthError("top_journal_count must be at least 1 and below n_journals")
+        if self.external_pool_size < 0:
+            raise SynthError("external_pool_size must be at least 0")
 
 
 @dataclass
@@ -256,7 +259,7 @@ def _nearest_year_with_papers(wanted: int, years_with: list[int]) -> int | None:
 
 
 def _sample_intra(k: int, pool: list[int], by_year: list[list[int]],
-                  years_with: list[int], yi: int, p_age: float, rng) -> list[int]:
+                  years_with: list[int], yi: int, p_age: float, draws) -> list[int]:
     """k distinct earlier papers of one community, reference ages geometric.
 
     Small pools fall back to a uniform draw without replacement; the age
@@ -265,21 +268,21 @@ def _sample_intra(k: int, pool: list[int], by_year: list[list[int]],
     if k == 0:
         return []
     if len(pool) <= 3 * k:
-        return [pool[j] for j in rng.permutation(len(pool))[:k].tolist()]
+        return [pool[j] for j in draws.permutation(len(pool))[:k]]
     out: list[int] = []
     seen: set[int] = set()
     guard = 0
     while len(out) < k and guard < 8 * k:
         guard += 1
-        ty = _nearest_year_with_papers(yi - _geometric_age(rng.random(), p_age), years_with)
+        ty = _nearest_year_with_papers(yi - _geometric_age(draws.random(), p_age), years_with)
         group = by_year[ty]
-        cand = group[int(rng.random() * len(group))]
+        cand = group[int(draws.random() * len(group))]
         if cand not in seen:
             seen.add(cand)
             out.append(cand)
     while len(out) < k and guard < 16 * k:
         guard += 1
-        cand = pool[int(rng.random() * len(pool))]
+        cand = pool[int(draws.random() * len(pool))]
         if cand not in seen:
             seen.add(cand)
             out.append(cand)
@@ -287,20 +290,158 @@ def _sample_intra(k: int, pool: list[int], by_year: list[list[int]],
 
 
 def _sample_inter(global_by_year: list[list[int]], yi: int, own: int,
-                  paper_community: dict[int, int], taken: set[int], rng
+                  paper_community: dict[int, int], taken: set[int], draws
                   ) -> int | None:
     """One earlier paper outside the citing community, or None."""
     for _ in range(4):
-        ty = max(0, min(yi - _geometric_age(rng.random(), 0.20), yi - 1))
+        ty = max(0, min(yi - _geometric_age(draws.random(), 0.20), yi - 1))
         cand = None
         for back in range(ty + 1):
             pool = global_by_year[ty - back]
             if pool:
-                cand = pool[int(rng.random() * len(pool))]
+                cand = pool[int(draws.random() * len(pool))]
                 break
         if cand is not None and paper_community[cand] != own and cand not in taken:
             return cand
     return None
+
+
+def _halves(words, has_uint32: int, uinteger: int):
+    """PCG64's 32-bit draws: the buffered half-word, if any, then each word's
+    low half and its high half. Paused between the two halves, this generator
+    holds exactly the half-word that numpy buffers."""
+    if has_uint32:
+        yield uinteger
+    for w in words:
+        yield w & 0xFFFFFFFF
+        yield w >> 32
+
+
+# numpy's random_loggam: Stirling's series for log Γ(x), shifted up to x >= 7
+_LOGGAM = (8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+           -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+           6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+           -1.39243221690590e+00)
+
+
+def _loggam(x: float) -> float:
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = _LOGGAM[9]
+    for a in _LOGGAM[8::-1]:
+        gl0 = gl0 * x2 + a
+    gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * math.log(x0) - x0
+    for _ in range(n):
+        gl -= math.log(x0 - 1.0)
+        x0 -= 1.0
+    return gl
+
+
+class _Draws:
+    """The ``Generator`` calls of ``generate``'s per-paper loop, re-done over
+    the raw words of its PCG64 (O'Neill 2014) by numpy's own rules, without
+    numpy's per-call overhead. A double is a word's top 53 bits; a bounded
+    integer is Lemire's multiply-and-reject (Lemire 2019, ACM TOMACS 29:3)
+    over 32-bit draws, which share PCG64's buffered half-word as numpy's do.
+    Each method returns a list where numpy returns an array, and leaves the
+    words where numpy would leave its bit generator. Bounds are at most 2**32.
+
+    The stream starts at ``bit_generator``'s state but does not advance it.
+    """
+
+    def __init__(self, bit_generator):
+        state = bit_generator.state
+        clone = np.random.PCG64()
+        clone.state = state
+        self.words = chain.from_iterable(iter(lambda: clone.random_raw(1 << 12).tolist(), None))
+        self.word = self.words.__next__
+        self.next32 = _halves(self.words, state["has_uint32"], state["uinteger"]).__next__
+
+    def random(self, size=None):
+        if size is None:
+            return (self.word() >> 11) * 2.0 ** -53
+        return [(w >> 11) * 2.0 ** -53 for w in islice(self.words, size)]
+
+    def below(self, n: int) -> int:
+        """Uniform on [0, n); n == 1 draws nothing."""
+        if n == 1:
+            return 0
+        m = self.next32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self.next32() * n
+        return m >> 32
+
+    def integers(self, low: int, high: int, size: int) -> list[int]:
+        return [low + self.below(high - low) for _ in range(size)]
+
+    def poisson(self, lam: float, size: int) -> list[int]:
+        """The multiplication method below 10, numpy's PTRS from 10 on, and
+        numpy's error above its largest ``lam``."""
+        if lam > 9.223372006484771e18:
+            raise ValueError("lam value too large")
+        if lam >= 10:
+            return [self._ptrs(lam) for _ in range(size)]
+        if lam == 0:
+            return [0] * size
+        limit, words, out = math.exp(-lam), self.words, []
+        for _ in range(size):
+            x, prod = 0, (next(words) >> 11) * 2.0 ** -53
+            while prod > limit:
+                x += 1
+                prod *= (next(words) >> 11) * 2.0 ** -53
+            out.append(x)
+        return out
+
+    def _ptrs(self, lam: float) -> int:
+        """Hörmann's transformed rejection with squeeze, as numpy's
+        random_poisson_ptrs; ``us == 0`` and ``v == 0`` take the branches
+        that C's infinities take."""
+        b = 0.931 + 2.53 * math.sqrt(lam)
+        a = -0.059 + 0.02483 * b
+        invalpha, vr = 1.1239 + 1.1328 / (b - 3.4), 0.9277 - 3.6224 / (b - 2)
+        while True:
+            u = self.random() - 0.5
+            v = self.random()
+            us = 0.5 - abs(u)
+            if us == 0.0:
+                continue
+            k = math.floor((2 * a / us + b) * u + lam + 0.43)
+            if us >= 0.07 and v <= vr:
+                return k
+            if k < 0 or (us < 0.013 and v > us):
+                continue
+            if v == 0.0 or (math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b)
+                            <= -lam + k * math.log(lam) - _loggam(k + 1)):
+                return k
+
+    def choice(self, n: int, size: int) -> list[int]:
+        """``choice(n, size, replace=False)`` for n <= 10,000: Floyd's sample,
+        then a shuffle of it."""
+        below, out = self.below, []
+        for j in range(n - size, n):
+            v = below(j + 1)
+            out.append(j if v in out else v)
+        for i in range(size - 1, 0, -1):
+            j = below(i + 1)
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    def permutation(self, n: int) -> list[int]:
+        """Fisher–Yates from the top, each index drawn by masked rejection
+        (numpy's random_interval)."""
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self.next32() & mask
+            while j > i:
+                j = self.next32() & mask
+            out[i], out[j] = out[j], out[i]
+        return out
 
 
 def _paper_line(pid: int, year: int, doc_type: str, journal: int,
@@ -311,6 +452,24 @@ def _paper_line(pid: int, year: int, doc_type: str, journal: int,
     return (f'{{"paper_id":{pid},"year":{year},"doc_type":"{doc_type}",'
             f'"journal_id":{journal},"references":[{",".join(map(str, refs))}],'
             f'"terms":[{quoted}]}}\n')
+
+
+def _growth_labels(shares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (community, fy index): whether the community has a share yet, and
+    whether its share grows faster than 1.08 a year from its last running peak
+    to fy + 3, each rate taken as ``(target / peak) ** (1 / years)``."""
+    fy_idx = np.arange(shares.shape[1] - 3)
+    top = np.maximum.accumulate(shares[:, :len(fy_idx)], axis=1)
+    pk_idx = np.maximum.accumulate(np.where(shares[:, :len(fy_idx)] == top, fy_idx, 0), axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio, exponent = shares[:, 3:] / top, 1.0 / (fy_idx + 3 - pk_idx)
+        gr = np.power(ratio, exponent)
+    # the array power may differ from the scalar ``**`` in the last bit, so a
+    # rate that close to the threshold takes the scalar rule
+    for c, f in zip(*np.nonzero(np.abs(gr - 1.08) < 1e-12)):
+        gr[c, f] = ratio[c, f] ** exponent[c, f]
+    has_top = top > 0.0
+    return has_top, (gr > 1.08) & has_top
 
 
 def generate(config: SynthConfig, out_dir) -> SynthResult:
@@ -353,6 +512,10 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
     n_refs_mean = max(config.refs_mean - 1.0, 0.0)
     pool_size = config.external_pool_size
     count_rows = counts.tolist()
+    # every draw from here on comes from ``draws``, which starts where ``rng``
+    # stands after the eigenfactor shuffle; ``rng`` is not drawn from again
+    draws = _Draws(rng.bit_generator)
+    random, integers, poisson = draws.random, draws.integers, draws.poisson
 
     next_id = 1
     with open(papers_path, "w") as fh:
@@ -370,13 +533,10 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
 
                 # one block of draws per (community, year), in the stream's order
                 block = zip(
-                    rng.random(k).tolist(), rng.random(k).tolist(),
-                    rng.integers(1, config.top_journal_count + 1, size=k).tolist(),
-                    rng.integers(config.top_journal_count + 1, config.n_journals + 1,
-                                 size=k).tolist(),
-                    rng.random(k).tolist(), (1 + rng.poisson(n_refs_mean, size=k)).tolist(),
-                    rng.random(k).tolist())
-                for u_doc, u_top, j_top, j_rest, u_refs, nr, u_terms in block:
+                    random(k), random(k), integers(1, config.top_journal_count + 1, k),
+                    integers(config.top_journal_count + 1, config.n_journals + 1, k),
+                    random(k), poisson(n_refs_mean, k), random(k))
+                for u_doc, u_top, j_top, j_rest, u_refs, nr_extra, u_terms in block:
                     pid = next_id
                     next_id += 1
                     doc_type = ("article" if u_doc < 0.85
@@ -385,9 +545,10 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
 
                     refs: list[int] = []
                     if u_refs >= config.p_no_refs:
-                        kinds = rng.random(nr)
-                        n_ext = int(np.count_nonzero(kinds < p_ext))
-                        n_intra = int(np.count_nonzero(kinds < p_ext_intra)) - n_ext
+                        nr = 1 + nr_extra
+                        kinds = sorted(random(nr))
+                        n_ext = bisect_left(kinds, p_ext)
+                        n_intra = bisect_left(kinds, p_ext_intra) - n_ext
                         n_inter = nr - n_ext - n_intra
                         if yi == 0:  # nothing to cite yet; route all backward
                             n_ext, n_intra, n_inter = nr, 0, 0
@@ -404,13 +565,13 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
                             n_inter = k_inter
 
                         refs = _sample_intra(k_intra, pool_c, members[c],
-                                             years_with[c], yi, p_age, rng)
+                                             years_with[c], yi, p_age, draws)
                         ref_events["intra"] += len(refs)
                         taken = set(refs)
 
                         for _ in range(n_inter):
                             ref = _sample_inter(global_by_year, yi, c,
-                                                paper_community, taken, rng)
+                                                paper_community, taken, draws)
                             if ref is None:
                                 n_ext += 1
                             else:
@@ -422,16 +583,16 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
                             k_e = min(n_ext, pool_size)
                             base = EXTERNAL_ID_BASE + c * pool_size
                             refs.extend(base + j for j in
-                                        rng.permutation(pool_size)[:k_e].tolist())
+                                        draws.permutation(pool_size)[:k_e])
                             ref_events["external"] += k_e
                         refs.sort()
 
                     if u_terms < config.p_no_terms:
                         terms: list[str] = []
                     else:
-                        own = rng.choice(12, size=4, replace=False).tolist()
+                        own = draws.choice(12, 4)
                         # numpy's ``u ** 2`` is ``u * u``, then times 200
-                        shared = [math.floor(200 * (u * u)) for u in rng.random(3).tolist()]
+                        shared = [math.floor(200 * (u * u)) for u in random(3)]
                         terms = sorted([f"c{c}k{j}" for j in own]
                                        + [f"w{j}" for j in shared])
 
@@ -453,25 +614,13 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
 
     # ground-truth labels from realized shares, peak-to-target arithmetic
     totals = counts.sum(axis=0)
-    xg_truth: dict[tuple[int, int], int] = {}
-    xg_per_fy: dict[int, int] = {}
     with np.errstate(invalid="ignore", divide="ignore"):
         shares = np.where(totals > 0, counts / np.maximum(totals, 1), 0.0)
-    for spec in specs:
-        row = shares[spec.cid]
-        for fy_idx in range(0, n_years - 3):
-            upto = row[:fy_idx + 1]
-            top = upto.max()
-            if top <= 0.0:
-                continue
-            pk_idx = int(np.flatnonzero(upto == top)[-1])
-            ty_idx = fy_idx + 3
-            gr = (row[ty_idx] / top) ** (1.0 / (ty_idx - pk_idx))
-            label = 1 if gr > 1.08 else 0
-            fy = y0 + fy_idx
-            xg_truth[(spec.cid, fy)] = label
-            if label:
-                xg_per_fy[fy] = xg_per_fy.get(fy, 0) + 1
+    has_top, labels = _growth_labels(shares)
+    cids, fys = np.nonzero(has_top)
+    xg_truth: dict[tuple[int, int], int] = dict(zip(
+        zip(cids.tolist(), (fys + y0).tolist()), labels[has_top].astype(int).tolist()))
+    xg_per_fy = {y0 + f: n for f, n in enumerate(labels.sum(axis=0).tolist()) if n}
 
     # the "+xg" suffix marks communities carrying a planted growth episode
     community_class = {spec.cid: spec.lifecycle + ("+xg" if spec.planted else "")

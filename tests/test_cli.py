@@ -228,6 +228,8 @@ def test_synth_cli(tmp_path, capsys):
 
 @pytest.mark.parametrize("config,problem", [
     ({"n_communities": 5}, "at least 10 communities"),
+    ({"top_journal_count": 0}, "top_journal_count must be at least 1"),
+    ({"external_pool_size": -1}, "external_pool_size must be at least 0"),
     ({"bogus": 1}, "unknown config keys: bogus"),
     ([1], "JSON object"),
     ({"n_communities": "50"}, "n_communities must be an int"),

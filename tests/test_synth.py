@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from rcforecast.synth import (
     _AGE_P,
     SynthConfig,
     SynthError,
+    _Draws,
     _geometric_age,
+    _growth_labels,
+    _loggam,
     _nearest_year_with_papers,
     generate,
     load_truth,
@@ -228,3 +232,185 @@ def test_generate_matches_per_draw_oracle(tmp_path, overrides):
     assert got.community_class == want.community_class
     assert got.xg_truth == want.xg_truth
     assert got.summary == want.summary
+
+
+# --- the raw-word stream against numpy's Generator ---------------------------
+
+# PCG64's half-word buffer: empty, or holding a 32-bit value
+_BUFFER = st.one_of(st.just((0, 0)), st.tuples(st.just(1), st.integers(0, 2 ** 32 - 1)))
+_SEED = st.integers(0, 2 ** 32 - 1)
+
+
+def _twins(seed, buffer):
+    """A Generator whose PCG64 holds ``buffer``, and a stream started there."""
+    rng = np.random.default_rng(seed)
+    has_uint32, uinteger = buffer
+    rng.bit_generator.state = rng.bit_generator.state | {
+        "has_uint32": has_uint32, "uinteger": uinteger}
+    return rng, _Draws(rng.bit_generator)
+
+
+def _same_draws_follow(rng, draws):
+    """Both sides continue alike through 32-bit draws, doubles, and 32-bit
+    draws again, so each left the words and the buffer alike."""
+    assert draws.integers(0, 1000, 3) == rng.integers(0, 1000, size=3).tolist()
+    assert draws.random(3) == rng.random(3).tolist()
+    assert draws.permutation(6) == rng.permutation(6).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_SEED, buffer=_BUFFER, size=st.one_of(st.none(), st.integers(0, 40)))
+def test_stream_random_matches_numpy(seed, buffer, size):
+    rng, draws = _twins(seed, buffer)
+    want = rng.random() if size is None else rng.random(size).tolist()
+    assert draws.random(size) == want
+    _same_draws_follow(rng, draws)
+
+
+# widths from the one-value range (no draw) to 2**32; 3 * 2**30 rejects about
+# a quarter of its 32-bit draws, the workload's widths almost never
+_WIDTH = st.one_of(st.sampled_from([1, 2, 3, 12, 20, 60, 3 * 2 ** 30, 2 ** 31 + 1, 2 ** 32]),
+                   st.integers(1, 2 ** 32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_SEED, buffer=_BUFFER, before=st.integers(0, 5), low=st.integers(-1000, 1000),
+       width=_WIDTH, size=st.integers(1, 30))
+def test_stream_integers_matches_numpy(seed, buffer, before, low, width, size):
+    """``before`` 32-bit draws first: after an odd number of them, the fill
+    starts on the buffered half-word."""
+    rng, draws = _twins(seed, buffer)
+    assert draws.integers(0, 7, before) == rng.integers(0, 7, size=before).tolist()
+    assert draws.integers(low, low + width, size) == \
+        rng.integers(low, low + width, size=size).tolist()
+    _same_draws_follow(rng, draws)
+
+
+def test_stream_integers_rejection_branch_matches_numpy():
+    rng, draws = _twins(5, (1, 123))
+    calls = 0
+    next32 = draws.next32
+
+    def counted():
+        nonlocal calls
+        calls += 1
+        return next32()
+
+    draws.next32 = counted
+    assert draws.integers(0, 3 * 2 ** 30, 2000) == \
+        rng.integers(0, 3 * 2 ** 30, size=2000).tolist()
+    assert calls > 2300   # about a quarter of the draws were rejected
+    _same_draws_follow(rng, draws)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_SEED, buffer=_BUFFER,
+       lam=st.one_of(st.sampled_from([0.0, 1e-9, 5.0, 9.999999, 10.0, 12.5, 1e6]),
+                     st.floats(0.0, 60.0)),
+       size=st.integers(1, 20))
+def test_stream_poisson_matches_numpy(seed, buffer, lam, size):
+    """The multiplication method below 10 and PTRS from 10 on."""
+    rng, draws = _twins(seed, buffer)
+    assert draws.poisson(lam, size) == rng.poisson(lam, size=size).tolist()
+    _same_draws_follow(rng, draws)
+
+
+def test_stream_poisson_rejects_the_lam_numpy_rejects():
+    top = 9.223372006484771e18
+    with pytest.raises(ValueError, match="lam value too large"):
+        np.random.default_rng(0).poisson(np.nextafter(top, np.inf), size=1)
+    with pytest.raises(ValueError, match="lam value too large"):
+        _Draws(np.random.default_rng(0).bit_generator).poisson(np.nextafter(top, np.inf), 1)
+
+
+def test_stream_ptrs_takes_c_branches_at_zero():
+    """A uniform of 0 makes ``us`` or ``v`` zero, where C divides by zero or
+    takes log(0): the first pair goes on to the next pair, the second accepts
+    its k (``us`` = 1/16 is below the squeeze's 0.07)."""
+    want = _Draws(np.random.default_rng(9).bit_generator).poisson(40.0, 1)
+    draws = _Draws(np.random.default_rng(9).bit_generator)
+    draws.word = chain([0, 1 << 63], draws.words).__next__   # u = -1/2, us = 0
+    assert draws.poisson(40.0, 1) == want
+    draws.word = iter([1 << 60, 0]).__next__                # u = 1/16 - 1/2, v = 0
+    assert draws.poisson(40.0, 1) == [27]
+
+
+def test_loggam_is_log_gamma():
+    """The Stirling series PTRS uses in its last test, to a few ulp of
+    ``math.lgamma``: an error this small rarely flips a Poisson draw, so the
+    numpy comparison above cannot see it."""
+    for x in [float(k) for k in range(1, 2000)] + [k / 8 for k in range(1, 100)]:
+        assert _loggam(x) == pytest.approx(math.lgamma(x), rel=4e-15, abs=4e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_SEED, buffer=_BUFFER, n=st.integers(1, 40), data=st.data())
+def test_stream_choice_matches_numpy(seed, buffer, n, data):
+    size = data.draw(st.integers(0, n))
+    rng, draws = _twins(seed, buffer)
+    assert draws.choice(n, size) == rng.choice(n, size=size, replace=False).tolist()
+    _same_draws_follow(rng, draws)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=_SEED, buffer=_BUFFER,
+       n=st.one_of(st.sampled_from([0, 1, 2, 5, 12, 33, 129, 1025]), st.integers(0, 300)))
+def test_stream_permutation_matches_numpy(seed, buffer, n):
+    """Non-power-of-two sizes send most indices through the masked
+    rejection loop."""
+    rng, draws = _twins(seed, buffer)
+    assert draws.permutation(n) == rng.permutation(n).tolist()
+    _same_draws_follow(rng, draws)
+
+
+# --- truth labels against the scalar rule ------------------------------------
+
+def _scalar_labels(shares):
+    """The per-row peak-to-target loop, one scalar ``**`` per label."""
+    has_top = np.zeros((len(shares), shares.shape[1] - 3), dtype=bool)
+    labels = np.zeros_like(has_top)
+    for c, row in enumerate(shares):
+        for f in range(shares.shape[1] - 3):
+            top = row[:f + 1].max()
+            if top <= 0.0:
+                continue
+            pk = int(np.flatnonzero(row[:f + 1] == top)[-1])
+            has_top[c, f] = True
+            labels[c, f] = (row[f + 3] / top) ** (1.0 / (f + 3 - pk)) > 1.08
+    return has_top, labels
+
+
+def _threshold_rows():
+    """Rows whose one rate, over 3..12 years, lies within a few hundred ulp
+    of 1.08. Where numpy's array power has its own routine (AVX-512 on x86),
+    it puts some of these rates on the other side of 1.08 from the scalar
+    ``**``."""
+    rows = []
+    for years in range(3, 13):
+        target = np.float64(1.08) ** np.float64(years)
+        for step in range(-400, 401):
+            row = np.zeros(15)
+            row[0], row[years] = 1.0, target + step * np.spacing(target)
+            rows.append(row)
+    return np.array(rows)
+
+
+def test_growth_labels_take_the_scalar_rule_at_the_threshold():
+    shares = _threshold_rows()
+    has_top, labels = _growth_labels(shares)
+    want_top, want = _scalar_labels(shares)
+    assert np.array_equal(has_top, want_top)
+    assert np.array_equal(labels, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.lists(st.integers(0, 6), min_size=12, max_size=12),
+                       min_size=1, max_size=8))
+def test_growth_labels_match_scalar_rule(counts):
+    counts = np.array(counts, dtype=np.int64)
+    totals = counts.sum(axis=0)
+    shares = np.where(totals > 0, counts / np.maximum(totals, 1), 0.0)
+    has_top, labels = _growth_labels(shares)
+    want_top, want = _scalar_labels(shares)
+    assert np.array_equal(has_top, want_top)
+    assert np.array_equal(labels, want)
