@@ -228,8 +228,6 @@ def test_synth_cli(tmp_path, capsys):
 
 @pytest.mark.parametrize("config,problem", [
     ({"n_communities": 5}, "at least 10 communities"),
-    ({"top_journal_count": 0}, "top_journal_count must be at least 1"),
-    ({"external_pool_size": -1}, "external_pool_size must be at least 0"),
     ({"bogus": 1}, "unknown config keys: bogus"),
     ([1], "JSON object"),
     ({"n_communities": "50"}, "n_communities must be an int"),
@@ -249,6 +247,10 @@ def test_synth_cli(tmp_path, capsys):
                  id="signal-inf"),
     pytest.param({"signal_strengths": {"ntopj": BIG}}, "signal_strengths must be an object",
                  id="signal-400-digit"),
+    pytest.param({"top_journal_count": 0}, "top_journal_count must be at least 1",
+                 id="no-top-journals"),
+    pytest.param({"external_pool_size": -1}, "external_pool_size must be at least 0",
+                 id="negative-external-pool"),
 ])
 def test_synth_bad_config_exits_2(tmp_path, capsys, config, problem):
     cfg = tmp_path / "synth.json"
