@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -59,20 +59,6 @@ def _load_panel(args) -> Panel:
     return Panel(load_corpus(args.corpus, args.journals), partition, window=args.window)
 
 
-#: argument -> manifest label of each input file an argument may name
-_INPUT_ARGS = {"corpus": "papers", "journals": "journals", "composite": "composite",
-               "taxonomy": "taxonomy", "config": "config"}
-
-
-def _write_manifest(path, command: str, args, seeds: dict | None = None) -> None:
-    """Manifest of one artifact, with the digest of every input file the
-    arguments name; a ``--model`` directory names its two partition files."""
-    inputs = {label: getattr(args, name, None) for name, label in _INPUT_ARGS.items()}
-    if getattr(args, "model", None) is not None:
-        inputs["partition.tsv"], inputs["partition.json"] = _model_files(args.model)
-    write_manifest(path, command, vars(args), inputs, seeds)
-
-
 def integer(text: str) -> int:
     """An integer flag's value, by the rule of integer cells (``INT_TEXT``)."""
     if not INT_TEXT.fullmatch(text):
@@ -113,8 +99,8 @@ def cmd_model_build(args) -> int:
     save_partition(partition, out / "partition.tsv", out / "partition.json")
     if args.dump_graph:
         graph.dump_edgelist(out / "graph.tsv")
-    _write_manifest(out / "partition.manifest.json", "model build", args,
-                    {"cluster": args.seed})
+    write_manifest(out / "partition.manifest.json", "model build", vars(args),
+                   seeds={"cluster": args.seed})
     print(json.dumps({"rc_count": partition.rc_count, "quality": partition.quality,
                       "model_year": partition.model_year}, sort_keys=True))
     return 0
@@ -130,18 +116,17 @@ def cmd_model_extend(args) -> int:
     partition = load_partition(tsv, meta)
     config = None
     if args.seeded:
-        base = partition.config_used or {}
-        config = ClusterConfig(
-            quality=args.quality or base.get("quality", "cpm"),
-            resolution=base.get("resolution", 1.0) if args.resolution is None else args.resolution,
-            rng_seed=args.seed if args.seed is not None else base.get("rng_seed", 0),
-            max_iterations=base.get("max_iterations", 10),
-        )
+        # the saved config's fields, each overridden by its flag where given
+        saved = {f.name: partition.config_used[f.name] for f in fields(ClusterConfig)
+                 if f.name in partition.config_used}
+        flags = {"quality": args.quality, "resolution": args.resolution, "rng_seed": args.seed}
+        config = ClusterConfig(**(saved | {k: v for k, v in flags.items() if v is not None}))
     partition, reports = extend_model(corpus, partition, args.through_year,
                                       seeded=args.seeded, cluster_config=config)
     # the manifest digests the partition that was read, before it is overwritten
     stem = Path(args.model) / f"extension_{args.through_year}"
-    _write_manifest(f"{stem}.manifest.json", "model extend", args, {"cluster": args.seed})
+    write_manifest(f"{stem}.manifest.json", "model extend", vars(args),
+                   seeds={"cluster": args.seed})
     save_partition(partition, tsv, meta)
     write_json(f"{stem}.json", list(map(asdict, reports)))
     print(json.dumps({"extended_through": partition.extended_through,
@@ -154,7 +139,7 @@ def cmd_model_extend(args) -> int:
 def cmd_indicators(args) -> int:
     table = indicator_table(_load_panel(args), args.fy)
     write_indicator_tsv(args.out, table)
-    _write_manifest(str(args.out) + ".manifest.json", "indicators", args)
+    write_manifest(str(args.out) + ".manifest.json", "indicators", vars(args))
     print(json.dumps({"rows": len(table), "fy": args.fy}, sort_keys=True))
     return 0
 
@@ -168,7 +153,7 @@ def cmd_fit(args) -> int:
     model = fit_composite(panel, tables, min_papers=args.min_papers,
                           z_threshold=args.z_threshold)
     model.to_json(args.out)
-    _write_manifest(str(args.out) + ".manifest.json", "fit", args)
+    write_manifest(str(args.out) + ".manifest.json", "fit", vars(args))
     print(json.dumps({"variables": list(model.variables),
                       "pseudo_r2": model.meta.get("pseudo_r2")}, sort_keys=True))
     return 0
@@ -182,7 +167,7 @@ def cmd_forecast(args) -> int:
                             min_papers=args.min_papers, top_n=args.top,
                             oracle=args.oracle_n)
     write_forecast_tsv(args.out, records)
-    _write_manifest(str(args.out) + ".manifest.json", "forecast", args)
+    write_manifest(str(args.out) + ".manifest.json", "forecast", vars(args))
     print(json.dumps({"records": len(records),
                       "selected": sum(r.predicted for r in records)}, sort_keys=True))
     return 0
@@ -212,7 +197,7 @@ def cmd_evaluate(args) -> int:
     write_evaluation(reports, args.out_json, args.out_tsv)
     out = args.out_json or args.out_tsv
     if out:
-        _write_manifest(str(out) + ".manifest.json", "evaluate", args)
+        write_manifest(str(out) + ".manifest.json", "evaluate", vars(args))
     overall = next(r for r in reports if r.slice == "overall")
     print(json.dumps({"slices": len(reports), "overall_csi": overall.csi,
                       "meets_csi_threshold": overall.meets_csi_threshold},
@@ -223,7 +208,7 @@ def cmd_evaluate(args) -> int:
 def cmd_lifecycle(args) -> int:
     rows = lifecycle_report(_load_panel(args), args.fy, min_papers=args.min_papers)
     write_lifecycle_tsv(args.out, rows)
-    _write_manifest(str(args.out) + ".manifest.json", "lifecycle", args)
+    write_manifest(str(args.out) + ".manifest.json", "lifecycle", vars(args))
     print(json.dumps({"rows": len(rows), "fy": args.fy}, sort_keys=True))
     return 0
 
@@ -233,8 +218,8 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         config.rng_seed = args.seed
     result = generate(config, args.out)
-    _write_manifest(Path(args.out) / "synth.manifest.json", "synth", args,
-                    {"synth": config.rng_seed})
+    write_manifest(Path(args.out) / "synth.manifest.json", "synth", vars(args),
+                   seeds={"synth": config.rng_seed})
     print(json.dumps({"papers": result.n_papers,
                       "communities": result.n_communities,
                       "planted": result.summary["n_planted"]}, sort_keys=True))
@@ -244,7 +229,7 @@ def cmd_synth(args) -> int:
 def cmd_pipeline(args) -> int:
     config = load_config(PipelineConfig, args.config)
     summary = run_pipeline(config)
-    _write_manifest(Path(config.out_dir) / "pipeline.manifest.json", "pipeline", args)
+    write_manifest(Path(config.out_dir) / "pipeline.manifest.json", "pipeline", vars(args))
     print(json.dumps(summary, sort_keys=True))
     return 0
 

@@ -500,55 +500,27 @@ def tune_resolution(graph: CitationGraph, target_rc_count: int,
             f"[{internal_comps}, {n_int}]"
         )
 
-    probes = 0
     best_res, best_err = None, math.inf
-
-    def count_at(res: float) -> int:
-        nonlocal probes, best_res, best_err
-        probes += 1
-        part = leiden(graph, replace(config, resolution=res))
-        err = abs(math.log(max(part.rc_count, 1) / target_rc_count))
+    # lo yields too few communities, hi too many; while one side is open the
+    # next probe steps from the other by a factor of 8, then it bisects
+    lo, hi, probe = 0.0, math.inf, config.resolution
+    for _ in range(TUNE_MAX_PROBES):
+        c = leiden(graph, replace(config, resolution=probe)).rc_count
+        err = abs(math.log(max(c, 1) / target_rc_count))
         if err < best_err:
-            best_res, best_err = res, err
-        return part.rc_count
-
-    def within(c: int) -> bool:
-        return abs(c - target_rc_count) <= TUNE_TOLERANCE * target_rc_count
-
-    res = config.resolution
-    c = count_at(res)
-    if within(c):
-        return res
-    # bracket the target: lo yields too few communities, hi too many
-    if c < target_rc_count:
-        lo, hi = res, res
-        while probes < TUNE_MAX_PROBES:
-            hi *= 8.0
-            c_hi = count_at(hi)
-            if within(c_hi):
-                return hi
-            if c_hi >= target_rc_count:
-                break
-            lo = hi
-    else:
-        lo, hi = res, res
-        while probes < TUNE_MAX_PROBES:
-            lo /= 8.0
-            c_lo = count_at(lo)
-            if within(c_lo):
-                return lo
-            if c_lo <= target_rc_count:
-                break
-            hi = lo
-    while probes < TUNE_MAX_PROBES:
-        mid = math.sqrt(lo * hi)
-        c_mid = count_at(mid)
-        if within(c_mid):
-            return mid
-        if c_mid < target_rc_count:
-            lo = mid
+            best_res, best_err = probe, err
+        if abs(c - target_rc_count) <= TUNE_TOLERANCE * target_rc_count:
+            return probe
+        if c < target_rc_count:
+            lo = probe
         else:
-            hi = mid
+            hi = probe
+        if hi == math.inf:
+            probe = lo * 8.0
+        elif lo == 0.0:
+            probe = hi / 8.0
+        else:
+            probe = math.sqrt(lo * hi)
     return best_res
 
 

@@ -83,6 +83,15 @@ class ForecastRecord:
     growth_rate: float | None = None
 
 
+def growth_outcomes(ratios, years) -> tuple[list[float], list[int]]:
+    """Per element, the annualized share growth ``ratio ** (1 / years)`` by
+    Python's ``**`` (numpy's division rounds as Python's does, its array power
+    not) and its label."""
+    exponents = (1.0 / np.asarray(years)).tolist()
+    rates = [r ** e for r, e in zip(np.asarray(ratios, dtype=float).tolist(), exponents)]
+    return rates, [label_exceptional(gr) for gr in rates]
+
+
 def growth_rate(shares: dict[int, float], pk: int, ty: int) -> float:
     """Annualized share growth from the peak year to the target year:
     (S_ty / S_pk) ** (1 / (ty - pk))."""
@@ -93,8 +102,7 @@ def growth_rate(shares: dict[int, float], pk: int, ty: int) -> float:
         raise ValueError(f"peak-year share is zero or missing for year {pk}")
     if ty not in shares:
         raise ValueError(f"no share for target year {ty}")
-    s_ty = shares[ty]
-    return float((s_ty / s_pk) ** (1.0 / (ty - pk)))
+    return growth_outcomes([shares[ty] / s_pk], [ty - pk])[0][0]
 
 
 def label_exceptional(gr: float) -> int:
@@ -110,12 +118,10 @@ def growth_labels(panel: Panel, rows: np.ndarray, pk: np.ndarray,
     ``rows``, and their labels, by the scalar rule on the panel's shares."""
     if len(rows) == 0:    # ty may then lie before the corpus span
         return [], []
-    s_pk = panel.shares[rows, pk - panel.first_year].tolist()
-    s_ty = panel.shares[rows, ty - panel.first_year].tolist()
-    observed = panel.totals[ty - panel.first_year] > 0   # an empty year has no share
-    rates = [growth_rate({p: a, ty: b} if observed else {p: a}, p, ty)
-             for p, a, b in zip(pk.tolist(), s_pk, s_ty)]
-    return rates, [label_exceptional(gr) for gr in rates]
+    if panel.totals[ty - panel.first_year] == 0:   # an empty year has no share
+        raise ValueError(f"no share for target year {ty}")
+    return growth_outcomes(panel.shares[rows, ty - panel.first_year]
+                           / panel.shares[rows, pk - panel.first_year], ty - pk)
 
 
 def last_observed_year(panel: Panel) -> int:

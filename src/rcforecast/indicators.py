@@ -31,18 +31,18 @@ INDICATOR_NAMES = ("stage", "cvit", "rvit", "delta_rvit",
 TOP_RANK = 250
 DEFAULT_WINDOW = 10
 
-#: transform applied before yearly standardization, keyed by indicator
+#: transform applied before yearly standardization (None: none), keyed by indicator
 _TRANSFORMS = {
-    "stage": "identity",
-    "cvit": "log",
-    "rvit": "fourth_root",
-    "delta_rvit": "identity",
-    "ntopj": "log1p",
-    "ctopj": "log1p",
-    "eigen": "log1p",
-    "nart": "log1p",
-    "nrev": "log1p",
-    "nref": "log1p",
+    "stage": None,
+    "cvit": np.log,
+    "rvit": lambda values: values ** 0.25,
+    "delta_rvit": None,
+    "ntopj": np.log1p,
+    "ctopj": np.log1p,
+    "eigen": np.log1p,
+    "nart": np.log1p,
+    "nrev": np.log1p,
+    "nref": np.log1p,
 }
 
 
@@ -153,7 +153,7 @@ class Panel:
             return np.zeros(0, dtype=np.int64)
         if shares.shape[1] == 0 or np.any(shares.max(axis=1) <= 0.0):
             raise ValueError(f"RC has no papers through {fy}")
-        return self.first_year + shares.shape[1] - 1 - np.argmax(shares[:, ::-1], axis=1)
+        return self.first_year + last_peaks(shares)
 
     def _delta_rvit(self, fy: int, rvit: np.ndarray) -> np.ndarray:
         """Z-score of rvit against each RC's own defined history in
@@ -195,6 +195,11 @@ class Panel:
         return columns
 
 
+def last_peaks(shares: np.ndarray) -> np.ndarray:
+    """Per row of ``shares``, the last column at which the row reaches its maximum."""
+    return shares.shape[1] - 1 - np.argmax(shares[:, ::-1], axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class IndicatorTable:
     """One forecast year's indicators as columns, one entry per RC, by rc_id.
@@ -219,16 +224,8 @@ def _top_journals(corpus: Corpus, which: str) -> np.ndarray:
 
 
 def _transform(name: str, values: np.ndarray) -> np.ndarray:
-    kind = _TRANSFORMS[name]
-    if kind == "identity":
-        return values
-    if kind == "log":
-        return np.log(values)
-    if kind == "log1p":
-        return np.log1p(values)
-    if kind == "fourth_root":
-        return values ** 0.25
-    raise ValueError(kind)
+    transform = _TRANSFORMS[name]
+    return values if transform is None else transform(values)
 
 
 def standardize(raw: dict[str, np.ndarray], fy: int) -> dict[str, np.ndarray]:

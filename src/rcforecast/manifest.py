@@ -46,17 +46,25 @@ def _plain(value):
     return None  # non-serializable (e.g. callbacks) are dropped from the audit
 
 
-def write_manifest(path, command: str, arguments: dict, inputs: dict | None = None,
-                   seeds: dict | None = None) -> None:
-    """``inputs`` maps a label to a file path (an ``InputFile`` or any other);
-    a path that does not exist is left out."""
+#: argument -> manifest label of each input file an argument may name; a
+#: ``model`` directory names its two partition files
+_INPUT_ARGS = {"papers": "papers", "corpus": "papers", "journals": "journals",
+               "composite": "composite", "taxonomy": "taxonomy", "config": "config"}
+
+
+def write_manifest(path, command: str, arguments: dict, seeds: dict | None = None) -> None:
+    """Record ``arguments`` and the digest of each existing input file they name."""
+    inputs = {label: arguments[name] for name, label in _INPUT_ARGS.items()
+              if arguments.get(name) is not None}
+    if arguments.get("model") is not None:
+        inputs.update((name, Path(arguments["model"]) / name)
+                      for name in ("partition.tsv", "partition.json"))
     write_json(path, {
         "command": command,
         "arguments": {k: _plain(v) for k, v in sorted(arguments.items())
                       if k != "func"},
         "inputs": {name: p.digest if isinstance(p, InputFile) else file_digest(p)
-                   for name, p in sorted((inputs or {}).items())
-                   if p is not None and Path(p).exists()},
+                   for name, p in sorted(inputs.items()) if Path(p).exists()},
         "rng_seeds": seeds or {},
         "tool_version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),

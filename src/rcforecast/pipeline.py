@@ -9,6 +9,7 @@ step is deterministic for fixed seeds.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -155,10 +156,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # each input is hashed once, for the first manifest that names it
-    inputs = {label: InputFile(path) for label, path in (("papers", cfg.papers),
-                                                         ("journals", cfg.journals))
-              if path is not None}
-    seeds = {"cluster": cfg.seed}
+    arguments = dict(vars(cfg), papers=InputFile(cfg.papers),
+                     journals=None if cfg.journals is None else InputFile(cfg.journals))
+    manifest = partial(write_manifest, arguments=arguments, seeds={"cluster": cfg.seed})
 
     corpus = load_corpus(cfg.papers, cfg.journals)
 
@@ -174,8 +174,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                                       extended_graph=cfg.extended_graph)
     save_partition(partition, out / "partition.tsv", out / "partition.json")
     write_json(out / "extension.json", list(map(asdict, reports)))
-    write_manifest(out / "partition.manifest.json", "pipeline:model", vars(cfg).copy(),
-                   inputs, seeds)
+    manifest(out / "partition.manifest.json", "pipeline:model")
 
     panel = Panel(corpus, partition, window=cfg.window)
     tables = {fy: indicator_table(panel, fy)
@@ -186,8 +185,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     else:
         model = CompositeModel.default()
     model.to_json(out / "composite.json")
-    write_manifest(out / "composite.manifest.json", "pipeline:fit", vars(cfg).copy(),
-                   inputs, seeds)
+    manifest(out / "composite.manifest.json", "pipeline:fit")
 
     all_records: list[ForecastRecord] = []
     for fy in sorted(cfg.forecast_fys):
@@ -195,8 +193,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         records = forecast_year(panel, tables[fy], model, min_papers=cfg.min_papers,
                                 top_n=cfg.top_n, oracle=cfg.oracle_n)
         write_forecast_tsv(out / f"forecast_{fy}.tsv", records)
-        write_manifest(out / f"forecast_{fy}.manifest.json", "pipeline:forecast",
-                       vars(cfg).copy(), inputs, seeds)
+        manifest(out / f"forecast_{fy}.manifest.json", "pipeline:forecast")
         all_records.extend(records)
         if cfg.lifecycle:
             write_lifecycle_tsv(out / f"lifecycle_{fy}.tsv",
@@ -215,8 +212,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         slice_reports = evaluate_slices(scored, min_papers=cfg.min_papers,
                                         mode="reselect", by=("fy", "ry", "actionable"))
         write_evaluation(slice_reports, out / "evaluation.json", out / "evaluation.tsv")
-        write_manifest(out / "evaluation.manifest.json", "pipeline:evaluate",
-                       vars(cfg).copy(), inputs, seeds)
+        manifest(out / "evaluation.manifest.json", "pipeline:evaluate")
         overall = next(r for r in slice_reports if r.slice == "overall")
         summary["overall_csi"] = overall.csi
         summary["meets_csi_threshold"] = overall.meets_csi_threshold

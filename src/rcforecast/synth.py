@@ -5,9 +5,9 @@ trajectory (emerging, growing, mature, declining, with optional dip-and-recover
 segments). A configured fraction of communities receives a growth episode: a
 multi-year rise in publication share steep enough to register as exceptional
 growth for the forecast years the rise covers. Ground-truth exceptional-growth
-labels are computed from the realized publication shares with the same
-peak-to-target arithmetic the pipeline uses, so the generator's bookkeeping is
-an oracle for every downstream stage.
+labels are the pipeline's own outcome rule applied to the realized
+publication shares, so the generator's bookkeeping is an oracle for every
+downstream stage.
 
 Signals are planted structurally, not painted onto indicator values:
 
@@ -36,6 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import check_types
+from .forecast import HORIZON, growth_outcomes
+from .indicators import last_peaks
 
 EXTERNAL_ID_BASE = 10 ** 8
 
@@ -166,7 +168,7 @@ def _community_specs(config: SynthConfig, rng) -> list[CommunitySpec]:
     # growth episodes: a rise of R years at rate g registers as exceptional
     # growth for about R forecast years (one pre-rise, the rise itself, one
     # post-peak); sized so the mean per-fy rate hits the configured fraction
-    coverable = (y1 - 3) - (y0 + 2) + 1
+    coverable = (y1 - HORIZON) - (y0 + 2) + 1
     mean_cover = 3.2  # empirical per-episode label coverage, edge taper included
     n_xg = round(config.planted_xg_fraction * n * coverable / mean_cover)
     candidates = np.array(sorted(set(range(n)) - large_ids))
@@ -456,20 +458,15 @@ def _paper_line(pid: int, year: int, doc_type: str, journal: int,
 
 def _growth_labels(shares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per (community, fy index): whether the community has a share yet, and
-    whether its share grows faster than 1.08 a year from its last running peak
-    to fy + 3, each rate taken as ``(target / peak) ** (1 / years)``."""
-    fy_idx = np.arange(shares.shape[1] - 3)
-    top = np.maximum.accumulate(shares[:, :len(fy_idx)], axis=1)
-    pk_idx = np.maximum.accumulate(np.where(shares[:, :len(fy_idx)] == top, fy_idx, 0), axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio, exponent = shares[:, 3:] / top, 1.0 / (fy_idx + 3 - pk_idx)
-        gr = np.power(ratio, exponent)
-    # the array power may differ from the scalar ``**`` in the last bit, so a
-    # rate that close to the threshold takes the scalar rule
-    for c, f in zip(*np.nonzero(np.abs(gr - 1.08) < 1e-12)):
-        gr[c, f] = ratio[c, f] ** exponent[c, f]
-    has_top = top > 0.0
-    return has_top, (gr > 1.08) & has_top
+    its exceptional-growth label by the pipeline's rule."""
+    has_top = np.logical_or.accumulate(shares[:, :-HORIZON] > 0.0, axis=1)
+    labels = np.zeros_like(has_top)
+    for f in range(has_top.shape[1]):
+        rows = np.flatnonzero(has_top[:, f])
+        pk = last_peaks(shares[rows, :f + 1])
+        labels[rows, f] = growth_outcomes(shares[rows, f + HORIZON] / shares[rows, pk],
+                                          f + HORIZON - pk)[1]
+    return has_top, labels
 
 
 def generate(config: SynthConfig, out_dir) -> SynthResult:
@@ -612,10 +609,9 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
             eig = ep if ep <= config.top_journal_count else 250 + ep
             fh.write(f"{j},{cs},{eig}\n")
 
-    # ground-truth labels from realized shares, peak-to-target arithmetic
+    # ground-truth labels from realized shares
     totals = counts.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        shares = np.where(totals > 0, counts / np.maximum(totals, 1), 0.0)
+    shares = np.where(totals > 0, counts / np.maximum(totals, 1), 0.0)
     has_top, labels = _growth_labels(shares)
     cids, fys = np.nonzero(has_top)
     xg_truth: dict[tuple[int, int], int] = dict(zip(

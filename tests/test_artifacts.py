@@ -232,15 +232,18 @@ def test_manifest_text(tmp_path):
     fixed = mock.Mock(now=lambda tz: datetime(2020, 1, 2, 3, 4, 5, tzinfo=timezone.utc))
     with mock.patch("rcforecast.manifest.datetime", fixed):
         write_manifest(tmp_path / "m.json", "fit", {"z": 1.5, "out": tmp_path / "x",
-                                                    "func": print, "fys": (2010,)},
-                       {"papers": tmp_path / "in.txt", "gone": tmp_path / "no"}, {"cluster": 3})
+                                                    "func": print, "fys": (2010,),
+                                                    "corpus": tmp_path / "in.txt",
+                                                    "journals": tmp_path / "no"}, {"cluster": 3})
     digest = hashlib.sha256(b"abc\n").hexdigest()
     assert (tmp_path / "m.json").read_text() == f"""\
 {{
   "arguments": {{
+    "corpus": "{tmp_path / 'in.txt'}",
     "fys": [
       2010
     ],
+    "journals": "{tmp_path / 'no'}",
     "out": "{tmp_path / 'x'}",
     "z": 1.5
   }},

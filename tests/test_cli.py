@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcforecast.cli import run
-from rcforecast.cluster import ClusterError, load_partition
+from rcforecast.cluster import ClusterError, Partition, load_partition, save_partition
 from rcforecast.config import has_type
 from rcforecast.forecast import CompositeModel
 from rcforecast.manifest import file_digest
@@ -343,6 +343,24 @@ def _one_line_error(capsys) -> dict:
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1      # one JSON report, no traceback
     return json.loads(lines[0])
+
+
+def test_evaluate_refuses_an_empty_target_year(tmp_path, capsys):
+    # no paper in 2013, the target year of fy 2010, inside the 2008-2014 span
+    papers = [paper(pid, year) for pid, year in enumerate([2008, 2009, 2010, 2011, 2012, 2014],
+                                                          start=1)]
+    papers += [paper(pid, year) for pid, year in enumerate([2010, 2011, 2011, 2011], start=50)]
+    write_papers(tmp_path / "papers.jsonl", papers)
+    (tmp_path / "model").mkdir()
+    save_partition(Partition.from_assignment({p["paper_id"]: int(p["paper_id"] >= 50)
+                                              for p in papers},
+                                             model_year=2010, rc_count=2, extended_through=2014),
+                   tmp_path / "model" / "partition.tsv", tmp_path / "model" / "partition.json")
+    assert run(["evaluate", "--corpus", str(tmp_path / "papers.jsonl"), "--model",
+                str(tmp_path / "model"), "--fy-range", "2010", "--min-papers", "0",
+                "--out-json", str(tmp_path / "ev.json")]) == 2
+    assert "no share for target year 2013" in _one_line_error(capsys)["error"]
+    assert not (tmp_path / "ev.json").exists()
 
 
 @pytest.mark.parametrize("composite,problem", [

@@ -179,6 +179,28 @@ def test_tune_resolution_bounds():
     assert part.rc_count >= 0.9 * g.n_internal
 
 
+@pytest.mark.parametrize("start,target,probes", [
+    pytest.param(0.01, 40, [0.01, 0.08, 0.64, 5.12, 1.8101933598375617, 3.0443702144069658,
+                            3.9480597130443287], id="up"),
+    pytest.param(50.0, 12, [50.0, 6.25, 0.78125, 0.09765625, 0.27621358640099514],
+                 id="down"),
+])
+def test_tune_resolution_probe_sequence(monkeypatch, start, target, probes):
+    """The resolutions leiden is asked for: steps of 8 toward the target
+    until the count crosses it, then geometric bisection of the bracket, with
+    counts that grow as 20 * sqrt(resolution)."""
+    g, _ = _planted_graph()
+    seen = []
+
+    def counting_leiden(graph, config, *args):
+        seen.append(config.resolution)
+        return SimpleNamespace(rc_count=min(100, max(1, round(20 * config.resolution ** 0.5))))
+
+    monkeypatch.setattr(cluster, "leiden", counting_leiden)
+    assert tune_resolution(g, target, ClusterConfig(resolution=start)) == probes[-1]
+    assert seen == probes
+
+
 def test_tune_resolution_unreachable_target():
     g, _ = _planted_graph(n_blocks=2, per_block=4, seed=2)
     cfg = ClusterConfig(quality="cpm", resolution=1.0, rng_seed=0)

@@ -190,6 +190,19 @@ def test_build_forecasts_no_outcome_when_target_year_missing(corpus_factory):
     assert all(r.ry == 4 for r in records)
 
 
+def test_empty_target_year_is_refused(corpus_factory):
+    """A target year inside the corpus span without papers has no shares, so
+    its outcomes are refused, not labelled."""
+    papers = [paper(pid, year) for pid, year in enumerate([2008, 2009, 2010, 2011, 2012, 2014],
+                                                          start=1)]
+    papers += [paper(pid, year) for pid, year in enumerate([2010, 2011, 2011, 2011], start=50)]
+    assignment = {p["paper_id"]: int(p["paper_id"] >= 50) for p in papers}
+    panel = Panel(corpus_factory(papers), Partition.from_assignment(
+        assignment, model_year=2010, rc_count=2, extended_through=2014))
+    with pytest.raises(ValueError, match="no share for target year 2013"):
+        build_forecasts(panel, indicator_table(panel, 2010), CompositeModel.default())
+
+
 def test_min_papers_filter(corpus_factory):
     corpus, partition = _pipeline_rows(corpus_factory)
     panel = Panel(corpus, partition)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from rcforecast.citegraph import build_graph, connected_components
 from rcforecast.cluster import Partition
 from rcforecast.corpus import load_corpus
-from rcforecast.indicators import Panel
+from rcforecast.forecast import table_outcomes
+from rcforecast.indicators import IndicatorTable, Panel
 from rcforecast.synth import (
     _AGE_P,
     SynthConfig,
@@ -414,3 +415,21 @@ def test_growth_labels_match_scalar_rule(counts):
     want_top, want = _scalar_labels(shares)
     assert np.array_equal(has_top, want_top)
     assert np.array_equal(labels, want)
+
+
+def test_truth_labels_are_the_pipeline_outcomes(tmp_path):
+    """A panel over the truth partition labels every in-window (community, fy)
+    as truth.tsv does."""
+    res = generate(SynthConfig(rng_seed=3, n_communities=300), tmp_path)
+    panel = Panel(load_corpus(res.papers_path, res.ranks_path),
+                  Partition.from_assignment(res.paper_community, model_year=2009,
+                                            extended_through=2014))
+    got, want = {}, {}
+    for fy in range(2001, 2012):
+        table = IndicatorTable(fy, panel.columns(fy), {})
+        kept, _, labels = table_outcomes(panel, table)
+        rcs = table.raw["rc_id"][kept].tolist()
+        got.update(((rc, fy), label) for rc, label in zip(rcs, labels))
+        want.update(((rc, fy), res.xg_truth[(rc, fy)]) for rc in rcs)
+    assert len(got) > 2000 and any(got.values())
+    assert got == want
