@@ -42,10 +42,6 @@ class CitationGraph:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
-    def strengths(self) -> np.ndarray:
-        src = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
-        return np.bincount(src, weights=self.weights, minlength=self.n_nodes)
-
     def dump_edgelist(self, path) -> None:
         """Write ``src\\tdst\\tweight`` with original ids, one line per edge."""
         src = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))

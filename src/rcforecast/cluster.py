@@ -15,7 +15,6 @@ be extended year by year.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -139,19 +138,7 @@ def partition_quality(graph: CitationGraph, partition, quality: str = "cpm",
     """Quality of a ``Partition``, or of one label per node, on ``graph`` under
     the chosen function."""
     labels = partition if isinstance(partition, np.ndarray) else _node_labels(graph, partition)
-    _, inv = np.unique(labels, return_inverse=True)
-    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
-    intra = inv[src] == inv[graph.indices]
-    e_int = float(graph.weights[intra].sum()) / 2.0
-    if quality == "cpm":
-        sizes = np.bincount(inv)
-        return e_int - resolution * float((sizes * (sizes - 1)).sum()) / 2.0
-    strengths = graph.strengths()
-    m = float(strengths.sum()) / 2.0
-    if m == 0:
-        return 0.0
-    k = np.bincount(inv, weights=strengths)
-    return e_int / m - resolution * float((k ** 2).sum()) / (4.0 * m * m)
+    return _level_quality(_Level.of(graph), labels, quality, resolution)
 
 
 # --- Leiden core -------------------------------------------------------------
@@ -172,6 +159,29 @@ class _Level:
         self.sizes = sizes
         self.strengths = strengths
         self.n = len(self_w)
+
+    @classmethod
+    def of(cls, graph: CitationGraph) -> "_Level":
+        """Level 0: the graph's own nodes, each of size 1 without self weight."""
+        n, src = graph.n_nodes, np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+        return cls(graph.indptr, graph.indices, graph.weights, np.zeros(n), np.ones(n, np.int64),
+                   np.bincount(src, weights=graph.weights, minlength=n))
+
+
+def _level_quality(level: _Level, labels: np.ndarray, quality: str, resolution: float) -> float:
+    """Quality of one label per node of ``level``: exactly that of the graph
+    partition its nodes stand for, as every term is a sum of integer counts."""
+    _, inv = np.unique(labels, return_inverse=True)
+    src = np.repeat(np.arange(level.n), np.diff(level.indptr))
+    intra = inv[src] == inv[level.indices]
+    e_int = float(level.self_w.sum()) + float(level.weights[intra].sum()) / 2.0
+    k = np.bincount(inv, weights=level.sizes if quality == "cpm" else level.strengths)
+    if quality == "cpm":
+        return e_int - resolution * float((k * (k - 1)).sum()) / 2.0
+    m = float(level.strengths.sum()) / 2.0
+    if m == 0:
+        return 0.0
+    return e_int / m - resolution * float((k ** 2).sum()) / (4.0 * m * m)
 
 
 def _rows(indptr, nodes):
@@ -401,9 +411,8 @@ def _split_disconnected(graph: CitationGraph, labels: np.ndarray) -> np.ndarray:
     of the intra-community subgraph never span two communities, so the
     component labels are exactly the split partition.
     """
-    _, inv = np.unique(labels, return_inverse=True)
     src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
-    intra = inv[src] == inv[graph.indices]
+    intra = labels[src] == labels[graph.indices]
     indptr = np.searchsorted(src[intra], np.arange(graph.n_nodes + 1))  # src is sorted
     return connected_components(indptr, graph.indices[intra], graph.n_nodes)
 
@@ -420,27 +429,21 @@ def leiden(graph: CitationGraph, config: ClusterConfig,
     starting partition.
     """
     config_used = dict(asdict(config), seeded=seed_partition is not None)
-    if graph.n_nodes == 0:
-        return Partition.from_assignment({}, model_year=graph.year_cutoff,
-                                         config_used=config_used)
     use_cpm = config.quality == "cpm"
     gamma = config.resolution
     rng = np.random.default_rng(config.rng_seed)
 
-    n0 = graph.n_nodes
-    strengths0 = graph.strengths()
-    two_m = float(strengths0.sum())
+    base = level = _Level.of(graph)
+    two_m = float(base.strengths.sum())
     if two_m == 0.0:
         two_m = 1.0  # edgeless graph; modularity degenerate, every node stays put
-    level = _Level(graph.indptr, graph.indices, graph.weights,
-                   np.zeros(n0), np.ones(n0, dtype=np.int64), strengths0)
-    membership = np.arange(n0)
-    comm = np.arange(n0) if seed_partition is None else _node_labels(graph, seed_partition)
+    membership = np.arange(level.n)
+    comm = np.arange(level.n) if seed_partition is None else _node_labels(graph, seed_partition)
 
-    prev_q = partition_quality(graph, comm[membership], config.quality, config.resolution)
+    prev_q = _level_quality(level, comm, config.quality, gamma)
     for _ in range(config.max_iterations):
         moved = _local_move(level, comm, use_cpm, gamma, two_m, rng)
-        q = partition_quality(graph, comm[membership], config.quality, config.resolution)
+        q = _level_quality(level, comm, config.quality, gamma)
         if q < prev_q - 1e-9:
             raise AssertionError(f"quality decreased across iteration: {prev_q} -> {q}")
         prev_q = q
@@ -453,7 +456,7 @@ def leiden(graph: CitationGraph, config: ClusterConfig,
         membership = inv[membership]
 
     flat = _split_disconnected(graph, comm[membership])
-    quality = partition_quality(graph, flat, config.quality, config.resolution)
+    quality = _level_quality(base, flat, config.quality, gamma)
 
     rc, rc_count = _canonical_ids(graph, flat)
     internal, kept = graph.internal, rc >= 0

@@ -235,8 +235,6 @@ def _oracle_leiden(graph, config, seed_partition=None):
         mp.setattr(cluster, "_canonical_ids",
                    lambda g, flat: flats.append(flat) or canonical(g, flat))
         part = leiden(graph, config, seed_partition)
-    if not flats:       # an empty graph
-        return part
     assignment, external, rc_count = oracles.canonical_ids(graph, flats[0])
     return Partition.from_assignment(assignment, external, model_year=part.model_year,
                                      rc_count=rc_count, quality=part.quality,
@@ -281,6 +279,30 @@ def test_leiden_matches_oracle_on_synth_graphs(synth_graphs, monkeypatch, qualit
         assert_same_partition(leiden(graph, warm, got), _oracle_leiden(graph, warm, got))
     # the graphs exercise aggregation, not only the first level
     assert len(levels) >= 2 * len(synth_graphs)
+
+
+@pytest.mark.parametrize("quality,resolution", [("cpm", 0.02), ("modularity", 1.0)])
+def test_level_quality_is_the_graph_quality(synth_graphs, monkeypatch, quality, resolution):
+    """``leiden`` checks quality on its current level; on every level it must
+    equal ``partition_quality`` of the graph labels the level stands for."""
+    aggregate, checked = cluster._aggregate, []
+
+    def checked_aggregate(level, comm, rcomm):
+        nonlocal membership
+        new_level, inv, comm_next = aggregate(level, comm, rcomm)
+        for lv, labels, members in ((level, comm, membership), (level, rcomm, membership),
+                                    (new_level, comm_next, inv[membership])):
+            assert cluster._level_quality(lv, labels, quality, resolution) == \
+                partition_quality(graph, labels[members], quality, resolution)
+        membership = inv[membership]
+        checked.append(new_level.n)
+        return new_level, inv, comm_next
+
+    monkeypatch.setattr(cluster, "_aggregate", checked_aggregate)
+    for graph in synth_graphs:
+        membership = np.arange(graph.n_nodes)
+        leiden(graph, ClusterConfig(quality=quality, resolution=resolution, rng_seed=0))
+    assert len(checked) >= 2 * len(synth_graphs)
 
 
 @st.composite
