@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from . import __version__
+from . import __version__, cluster, evaluate, indicators, pipeline, regression
 from .artifacts import INT_TEXT, write_json
 from .cluster import ClusterConfig, ClusterError, load_partition, save_partition
 from .config import has_type, load_config
@@ -243,7 +243,7 @@ def _add_panel_args(p):
     """The inputs of a command that reads a model into an RC x year panel."""
     _add_corpus_args(p)
     p.add_argument("--model", required=True, help="model directory")
-    p.add_argument("--window", type=integer, default=10)
+    p.add_argument("--window", type=integer, default=indicators.DEFAULT_WINDOW)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = model_sub.add_parser("build", help="cluster the citation graph")
     _add_corpus_args(p_build)
     p_build.add_argument("--through-year", type=integer, required=True)
-    p_build.add_argument("--resolution", type=float, default=0.05)
+    p_build.add_argument("--resolution", type=float, default=pipeline.DEFAULT_RESOLUTION)
     p_build.add_argument("--seed", type=integer, default=0)
     p_build.add_argument("--quality", choices=("cpm", "modularity"), default="cpm")
-    p_build.add_argument("--max-iterations", type=integer, default=10)
+    p_build.add_argument("--max-iterations", type=integer, default=cluster.DEFAULT_MAX_ITERATIONS)
     p_build.add_argument("--target-rcs", type=integer, default=None,
                          help="tune resolution toward this community count")
     p_build.add_argument("--no-extended", action="store_true",
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--fy-range", required=True, help="A:B or single year")
     p_fit.add_argument("--min-papers", type=integer, default=0,
                        help="size filter for fit rows (published fit used all RCs)")
-    p_fit.add_argument("--z-threshold", type=float, default=4.0)
+    p_fit.add_argument("--z-threshold", type=float, default=regression.DEFAULT_Z_THRESHOLD)
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--composite", default=None, help="fitted composite JSON "
                       "(default: published coefficients)")
     p_fc.add_argument("--fy", type=integer, required=True)
-    p_fc.add_argument("--min-papers", type=integer, default=20)
+    p_fc.add_argument("--min-papers", type=integer, default=evaluate.DEFAULT_MIN_PAPERS)
     group = p_fc.add_mutually_exclusive_group()
     group.add_argument("--top", type=integer, default=None, help="production-mode N")
     group.add_argument("--oracle-n", action="store_true",
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_panel_args(p_ev)
     p_ev.add_argument("--composite", default=None)
     p_ev.add_argument("--fy-range", required=True)
-    p_ev.add_argument("--min-papers", type=integer, default=20)
+    p_ev.add_argument("--min-papers", type=integer, default=evaluate.DEFAULT_MIN_PAPERS)
     p_ev.add_argument("--by", default=None,
                       help="comma list from fy,ry,actionable,field,discipline")
     p_ev.add_argument("--taxonomy", default=None,

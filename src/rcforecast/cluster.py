@@ -31,6 +31,7 @@ from .corpus import lookup
 _EPS = 1e-12
 TUNE_TOLERANCE = 0.10   # tune_resolution stops within 10% of the target count
 TUNE_MAX_PROBES = 20
+DEFAULT_MAX_ITERATIONS = 10   # leiden iterations when a config names none
 
 
 class ClusterError(Exception):
@@ -42,7 +43,7 @@ class ClusterConfig:
     quality: str = "cpm"                # "cpm" or "modularity"
     resolution: float = 1.0
     rng_seed: int = 0
-    max_iterations: int = 10
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
         check_types(self, ClusterError)

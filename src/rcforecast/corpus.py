@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from . import trace
 from .artifacts import INT_TEXT, is_int64
 
 DOC_TYPES = ("article", "review", "other")
@@ -148,24 +149,25 @@ class Corpus:
     def term_matrix(self) -> sparse.csr_array:
         """Paper x term counts, built on first use. Each row stores its terms in
         first-occurrence order, not sorted: BM25 sums a query's terms in it."""
-        vocab: dict[str, int] = {}
-        terms, lengths = array("i"), []
-        for raw in self._terms:
-            tokens = normalize_terms(raw)
-            terms.extend([vocab.setdefault(t, len(vocab)) for t in tokens])
-            lengths.append(len(tokens))
-        terms = np.frombuffer(terms, np.int32)
-        row = np.repeat(np.arange(len(lengths)), lengths)
-        # one entry per (row, term), in the order of its first token
-        _, first, counts = np.unique(row * len(vocab) + terms, return_index=True,
-                                     return_counts=True)
-        order = np.argsort(first)
-        first, counts = first[order], counts[order]
-        indptr = np.searchsorted(row[first], np.arange(len(lengths) + 1))
-        matrix = sparse.csr_array((counts.astype(np.int32), terms[first], indptr),
-                                  shape=(len(self.paper_ids), len(vocab)))
-        matrix.has_sorted_indices = False
-        return matrix
+        with trace.stage("term_matrix"):
+            vocab: dict[str, int] = {}
+            terms, lengths = array("i"), []
+            for raw in self._terms:
+                tokens = normalize_terms(raw)
+                terms.extend([vocab.setdefault(t, len(vocab)) for t in tokens])
+                lengths.append(len(tokens))
+            terms = np.frombuffer(terms, np.int32)
+            row = np.repeat(np.arange(len(lengths)), lengths)
+            # one entry per (row, term), in the order of its first token
+            _, first, counts = np.unique(row * len(vocab) + terms, return_index=True,
+                                         return_counts=True)
+            order = np.argsort(first)
+            first, counts = first[order], counts[order]
+            indptr = np.searchsorted(row[first], np.arange(len(lengths) + 1))
+            matrix = sparse.csr_array((counts.astype(np.int32), terms[first], indptr),
+                                      shape=(len(self.paper_ids), len(vocab)))
+            matrix.has_sorted_indices = False
+            return matrix
 
     def partition_rows(self, partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows of a ``Partition``'s papers, its sorted RC ids and each paper's

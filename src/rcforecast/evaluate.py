@@ -28,6 +28,7 @@ from .forecast import (
 from .indicators import Panel
 
 CSI_THRESHOLD = 0.25
+DEFAULT_MIN_PAPERS = 20   # forecast and evaluation size filter: papers in the fy
 SLICES = ("fy", "ry", "actionable", "field", "discipline")
 
 
@@ -148,7 +149,7 @@ def _slice_keys(taxonomy: TaxonomyMap | None) -> dict:
 
 
 def evaluate_slices(records: list[ForecastRecord], taxonomy: TaxonomyMap | None = None,
-                    min_papers: int = 20, mode: str = "reselect",
+                    min_papers: int = DEFAULT_MIN_PAPERS, mode: str = "reselect",
                     by: tuple[str, ...] = SLICES) -> list[ContingencyReport]:
     """One contingency report per slice, after the size filter: overall, then
     the groups of each ``by`` name in ``SLICES`` order, each in key order.

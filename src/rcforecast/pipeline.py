@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cluster, evaluate, indicators, regression, trace
 from .artifacts import write_json
 from .assign import AssignmentReport, assign_new_papers
 from .citegraph import CitationGraph, build_graph
@@ -33,18 +34,22 @@ from .indicators import INDICATOR_NAMES, IndicatorTable, Panel, standardize, wri
 from .manifest import InputFile, write_manifest
 from .regression import stepwise_select
 
+DEFAULT_RESOLUTION = 0.05   # CPM resolution of a model build
+
 
 def build_model(corpus: Corpus, model_year: int, cluster_config: ClusterConfig,
                 extended: bool = True, target_rcs: int | None = None
                 ) -> tuple[Partition, CitationGraph]:
     """Cluster the citation graph through ``model_year``; optionally tune the
     resolution toward a target community count first."""
-    graph = build_graph(corpus, extended=extended, year_cutoff=model_year)
+    with trace.stage("build_graph"):
+        graph = build_graph(corpus, extended=extended, year_cutoff=model_year)
     config = cluster_config
     if target_rcs is not None:
         resolution = tune_resolution(graph, target_rcs, config)
         config = replace(config, resolution=resolution)
-    return leiden(graph, config), graph
+    with trace.stage("leiden"):
+        return leiden(graph, config), graph
 
 
 def extend_model(corpus: Corpus, partition: Partition, through_year: int,
@@ -84,8 +89,8 @@ def indicator_table(panel: Panel, fy: int) -> IndicatorTable:
     return IndicatorTable(fy, raw, standardize(raw, fy))
 
 
-def fit_composite(panel: Panel, tables: dict, min_papers: int = 20,
-                  z_threshold: float = 4.0) -> CompositeModel:
+def fit_composite(panel: Panel, tables: dict, min_papers: int,
+                  z_threshold: float) -> CompositeModel:
     """Stepwise probit on standardized indicators pooled over forecast years.
 
     ``tables`` maps each fit year to its ``indicator_table``. Only (RC, fy)
@@ -112,7 +117,7 @@ def fit_composite(panel: Panel, tables: dict, min_papers: int = 20,
 
 
 def forecast_year(panel: Panel, table: IndicatorTable, model: CompositeModel,
-                  min_papers: int = 20, top_n: int | None = None,
+                  min_papers: int = evaluate.DEFAULT_MIN_PAPERS, top_n: int | None = None,
                   oracle: bool = False) -> list[ForecastRecord]:
     """Scored records for one forecast year's ``indicator_table`` in rank
     order: the top ``top_n`` flagged, else with ``oracle`` the top oracle n,
@@ -130,17 +135,17 @@ class PipelineConfig:
     extend_through: int | None = None     # default: corpus last year
     seeded_extension: bool = False
     quality: str = "cpm"
-    resolution: float = 0.05
+    resolution: float = DEFAULT_RESOLUTION
     target_rcs: int | None = None
     seed: int = 0
-    max_iterations: int = 10
+    max_iterations: int = cluster.DEFAULT_MAX_ITERATIONS
     extended_graph: bool = True
-    window: int = 10
+    window: int = indicators.DEFAULT_WINDOW
     fit_fys: list[int] = field(default_factory=list)   # empty: published composite
     forecast_fys: list[int] = field(default_factory=list)
-    min_papers: int = 20      # forecast/evaluate size filter
+    min_papers: int = evaluate.DEFAULT_MIN_PAPERS   # forecast/evaluate size filter
     fit_min_papers: int = 0   # the published composite was fitted on all RCs
-    z_threshold: float = 4.0
+    z_threshold: float = regression.DEFAULT_Z_THRESHOLD
     oracle_n: bool = True
     top_n: int | None = None
     lifecycle: bool = False
@@ -160,38 +165,44 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                      journals=None if cfg.journals is None else InputFile(cfg.journals))
     manifest = partial(write_manifest, arguments=arguments, seeds={"cluster": cfg.seed})
 
-    corpus = load_corpus(cfg.papers, cfg.journals)
+    with trace.stage("load_corpus"):
+        corpus = load_corpus(cfg.papers, cfg.journals)
 
     cluster_config = ClusterConfig(quality=cfg.quality, resolution=cfg.resolution,
                                    rng_seed=cfg.seed, max_iterations=cfg.max_iterations)
-    partition, _ = build_model(corpus, cfg.model_year, cluster_config,
-                               extended=cfg.extended_graph, target_rcs=cfg.target_rcs)
+    partition = build_model(corpus, cfg.model_year, cluster_config,  # [0]: free the graph
+                            extended=cfg.extended_graph, target_rcs=cfg.target_rcs)[0]
     through = cfg.extend_through if cfg.extend_through is not None \
         else corpus.meta.last_year
-    partition, reports = extend_model(corpus, partition, through,
-                                      seeded=cfg.seeded_extension,
-                                      cluster_config=cluster_config,
-                                      extended_graph=cfg.extended_graph)
+    with trace.stage("extend_model"):
+        partition, reports = extend_model(corpus, partition, through,
+                                          seeded=cfg.seeded_extension,
+                                          cluster_config=cluster_config,
+                                          extended_graph=cfg.extended_graph)
     save_partition(partition, out / "partition.tsv", out / "partition.json")
     write_json(out / "extension.json", list(map(asdict, reports)))
     manifest(out / "partition.manifest.json", "pipeline:model")
 
-    panel = Panel(corpus, partition, window=cfg.window)
-    tables = {fy: indicator_table(panel, fy)
-              for fy in sorted(set(cfg.fit_fys) | set(cfg.forecast_fys))}
-    if cfg.fit_fys:
-        model = fit_composite(panel, {fy: tables[fy] for fy in cfg.fit_fys},
-                              min_papers=cfg.fit_min_papers, z_threshold=cfg.z_threshold)
-    else:
-        model = CompositeModel.default()
+    with trace.stage("Panel"):
+        panel = Panel(corpus, partition, window=cfg.window)
+    with trace.stage("indicator_table"):
+        tables = {fy: indicator_table(panel, fy)
+                  for fy in sorted(set(cfg.fit_fys) | set(cfg.forecast_fys))}
+    with trace.stage("fit_composite"):
+        if cfg.fit_fys:
+            model = fit_composite(panel, {fy: tables[fy] for fy in cfg.fit_fys},
+                                  min_papers=cfg.fit_min_papers, z_threshold=cfg.z_threshold)
+        else:
+            model = CompositeModel.default()
     model.to_json(out / "composite.json")
     manifest(out / "composite.manifest.json", "pipeline:fit")
 
     all_records: list[ForecastRecord] = []
     for fy in sorted(cfg.forecast_fys):
         write_indicator_tsv(out / f"indicators_{fy}.tsv", tables[fy])
-        records = forecast_year(panel, tables[fy], model, min_papers=cfg.min_papers,
-                                top_n=cfg.top_n, oracle=cfg.oracle_n)
+        with trace.stage("forecast_year"):
+            records = forecast_year(panel, tables[fy], model, min_papers=cfg.min_papers,
+                                    top_n=cfg.top_n, oracle=cfg.oracle_n)
         write_forecast_tsv(out / f"forecast_{fy}.tsv", records)
         manifest(out / f"forecast_{fy}.manifest.json", "pipeline:forecast")
         all_records.extend(records)
@@ -209,8 +220,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     }
     scored = [r for r in all_records if r.outcome is not None]
     if scored:
-        slice_reports = evaluate_slices(scored, min_papers=cfg.min_papers,
-                                        mode="reselect", by=("fy", "ry", "actionable"))
+        with trace.stage("evaluate_slices"):
+            slice_reports = evaluate_slices(scored, min_papers=cfg.min_papers,
+                                            mode="reselect", by=("fy", "ry", "actionable"))
         write_evaluation(slice_reports, out / "evaluation.json", out / "evaluation.tsv")
         manifest(out / "evaluation.manifest.json", "pipeline:evaluate")
         overall = next(r for r in slice_reports if r.slice == "overall")

@@ -20,6 +20,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 SEPARATION_BOUND = 50.0
 NEWTON_TOL = 1e-8       # converged once the largest coefficient update is smaller
 NEWTON_MAX_ITER = 100
+DEFAULT_Z_THRESHOLD = 4.0   # |Z| a variable needs to enter the composite
 
 
 class SeparationError(RuntimeError):
@@ -185,7 +186,7 @@ def pseudo_r2(ll_model: float, ll_null: float) -> float:
     return 1.0 - max(ll_model, ll_null) / ll_null
 
 
-def stepwise_select(X, y, names, z_threshold: float = 4.0) -> CompositeModel:
+def stepwise_select(X, y, names, z_threshold: float = DEFAULT_Z_THRESHOLD) -> CompositeModel:
     """Forward stepwise probit selection.
 
     Variables enter one at a time: the first by the largest univariate |Z|, the

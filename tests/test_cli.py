@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcforecast.cli import run
+from rcforecast.cli import build_parser, run
 from rcforecast.cluster import ClusterError, Partition, load_partition, save_partition
 from rcforecast.config import has_type
 from rcforecast.forecast import CompositeModel
@@ -584,6 +584,20 @@ def test_fy_range_takes_only_int_text(tmp_path, capsys, command, fy_range, value
                 "--fy-range", fy_range.format(value), "--out", str(tmp_path / "out")]
                [:-2 if command == "evaluate" else None]) == 2
     assert _one_line_error(capsys)["error"] == f"not an integer: {value!r}"
+
+
+@pytest.mark.parametrize("argv,dest,field", [
+    ("model build --through-year 2009 --out o", "resolution", "resolution"),
+    ("model build --through-year 2009 --out o", "max_iterations", "max_iterations"),
+    ("lifecycle --model m --fy 2011 --out o", "window", "window"),
+    ("fit --model m --fy-range 2010 --out o", "min_papers", "fit_min_papers"),
+    ("fit --model m --fy-range 2010 --out o", "z_threshold", "z_threshold"),
+    ("forecast --model m --fy 2011 --out o", "min_papers", "min_papers"),
+    ("evaluate --model m --fy-range 2010", "min_papers", "min_papers"),
+], ids=lambda v: v.split(" --")[0])
+def test_flag_default_is_the_pipeline_config_default(argv, dest, field):
+    args = build_parser().parse_args(argv.split() + ["--corpus", "c"])
+    assert getattr(args, dest) == getattr(PipelineConfig, field)
 
 
 @pytest.mark.parametrize("flags,named", [
