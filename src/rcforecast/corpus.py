@@ -113,11 +113,14 @@ class Corpus:
         # each reference moves with its paper, keeping its place in the paper's list
         n_refs = np.array(n_refs, np.int64)
         moved = np.repeat(np.argsort(order), n_refs)
-        self.refs = np.array(refs, np.int64)[np.argsort(moved, kind="stable")]
+        self.refs = np.asarray(refs, np.int64)[np.argsort(moved, kind="stable")]
+        del moved   # freed before the sort below, which would otherwise peak on top of it
         self.ref_ptr = np.concatenate([[0], np.cumsum(n_refs[order])])
-        row, internal = lookup(self.paper_ids, self.refs)
-        self.ref_row = np.where(internal, row, -1)
-        self.external_ids = np.unique(self.refs[~internal])
+        # each distinct reference is looked up once, in sorted order
+        cited, each = np.unique(self.refs, return_inverse=True)
+        row, internal = lookup(self.paper_ids, cited)
+        self.ref_row = np.where(internal, row, -1).take(each)
+        self.external_ids = cited[~internal]
         self._terms = [terms[i] for i in order.tolist()]
 
         self.meta = CorpusMeta(first_year=int(self.year.min()), last_year=int(self.year.max()),
@@ -298,27 +301,27 @@ def _read_blocks(fh) -> tuple | None:
         if (_types(pid) | _types(year) | _types(flat)) - {int} \
                 or _types(jid) - {int, type(None)} or _types(text) - {str, list}:
             return None
-        # one row per (paper, reference), sorted: no paper cites itself or an item twice
-        cites, n_cited = array("q", flat), list(map(len, cited))
-        row = np.repeat(np.arange(len(objs)), n_cited)
-        ref = np.frombuffer(cites, np.int64)
-        ordered = ref[np.lexsort((ref, row))]
-        if (ref == np.array(pid, np.int64)[row]).any() \
-                or ((ordered[1:] == ordered[:-1]) & (row[1:] == row[:-1])).any():
-            return None
         ids.extend(pid)
         years.extend(year)
         doc_types.extend(map(DOC_TYPES.index, [o.get("doc_type", "article") for o in objs]))
         has_journal.extend([j is not None for j in jid])
         journals.extend([j for j in jid if j is not None])
-        n_refs.extend(n_cited)
-        refs.extend(cites)
+        n_refs.extend(map(len, cited))
+        refs.extend(flat)
         # joined as normalize_terms would; a list holding a non-string is a TypeError
         terms.extend([t if type(t) is str else " ".join(t) for t in text])
     if not ids:
         return None
-    sorted_ids = np.sort(np.frombuffer(ids, np.int64))
-    return None if (sorted_ids[1:] == sorted_ids[:-1]).any() else columns
+    paper = np.frombuffer(ids, np.int64)
+    sorted_ids = np.sort(paper)
+    # one row per (paper, reference): no paper cites itself, none cites an item twice
+    row = np.repeat(np.arange(len(paper)), np.frombuffer(n_refs, np.int64))
+    ref = np.frombuffer(refs, np.int64)
+    if (sorted_ids[1:] == sorted_ids[:-1]).any() or (ref == paper[row]).any():
+        return None
+    cited, each = np.unique(ref, return_inverse=True)
+    keys = np.sort(row * len(cited) + each)
+    return None if (keys[1:] == keys[:-1]).any() else columns
 
 
 def _read_lines(fh) -> tuple:

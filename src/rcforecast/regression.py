@@ -59,22 +59,27 @@ class ProbitFit:
 
 
 def probit_loglik(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    q = 2.0 * y - 1.0
-    return float(log_ndtr(q * (X @ beta)).sum())
+    return _terms(beta, X, 2.0 * y - 1.0)[2]
 
 
 def probit_gradient(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return X.T @ _gen_residual(X @ beta, y)
+    q = 2.0 * y - 1.0
+    z, log_cdf, _ = _terms(beta, X, q)
+    return X.T @ _gen_residual(z, log_cdf, q)
 
 
-def _gen_residual(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # lambda_i = phi(z)/Phi(z) for y=1, -phi(z)/Phi(-z) for y=0; computed in
-    # log space so extreme linear predictors stay finite
-    logphi = -0.5 * z * z - _LOG_SQRT_2PI
-    lam = np.where(y > 0.5,
-                   np.exp(logphi - log_ndtr(z)),
-                   -np.exp(logphi - log_ndtr(-z)))
-    return lam
+def _terms(beta: np.ndarray, X: np.ndarray, q: np.ndarray) -> tuple:
+    """The linear predictor z, each row's log Phi(q z) (q = 2y - 1 is +-1) and
+    their sum, the log-likelihood: one ``log_ndtr`` pass serves all three."""
+    z = X @ beta
+    log_cdf = log_ndtr(q * z)
+    return z, log_cdf, float(log_cdf.sum())
+
+
+def _gen_residual(z: np.ndarray, log_cdf: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # lambda_i = q phi(z)/Phi(q z), computed in log space so extreme linear
+    # predictors stay finite
+    return q * np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_cdf)
 
 
 def _design(X: np.ndarray) -> np.ndarray:
@@ -112,6 +117,10 @@ def fit_probit(X, y, names=None) -> ProbitFit:
         raise ValueError("names must match X columns")
     if X.shape[0] != len(y):
         raise ValueError("X rows must match len(y)")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("X and y must be finite")
+    if ((y != 0.0) & (y != 1.0)).any():
+        raise ValueError("y must hold only 0 and 1")
     Xm = _design(X)
     all_names = ("intercept",) + names
     n, k = Xm.shape
@@ -123,12 +132,12 @@ def fit_probit(X, y, names=None) -> ProbitFit:
 
     beta = np.zeros(k)
     beta[0] = ndtri(min(max(ybar, 1.0 / n), 1.0 - 1.0 / n))
-    ll = probit_loglik(beta, Xm, y)
+    q = 2.0 * y - 1.0
+    z, log_cdf, ll = _terms(beta, Xm, q)
     ll_path = [ll]
     n_iter = 0
     for n_iter in range(1, NEWTON_MAX_ITER + 1):
-        z = Xm @ beta
-        lam = _gen_residual(z, y)
+        lam = _gen_residual(z, log_cdf, q)
         grad = Xm.T @ lam
         w = lam * (lam + z)  # always positive: observed information is PD
         info = (Xm * w[:, None]).T @ Xm
@@ -137,22 +146,21 @@ def fit_probit(X, y, names=None) -> ProbitFit:
         except np.linalg.LinAlgError:
             raise CollinearityError(_collinear_columns(Xm, all_names))
         step = 1.0
-        for _ in range(40):
-            cand = beta + step * delta
-            ll_new = probit_loglik(cand, Xm, y)
-            if ll_new >= ll - 1e-12:
+        for halving in range(41):
+            beta_new = beta + step * delta
+            z_new, log_cdf_new, ll_new = _terms(beta_new, Xm, q)
+            # the 2^-40 step is taken whether or not it raises the likelihood
+            if ll_new >= ll - 1e-12 or halving == 40:
                 break
             step *= 0.5
-        beta = beta + step * delta
+        beta, z, log_cdf, ll = beta_new, z_new, log_cdf_new, ll_new
         if np.max(np.abs(beta)) > SEPARATION_BOUND:
             raise SeparationError("separation detected: coefficients diverging")
-        ll = probit_loglik(beta, Xm, y)
         ll_path.append(ll)
         if np.max(np.abs(step * delta)) < NEWTON_TOL:
             break
 
-    z = Xm @ beta
-    lam = _gen_residual(z, y)
+    lam = _gen_residual(z, log_cdf, q)
     w = lam * (lam + z)
     info = (Xm * w[:, None]).T @ Xm
     try:
@@ -205,21 +213,20 @@ def stepwise_select(X, y, names, z_threshold: float = DEFAULT_Z_THRESHOLD) -> Co
         raise ValueError("X must be len(y) x len(names)")
 
     history: list[dict] = []
-    best_j, best_z = None, 0.0
+    best_j, best_z, best_fit = None, 0.0, None
     for j, name in enumerate(names):
         fit = fit_probit(X[:, [j]], y, names=(name,))
         zj = abs(fit.z(name))
         history.append({"step": 0, "candidate": name, "abs_z": zj})
         if zj > best_z:
-            best_j, best_z = j, zj
+            best_j, best_z, best_fit = j, zj, fit
     if best_z < z_threshold:
         return CompositeModel((), (), meta={
             "selected": [], "history": history, "z_threshold": z_threshold,
             "note": "no variable reached the Z threshold",
         })
 
-    selected = [best_j]
-    fit = fit_probit(X[:, selected], y, names=(names[best_j],))
+    selected, fit = [best_j], best_fit
     history.append({"step": 1, "added": names[best_j], "z": fit.z(names[best_j])})
 
     while len(selected) < len(names):

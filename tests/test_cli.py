@@ -657,6 +657,15 @@ def test_validate_rejects_wrong_field_type(tmp_path, capsys, field, value):
     assert field in err["error"]
 
 
+@pytest.mark.parametrize("refs,problem", [([5, 200], "cites itself"),
+                                           ([5, 7, 5], "duplicate references")])
+def test_validate_names_a_bad_reference_beyond_the_first_block(tmp_path, capsys, refs, problem):
+    papers = [paper(i, 2000, refs=[i - 1] if i > 1 else []) for i in range(1, 251)]
+    papers[199] = paper(200, 2000, refs=refs)
+    err = _validate_error(tmp_path, capsys, papers)
+    assert err == {"error": f"paper 200: {problem}", "line": 200, "paper_id": 200}
+
+
 def test_validate_rejects_float_paper_id(tmp_path, capsys):
     err = _validate_error(tmp_path, capsys, [paper(1, 2010), paper(2.7, 2011)])
     assert err == {"error": "missing or non-integer paper_id", "line": 2}

@@ -303,6 +303,28 @@ def test_duplicate_paper_id_in_a_later_block_names_its_line(tmp_path):
                                    "paper_id": 3}
 
 
+@pytest.mark.parametrize("refs,problem", [([5, 200], "cites itself"),
+                                           ([5, 7, 5], "duplicate references")])
+def test_bad_reference_beyond_the_first_block_names_its_line(tmp_path, refs, problem):
+    # references are checked over the whole file once the last block is read
+    papers = [paper(i, 2000, refs=[i - 1] if i > 1 else []) for i in range(1, 251)]
+    papers[199] = paper(200, 2000, refs=refs)
+    path = write_papers(tmp_path / "p.jsonl", papers)
+    assert 200 > corpus_module._BLOCK
+    assert _error_of(path) == {"error": f"paper 200: {problem}", "line": 200,
+                               "paper_id": 200}
+
+
+def test_corpus_citing_nothing_loads_without_the_line_reader(tmp_path):
+    path = write_papers(tmp_path / "p.jsonl", [paper(i, 2000 + i % 3) for i in range(1, 100)])
+    with mock.patch.object(corpus_module, "_read_lines", side_effect=AssertionError):
+        corpus = load_corpus(path)
+    assert corpus.refs.size == corpus.ref_row.size == corpus.external_ids.size == 0
+    assert corpus.ref_row.dtype == corpus.external_ids.dtype == np.int64
+    assert corpus.ref_ptr.tolist() == [0] * 100
+    assert corpus.papers == oracles.load_corpus(path).papers
+
+
 @pytest.mark.parametrize("field,value", [
     ("paper_id", True), ("year", False), ("journal_id", True), ("references", [2, True]),
 ])

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+import oracles
+from rcforecast import regression
 from rcforecast.regression import (
     CollinearityError,
     SeparationError,
@@ -109,11 +113,27 @@ def test_collinearity_names_columns():
     assert "a" in exc.value.columns and "a2" in exc.value.columns
 
 
-def test_preconditions():
+def test_preconditions(monkeypatch):
     with pytest.raises(ValueError, match="both classes"):
         fit_probit(np.empty((20, 0)), np.ones(20))
     with pytest.raises(ValueError, match="rows"):
         fit_probit(np.random.default_rng(0).normal(size=(15, 2)), np.array([0, 1] * 7 + [0]))
+    # inputs the fit cannot take are refused before the first likelihood pass
+    log_ndtr = _counting(monkeypatch, regression, "log_ndtr")
+    X, y = np.random.default_rng(1).normal(size=(40, 2)), np.array([0.0, 1.0] * 20)
+    for bad_x, bad_y, problem in [(np.nan, None, "finite"), (np.inf, None, "finite"),
+                                  (None, np.nan, "finite"), (None, 0.3, "only 0 and 1"),
+                                  (None, -1.0, "only 0 and 1")]:
+        Xb, yb = X.copy(), y.copy()
+        if bad_x is not None:
+            Xb[7, 1] = bad_x
+        else:
+            yb[7] = bad_y
+        with pytest.raises(ValueError, match=problem):
+            fit_probit(Xb, yb)
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        fit_probit(X, np.full(40, 0.3))
+    assert log_ndtr == []
 
 
 def test_pseudo_r2_arithmetic():
@@ -171,3 +191,101 @@ def test_stepwise_two_real_predictors():
 def test_stepwise_needs_two_candidates():
     with pytest.raises(ValueError):
         stepwise_select(np.zeros((100, 1)), np.zeros(100), ("only",))
+
+
+def _counting(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` by a wrapper that appends each call's result."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(fn(*args, **kwargs))
+        return calls[-1]
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _problem(seed, n, k, rate, rho):
+    """n rows of k standard normal columns correlated pairwise by rho, and
+    outcomes of a probit with small random slopes and a positive rate near rate."""
+    rng = np.random.default_rng(seed)
+    cov = np.full((k, k), rho) + (1.0 - rho) * np.eye(k)
+    X = rng.multivariate_normal(np.zeros(k), cov, size=n) if k else np.empty((n, 0))
+    y = (rng.random(n) < ndtr(ndtri(rate) + X @ rng.normal(scale=0.3, size=k))).astype(float)
+    return X, y
+
+
+def _assert_same_fit(got, want):
+    assert got.names == want.names
+    for field in ("coefficients", "standard_errors", "z_stats"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert (got.ll_path, got.n_iter, got.log_likelihood, got.pseudo_r2) \
+        == (want.ll_path, want.n_iter, want.log_likelihood, want.pseudo_r2)
+
+
+# n x k, with balanced and 2%-positive outcomes and independent and correlated columns
+_ORACLE_CASES = [(seed, n, k, (0.5, 0.02)[seed % 2], (0.0, 0.8)[seed // 2 % 2])
+                 for seed, (n, k) in enumerate(itertools.product((200, 1000, 5000, 20_000),
+                                                                 range(5)))]
+
+
+@pytest.mark.parametrize("seed,n,k,rate,rho", _ORACLE_CASES)
+def test_fit_and_selection_equal_the_two_pass_oracle(seed, n, k, rate, rho):
+    X, y = _problem(seed, n, k, rate, rho)
+    _assert_same_fit(fit_probit(X, y), oracles.fit_probit(X, y))
+    if k >= 2:
+        names = tuple(f"v{j}" for j in range(k))
+        got, want = stepwise_select(X, y, names), oracles.stepwise_select(X, y, names)
+        assert (got.variables, got.coefficients, got.intercept, got.meta) \
+            == (want.variables, want.coefficients, want.intercept, want.meta)
+
+
+@pytest.mark.parametrize("error", [SeparationError, CollinearityError])
+def test_fit_errors_equal_the_two_pass_oracle(error):
+    if error is SeparationError:
+        X = np.linspace(-1, 1, 100).reshape(-1, 1)
+        y = (X.ravel() > 0).astype(float)
+    else:
+        X, y = _problem(4, 300, 2, 0.5, 0.0)
+        X = np.column_stack([X[:, 0], 2.0 * X[:, 0], X[:, 1]])
+    names = tuple(f"v{j}" for j in range(X.shape[1]))
+    with pytest.raises(error) as got:
+        fit_probit(X, y, names)
+    with pytest.raises(error) as want:
+        oracles.fit_probit(X, y, names)
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "columns", None) == getattr(want.value, "columns", None)
+
+
+@pytest.mark.parametrize("scale", [1.0, 16.0, -1.0])
+def test_one_log_ndtr_pass_per_candidate(monkeypatch, scale):
+    # Newton steps scaled by 16 overshoot, so steps are halved; reversed, they
+    # lower the likelihood at every length, so all 40 halvings fail and the
+    # 2^-40 step is taken all the same
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: scale * solve(a, b))
+    X, y = _problem(3, 1000, 2, 0.5, 0.0)
+    loglik = _counting(monkeypatch, oracles, "probit_loglik")
+    want = oracles.fit_probit(X, y)
+    log_ndtr = _counting(monkeypatch, regression, "log_ndtr")
+    got = fit_probit(X, y)
+    _assert_same_fit(got, want)
+    if scale < 0:
+        assert got.n_iter == 1 and len(log_ndtr) == 1 + 40 + 1
+    else:
+        # the oracle evaluates the start, each candidate and each step taken
+        candidates = len(loglik) - 1 - want.n_iter
+        assert (candidates > want.n_iter) == (scale > 1)
+        assert len(log_ndtr) == 1 + candidates
+
+
+def test_stepwise_fits_each_candidate_and_each_trial_once(monkeypatch):
+    X, y = _problem(19, 20_000, 4, 0.02, 0.8)
+    names = ("a", "b", "c", "d")
+    fits = _counting(monkeypatch, regression, "fit_probit")
+    log_ndtr = _counting(monkeypatch, regression, "log_ndtr")
+    model = stepwise_select(X, y, names)
+    trials = [h for h in model.meta["history"] if h["step"] >= 2]
+    assert [h.get("rejected") for h in trials] == [None, "a"]
+    assert len(fits) == len(names) + len(trials)
+    # no step of these fits is halved: one pass at the start and one per iteration
+    assert len(log_ndtr) == sum(1 + fit.n_iter for fit in fits)
