@@ -49,7 +49,10 @@ def check_types(config, error: type[Exception] = ValueError) -> None:
 def load_object(path, what: str, error: type[Exception] = ValueError) -> dict:
     """The JSON object in the file ``path``; ``error`` naming ``what`` for another value."""
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise error(f"{what} {path} holds JSON nested too deeply") from None
     if type(obj) is not dict:
         raise error(f"{what} {path} must hold a JSON object")
     return obj

@@ -193,39 +193,6 @@ def lookup(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndar
     return pos, sorted_ids.take(pos, mode="clip") == ids
 
 
-def _parse_paper(obj: dict, line: int) -> tuple:
-    """The validated fields of one paper; terms are type-checked, not tokenized."""
-    pid = obj.get("paper_id") if type(obj) is dict else None
-    if type(pid) is not int:
-        raise CorpusError("missing or non-integer paper_id", line=line)
-    year = obj.get("year")
-    doc_type = obj.get("doc_type", "article")
-    jid = obj.get("journal_id")
-    refs = obj.get("references", [])
-    terms = obj.get("terms", [])
-    if not is_int64(pid):
-        problem = "paper_id outside the signed 64-bit range"
-    elif not is_int64(year):
-        # papers with missing publication year are rejected rather than guessed
-        problem = "missing or non-integer year"
-    elif doc_type not in DOC_TYPES:
-        problem = f"unknown doc_type {doc_type!r}"
-    elif jid is not None and not is_int64(jid):
-        problem = f"non-integer or out-of-range journal_id {jid!r}"
-    elif type(refs) is not list or not all(map(is_int64, refs)):
-        problem = "references must be a list of 64-bit integers"
-    elif len(set(refs)) != len(refs):
-        problem = "duplicate references"
-    elif pid in refs:
-        problem = "cites itself"
-    elif type(terms) is not str and (type(terms) is not list
-                                     or not set(map(type, terms)) <= {str}):
-        problem = "terms must be a string or a list of strings"
-    else:
-        return pid, year, doc_type, jid, refs, terms
-    raise CorpusError(f"paper {pid}: {problem}", line=line, paper_id=pid)
-
-
 def _parse_csv_int(val, what: str, line: int) -> int:
     if val is None or not INT_TEXT.fullmatch(val.strip()):
         raise CorpusError(f"non-integer {what} {val!r}", line=line)
@@ -260,96 +227,133 @@ def load_journal_ranks(path) -> dict[int, JournalRank]:
     return ranks
 
 
-#: lines per block of the batch loader: blocks of 256 lines ran ~7% faster at
+#: lines per block of the loader: blocks of 256 lines ran ~7% faster at
 #: 1k communities, but left a pymalloc arena in use after the corpus was freed
 _BLOCK = 64
 _scan = json.JSONDecoder().scan_once
-#: what the batch loader raises on a line or field it cannot take
-_UNREAD = (StopIteration, ValueError, TypeError, KeyError, OverflowError, RecursionError)
+#: what decoding a block raises on a line or field it cannot take
+_UNREAD = (StopIteration, ValueError, TypeError, OverflowError, RecursionError)
+#: Each field of a paper line, in the order a bad line reports the first that
+#: fails: its name, its value when absent, the types it may take and those of a
+#: list's items, and its problem. Ints fit int64, a missing year is refused, not
+#: guessed, a doc_type is in DOC_TYPES, and references are distinct, not the paper.
+_FIELDS = (("paper_id", None, {int}, set(), "paper_id outside the signed 64-bit range"),
+           ("year", None, {int}, set(), "missing or non-integer year"),
+           ("doc_type", "article", {str}, set(), "unknown doc_type {!r}"),
+           ("journal_id", None, {int, type(None)}, set(),
+            "non-integer or out-of-range journal_id {!r}"),
+           ("references", [], {list}, {int}, "references must be a list of 64-bit integers"),
+           ("terms", [], {str, list}, {str}, "terms must be a string or a list of strings"))
 
 
 def _types(values) -> set:
     return set(map(type, values))
 
 
-def _columns():
-    """Empty columns for ``Corpus``: ids, years, doc types, has-journal flags,
-    journals, reference counts, references and joined terms."""
-    return (array("q"), array("q"), array("b"), array("b"), array("q"), array("q"),
-            array("q"), [])
+def _loads(text: str, line: int):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:   # nested too deep is malformed too
+        raise CorpusError(f"malformed JSON: {getattr(e, 'msg', e)}", line=line) from e
 
 
-def _read_blocks(fh) -> tuple | None:
-    """The columns of a papers file, decoded a block of lines at a time and
-    checked by column; None where ``_read_lines`` would raise. A line is one
+def _check_paper(obj, line: int, seen: set) -> None:
+    """Raise the report of the first check the decoded line ``obj`` fails;
+    ``seen`` holds the ids of the lines before it, and then its own."""
+    pid = obj.get("paper_id") if type(obj) is dict else None
+    if type(pid) is not int:
+        raise CorpusError("missing or non-integer paper_id", line=line)
+    for name, default, types, items, problem in _FIELDS:
+        value = obj.get(name, default)
+        values = value if type(value) is list else [value]
+        if (type(value) not in types or type(value) is list and _types(value) - items
+                or not all(is_int64(v) for v in values if type(v) is int)
+                or name == "doc_type" and value not in DOC_TYPES):
+            raise CorpusError(f"paper {pid}: {problem.format(value)}", line=line, paper_id=pid)
+        if name == "references" and (len(set(value)) < len(value) or pid in value):
+            problem = "duplicate references" if len(set(value)) < len(value) else "cites itself"
+            raise CorpusError(f"paper {pid}: {problem}", line=line, paper_id=pid)
+    if pid in seen:
+        raise CorpusError(f"duplicate paper_id {pid}", line=line, paper_id=pid)
+    seen.add(pid)
+
+
+def _decode(lines: list) -> tuple:
+    """The columns for ``Corpus`` of the papers on ``lines``, checked by column
+    but for references: one of ``_UNREAD`` where a line fails. A line is one
     JSON value: the scan must end where the line ends."""
-    columns = ids, years, doc_types, has_journal, journals, n_refs, refs, terms = _columns()
-    for block in iter(lambda: list(islice(fh, _BLOCK)), []):
-        lines = [line for line in map(str.strip, block) if line]
-        scanned = [_scan(line, 0) for line in lines]
-        objs = [obj for obj, _ in scanned]
-        if [end for _, end in scanned] != list(map(len, lines)) or _types(objs) - {dict}:
-            return None
-        pid = [o["paper_id"] for o in objs]
-        year = [o["year"] for o in objs]
-        jid = [o.get("journal_id") for o in objs]
-        cited = [o.get("references", []) for o in objs]
-        text = [o.get("terms", []) for o in objs]
-        if _types(cited) - {list}:
-            return None
-        flat = list(chain.from_iterable(cited))
-        if (_types(pid) | _types(year) | _types(flat)) - {int} \
-                or _types(jid) - {int, type(None)} or _types(text) - {str, list}:
-            return None
-        ids.extend(pid)
-        years.extend(year)
-        doc_types.extend(map(DOC_TYPES.index, [o.get("doc_type", "article") for o in objs]))
-        has_journal.extend([j is not None for j in jid])
-        journals.extend([j for j in jid if j is not None])
-        n_refs.extend(map(len, cited))
-        refs.extend(flat)
-        # joined as normalize_terms would; a list holding a non-string is a TypeError
-        terms.extend([t if type(t) is str else " ".join(t) for t in text])
-    if not ids:
-        return None
+    scanned = [_scan(line, 0) for line in lines]
+    objs = [obj for obj, _ in scanned]
+    if [end for _, end in scanned] != list(map(len, lines)) or _types(objs) - {dict}:
+        raise ValueError("not one JSON object per line")
+    values = pid, year, doc, jid, cited, text = [
+        [o.get(name, default) for o in objs] for name, default, *_ in _FIELDS]
+    if (any(_types(column) - types for column, (_, _, types, *_) in zip(values, _FIELDS))
+            or _types(flat := list(chain.from_iterable(cited))) - {int}):
+        raise TypeError("a value of another type")
+    # an int outside int64 overflows its array; a terms list holding a
+    # non-string fails the join, which joins as normalize_terms would
+    return (array("q", pid), array("q", year), array("b", map(DOC_TYPES.index, doc)),
+            array("b", [j is not None for j in jid]),
+            array("q", [j for j in jid if j is not None]), array("q", map(len, cited)),
+            array("q", flat), [t if type(t) is str else " ".join(t) for t in text])
+
+
+def _check_references(columns, blanks: list) -> None:
+    """Check the rows read so far at once: no paper cites itself, none cites an
+    item twice and no id repeats. If one does, each row is checked in order."""
+    ids, years, _, _, _, n_refs, refs, _ = columns
     paper = np.frombuffer(ids, np.int64)
     sorted_ids = np.sort(paper)
-    # one row per (paper, reference): no paper cites itself, none cites an item twice
+    # a key per (row, reference), distinct for references within 2**40 of each
+    # other and under 2**23 rows; past that a shared key sends the rows below
     row = np.repeat(np.arange(len(paper)), np.frombuffer(n_refs, np.int64))
     ref = np.frombuffer(refs, np.int64)
-    if (sorted_ids[1:] == sorted_ids[:-1]).any() or (ref == paper[row]).any():
-        return None
-    cited, each = np.unique(ref, return_inverse=True)
-    keys = np.sort(row * len(cited) + each)
-    return None if (keys[1:] == keys[:-1]).any() else columns
+    keys = np.sort(row * 2**40 + ref)
+    if not ((sorted_ids[1:] == sorted_ids[:-1]).any() or (ref == paper[row]).any()
+            or (keys[1:] == keys[:-1]).any()):
+        return
+    seen, end = set(), 0
+    lines = np.setdiff1d(np.arange(1, len(paper) + len(blanks) + 1), blanks)    # not blank
+    for pid, year, n, line in zip(ids, years, n_refs, lines.tolist()):
+        start, end = end, end + n
+        # the fields left out passed their checks as the row was read
+        obj = {"paper_id": pid, "year": year, "references": refs[start:end].tolist()}
+        _check_paper(obj, line, seen)
 
 
-def _read_lines(fh) -> tuple:
-    """The columns of a papers file, read and checked line by line: the one
-    place a bad line is named, by the first ``CorpusError`` it raises."""
-    columns = ids, years, doc_types, has_journal, journals, n_refs, refs, terms = _columns()
-    seen = set()
-    for i, raw in enumerate(fh, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
+def _read_blocks(fh) -> tuple:
+    """The columns of a papers file for ``Corpus``, checked a block of lines
+    at a time (``_decode``); a block that fails is checked line by line."""
+    columns = ids, *_ = _decode([])  # empty
+    blanks, first = [], 1       # the blank lines' numbers and the block's first
+    while True:
+        block, undecodable = [], None
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise CorpusError(f"malformed JSON: {e.msg}", line=i) from e
-        pid, year, doc_type, jid, cited, text = _parse_paper(obj, i)
-        if pid in seen:
-            raise CorpusError(f"duplicate paper_id {pid}", line=i, paper_id=pid)
-        seen.add(pid)
-        ids.append(pid)
-        years.append(year)
-        doc_types.append(DOC_TYPES.index(doc_type))
-        has_journal.append(jid is not None)
-        if jid is not None:
-            journals.append(jid)
-        n_refs.append(len(cited))
-        refs.extend(cited)
-        terms.append(text if type(text) is str else " ".join(text))
+            block.extend(islice(fh, _BLOCK))    # keeps the lines read before an error
+        except UnicodeDecodeError as e:         # raised once the lines read ahead pass
+            undecodable = e
+        stripped = list(map(str.strip, block))
+        lines = list(filter(None, stripped))
+        try:
+            decoded = _decode(lines)
+        except _UNREAD:
+            _check_references(columns, blanks)      # a bad line before the block comes first
+            seen = set(ids)
+            for line, text in enumerate(stripped, first):
+                if text:
+                    _check_paper(_loads(text, line), line, seen)
+            raise           # the line checks refuse whatever the column checks do
+        for column, part in zip(columns, decoded):
+            column += part
+        if len(lines) < len(block):
+            blanks.extend(line for line, text in enumerate(stripped, first) if not text)
+        first += len(block)
+        if undecodable or len(block) < _BLOCK:
+            break
+    _check_references(columns, blanks)
+    if undecodable:
+        raise undecodable
     if not ids:
         raise CorpusError("corpus is empty")
     return columns
@@ -358,20 +362,12 @@ def _read_lines(fh) -> tuple:
 def load_corpus(papers_path, journals_path=None) -> Corpus:
     """Load and validate a corpus.
 
-    Duplicate paper ids and malformed lines are fatal. References to ids absent
-    from the corpus are kept and flagged external. A missing journals file
-    yields an empty rank table. The file is read in blocks of lines; if any
-    line would fail, it is read again line by line to name the first bad one.
+    Duplicate paper ids and malformed lines are fatal: the first bad line is
+    named. References to ids absent from the corpus are kept and flagged
+    external. A missing journals file yields an empty rank table.
     """
     with open(papers_path) as fh:
-        try:
-            columns = _read_blocks(fh)
-        except _UNREAD:
-            columns = None
-    if columns is None:
-        with open(papers_path) as fh:
-            columns = _read_lines(fh)
-
+        columns = _read_blocks(fh)
     ranks: dict[int, JournalRank] = {}
     if journals_path is not None and Path(journals_path).exists():
         ranks = load_journal_ranks(journals_path)

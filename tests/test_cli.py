@@ -331,6 +331,15 @@ def test_pipeline_config_malformed_json_exits_2(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+def test_pipeline_config_nested_too_deeply_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["pipeline", "--config", str(cfg_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": f"config {cfg_path} holds JSON nested too deeply"}
+
+
 def test_indicators_fy_without_rows_exits_2(synth_dir, model_dir, tmp_path, capsys):
     assert run(["indicators", "--corpus", str(synth_dir / "papers.jsonl"),
                 "--model", str(model_dir), "--fy", "1900",
@@ -664,6 +673,31 @@ def test_validate_names_a_bad_reference_beyond_the_first_block(tmp_path, capsys,
     papers[199] = paper(200, 2000, refs=refs)
     err = _validate_error(tmp_path, capsys, papers)
     assert err == {"error": f"paper 200: {problem}", "line": 200, "paper_id": 200}
+
+
+def test_validate_reports_invalid_utf8_as_the_first_bad_line(tmp_path, capsys):
+    # no line before the bytes that do not decode is bad, so the report is the
+    # error that iterating the file raises
+    text = "".join(json.dumps(paper(i, 2000, terms=["x" * 200])) + "\n" for i in range(1, 100))
+    papers = tmp_path / "p.jsonl"
+    papers.write_bytes(text.encode() + b'{"paper_id": 100, "terms": "\xff"}\n')
+    with open(papers) as fh, pytest.raises(UnicodeDecodeError) as exc:
+        list(fh)
+    assert run(["corpus", "validate", str(papers)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": str(exc.value)}
+
+
+def test_validate_reports_json_nested_too_deeply(tmp_path, capsys):
+    papers = tmp_path / "p.jsonl"
+    papers.write_text(json.dumps(paper(1, 2010)) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    assert run(["corpus", "validate", str(papers)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "malformed JSON: maximum recursion depth "
+                                             "exceeded while decoding a JSON array from a "
+                                             "unicode string", "line": 2}
 
 
 def test_validate_rejects_float_paper_id(tmp_path, capsys):

@@ -284,8 +284,8 @@ def test_crlf_and_blank_lines_load(tmp_path):
 
 
 def test_invalid_utf8_after_a_malformed_line_names_that_line(tmp_path):
-    # the bytes that do not decode lie past the first 8 KiB the line reader
-    # decodes, but in the batch loader's first block of lines
+    # the bytes that do not decode lie past the first 8 KiB the file decodes,
+    # but in the loader's first block of lines
     filler = [json.dumps(paper(i, 2000, terms=["x" * 200])) for i in range(3, 43)]
     text = "\n".join([json.dumps(paper(1, 2000)), "{not json", *filler]) + "\n"
     path = tmp_path / "p.jsonl"
@@ -303,6 +303,22 @@ def test_duplicate_paper_id_in_a_later_block_names_its_line(tmp_path):
                                    "paper_id": 3}
 
 
+@pytest.mark.parametrize("order,report", [
+    (["dup", "bad"], {"error": "duplicate paper_id 3", "line": 6, "paper_id": 3}),
+    (["bad", "dup"], {"error": "malformed JSON: Expecting property name enclosed in double "
+                               "quotes", "line": 6}),
+])
+def test_duplicate_paper_id_counts_only_before_the_first_bad_line(tmp_path, order, report):
+    # the first 3 is in the first block of 4 lines; its repeat and a malformed
+    # line share the second block, and whichever comes first is reported
+    lines = {"dup": json.dumps(paper(3, 2005)), "bad": "{not json"}
+    path = tmp_path / "p.jsonl"
+    path.write_text("\n".join([json.dumps(paper(i, 2000)) for i in range(1, 6)]
+                              + [lines[name] for name in order]) + "\n")
+    with mock.patch.object(corpus_module, "_BLOCK", 4):
+        assert _error_of(path) == report
+
+
 @pytest.mark.parametrize("refs,problem", [([5, 200], "cites itself"),
                                            ([5, 7, 5], "duplicate references")])
 def test_bad_reference_beyond_the_first_block_names_its_line(tmp_path, refs, problem):
@@ -317,8 +333,7 @@ def test_bad_reference_beyond_the_first_block_names_its_line(tmp_path, refs, pro
 
 def test_corpus_citing_nothing_loads_without_the_line_reader(tmp_path):
     path = write_papers(tmp_path / "p.jsonl", [paper(i, 2000 + i % 3) for i in range(1, 100)])
-    with mock.patch.object(corpus_module, "_read_lines", side_effect=AssertionError):
-        corpus = load_corpus(path)
+    corpus = load_corpus(path)
     assert corpus.refs.size == corpus.ref_row.size == corpus.external_ids.size == 0
     assert corpus.ref_row.dtype == corpus.external_ids.dtype == np.int64
     assert corpus.ref_ptr.tolist() == [0] * 100
@@ -340,9 +355,37 @@ def test_valid_file_loads_without_the_line_reader(tmp_path):
     papers = [paper(i, 2000, refs=[i + 1, 1000], journal_id=i % 2 or None, terms=["a b"])
               for i in range(1, 600)]
     path = write_papers(tmp_path / "p.jsonl", papers)
-    with mock.patch.object(corpus_module, "_read_lines", side_effect=AssertionError):
-        corpus = load_corpus(path)
+    corpus = load_corpus(path)
     assert corpus.papers == oracles.load_corpus(path).papers
+
+
+def test_references_whose_keys_coincide_load(tmp_path):
+    # the reference check keys (row, reference) as row * 2**40 + reference:
+    # row 0 citing 2**40 + 5 and row 1 citing 5 share a key, but are no repeat
+    path = write_papers(tmp_path / "p.jsonl", [paper(1, 2000, refs=[2**40 + 5]),
+                                               paper(2, 2000, refs=[5, 1])])
+    assert_loads_like_oracle(path)
+    assert load_corpus(path).refs.tolist() == [2**40 + 5, 5, 1]
+
+
+@pytest.mark.parametrize("bad_line", [None, 200, 2])
+def test_papers_file_is_opened_once(tmp_path, bad_line):
+    # a valid file, a repeated reference on line 200 and a malformed line 2
+    lines = [json.dumps(paper(i, 2000, refs=[i - 1] if i > 1 else [])) for i in range(1, 251)]
+    if bad_line == 200:
+        lines[199] = json.dumps(paper(200, 2000, refs=[5, 7, 5]))
+    elif bad_line == 2:
+        lines[1] = "{not json"
+    path = tmp_path / "p.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(corpus_module, "open", wraps=open, create=True) as opened:
+        if bad_line is None:
+            load_corpus(path)
+        else:
+            with pytest.raises(CorpusError) as exc:
+                load_corpus(path)
+            assert exc.value.line == bad_line
+    assert opened.call_count == 1
 
 
 @pytest.fixture(scope="module", params=[201, 202])
