@@ -70,17 +70,23 @@ def bm25_score_blocks(docs: sparse.csr_array, queries: sparse.csr_array):
 def best_columns(scores: np.ndarray) -> list[int]:
     """Per row of a score block, the column a scan in column order picks, or
     -1: the first positive score becomes best, and a later score replaces it
-    only if it exceeds the best by more than 1e-15. A replacement beats every
-    score before it, so only the row's strict running-max records are scanned.
+    only if it exceeds the best by more than 1e-15. That is the row's first
+    maximum unless another score comes within 1e-15 of it. Only such rows are
+    scanned, and only over their strict running-max records, since a
+    replacement beats every score before it.
     """
-    record = scores > 0
-    record[:, 1:] &= scores[:, 1:] > np.maximum.accumulate(scores, axis=1)[:, :-1]
+    top = scores.max(axis=1, initial=0.0)
+    best = np.where(top > 0, scores.argmax(axis=1) if scores.size else -1, -1)
+    near = np.flatnonzero((top > 0) & ((scores + _TIE_EPS >= top[:, None]).sum(axis=1) > 1))
+    block = scores[near]
+    record = block > 0
+    record[:, 1:] &= block[:, 1:] > np.maximum.accumulate(block, axis=1)[:, :-1]
     rows, cols = np.nonzero(record)
-    best, top = [-1] * len(scores), [-math.inf] * len(scores)
-    for r, c, s in zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist()):
-        if s > top[r] + _TIE_EPS:
-            best[r], top[r] = c, s
-    return best
+    high = [-math.inf] * len(scores)
+    for r, c, s in zip(near[rows].tolist(), cols.tolist(), block[rows, cols].tolist()):
+        if s > high[r] + _TIE_EPS:
+            best[r], high[r] = c, s
+    return best.tolist()
 
 
 def _plurality(corpus: Corpus, new_year: int, base: Partition

@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy import sparse
 
-from .artifacts import INT_TEXT, is_int64, write_json, write_tsv
+from .artifacts import INT_TEXT, is_int64, read_tsv, write_json, write_tsv
 from .citegraph import CitationGraph, connected_components
 from .config import check_types, has_type, load_object
 from .corpus import lookup
@@ -549,11 +549,8 @@ def load_partition(tsv_path, meta_path=None) -> Partition:
     """Read a partition written by ``save_partition``. ClusterError for a bad
     row (naming its line), a repeated paper id, or a meta field of the wrong
     type (checked exactly: JSON true/false and strings are not integers)."""
-    with open(tsv_path) as fh:
-        header = fh.readline()
-        if header.strip() != "paper_id\trc_id":
-            raise ClusterError(f"bad partition header: {header.strip()!r}")
-        paper_ids, rc = _read_rows(fh.read())
+    rows = read_tsv(tsv_path, "partition", {"paper_id": "int", "rc_id": "int"}, ClusterError,
+                    _in_paper_order)
     meta = {} if meta_path is None else load_object(meta_path, "partition meta", ClusterError)
     kinds = {"model_year": "int | None", "extended_through": "int | None", "rc_count": "int",
              "quality": "float", "config": "dict", "external_assignment": "dict"}
@@ -564,48 +561,20 @@ def load_partition(tsv_path, meta_path=None) -> Partition:
         raise ClusterError(f"partition meta {meta_path}: "
                            f"{(wrong or ['external_assignment'])[0]} has the wrong type")
     external_ids, external_rc = _columns(map(int, external), external.values())
-    return Partition(paper_ids, rc, model_year=meta.get("model_year"),
-                     rc_count=meta.get("rc_count", len(np.unique(rc))),
+    return Partition(rows["paper_id"], rows["rc_id"], model_year=meta.get("model_year"),
+                     rc_count=meta["rc_count"] if "rc_count" in meta
+                     else len(np.unique(rows["rc_id"])),
                      quality=meta.get("quality", 0.0),
                      extended_through=meta.get("extended_through"),
                      external_ids=external_ids, external_rc=external_rc,
                      config_used=meta.get("config", {}))
 
 
-def _row_problem(cells: list[str]) -> str | None:
-    """Why the cells of a partition row are not a paper id and an rc id."""
-    if len(cells) != 2 or not all(map(INT_TEXT.fullmatch, cells)):
-        return "expected paper_id and rc_id"
-    return None if all(is_int64(int(c)) for c in cells) else "paper_id and rc_id must fit int64"
-
-
-def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The paper ids (ascending) and rc ids of the partition rows ``text``,
-    which follow the header line; ClusterError naming the first line that is
-    not two int64 integers or that repeats a paper id. A row is two cells
-    separated by one tab, as written, and each cell must be an ``INT_TEXT``."""
-    if text and not text.endswith("\n"):
-        text += "\n"
-    n = text.count("\n")
-    try:
-        # as written: per row, digits and minus signs around one tab, then a newline
-        if text.translate(str.maketrans("", "", "0123456789-")) != "\t\n" * n:
-            raise ValueError
-        values = np.fromiter(map(int, text.split()), np.int64, 2 * n)
-        bad = n
-    except (ValueError, OverflowError):
-        rows = [line.split("\t") for line in text.split("\n")[:n]]
-        bad = next((i for i, cells in enumerate(rows) if _row_problem(cells)), n)
-        values = np.array([int(c) for cells in rows[:bad] for c in cells], np.int64)
-    values = values.reshape(-1, 2)
-    order = np.argsort(values[:, 0], kind="stable")
-    paper_ids = values[order, 0]
+def _in_paper_order(rows: dict):
+    """Put the partition rows in paper id order; the first row that repeats a
+    paper id, if one does."""
+    order = np.argsort(rows["paper_id"], kind="stable")
+    paper_ids = rows["paper_id"] = rows["paper_id"][order]
+    rows["rc_id"] = rows["rc_id"][order]
     repeats = order[1:][paper_ids[1:] == paper_ids[:-1]]
-    lines = text.split("\n") if len(repeats) or bad < n else []
-    if len(repeats):
-        i = int(repeats.min())
-        raise ClusterError(f"partition line {i + 2}: duplicate paper_id {lines[i].split()[0]}")
-    if bad < n:
-        raise ClusterError(f"partition line {bad + 2}: {_row_problem(rows[bad])}, "
-                           f"got {lines[bad].strip()!r}")
-    return paper_ids, values[order, 1]
+    return (int(repeats.min()), "duplicate paper_id {0}") if len(repeats) else None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .artifacts import write_json, write_tsv
+from .artifacts import read_tsv, write_json, write_tsv
 from .config import has_type, load_object
 from .indicators import INDICATOR_NAMES, IndicatorTable, Panel
 
@@ -211,9 +211,6 @@ def build_forecasts(panel: Panel, table: IndicatorTable, model: CompositeModel,
 
 _TSV_HEADER = ["rc_id", "fy", "ty", "ry", "papers_in_fy", "score", "predicted",
                "outcome", "growth_rate"]
-#: how a cell is read, by the annotation of its ``ForecastRecord`` field
-_CELL_PARSERS = {"int": int, "float": float, "int | None": lambda c: int(c) if c else None,
-                 "float | None": lambda c: float(c) if c else None}
 
 
 def write_forecast_tsv(path, records: list[ForecastRecord]) -> None:
@@ -223,11 +220,9 @@ def write_forecast_tsv(path, records: list[ForecastRecord]) -> None:
 
 
 def read_forecast_tsv(path) -> list[ForecastRecord]:
-    parse = {f.name: _CELL_PARSERS[f.type] for f in fields(ForecastRecord)}
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != _TSV_HEADER:
-            raise ValueError(f"unexpected forecast header: {header}")
-        return [ForecastRecord(**{name: parse[name](cell) for name, cell in
-                                  zip(_TSV_HEADER, line.rstrip("\n").split("\t"))})
-                for line in fh]
+    """The records of a forecast table; ValueError naming its first bad line.
+    Each column is read by the annotation of its ``ForecastRecord`` field."""
+    kinds = {f.name: f.type for f in fields(ForecastRecord)}
+    columns = read_tsv(path, "forecast", {name: kinds[name] for name in _TSV_HEADER})
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
+    return [ForecastRecord(**dict(zip(columns, row))) for row in rows]

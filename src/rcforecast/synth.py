@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import INT_TEXT, is_int64, read_tsv, write_tsv
 from .config import check_types
 from .forecast import HORIZON, growth_outcomes
 from .indicators import last_peaks
@@ -621,14 +622,13 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
     # the "+xg" suffix marks communities carrying a planted growth episode
     community_class = {spec.cid: spec.lifecycle + ("+xg" if spec.planted else "")
                        for spec in specs}
-    with open(truth_path, "w") as fh:
-        fh.write("kind\tid\tfy\tvalue\n")
-        for pid in sorted(paper_community):
-            fh.write(f"paper\t{pid}\t\t{paper_community[pid]}\n")
-        for spec in specs:
-            fh.write(f"class\t{spec.cid}\t\t{community_class[spec.cid]}\n")
-        for (cid, fy) in sorted(xg_truth):
-            fh.write(f"xg\t{cid}\t{fy}\t{xg_truth[(cid, fy)]}\n")
+    papers, classes, xg_keys = sorted(paper_community), list(community_class), sorted(xg_truth)
+    write_tsv(truth_path, {
+        "kind": ["paper"] * len(papers) + ["class"] * len(classes) + ["xg"] * len(xg_keys),
+        "id": papers + classes + [cid for cid, _ in xg_keys],
+        "fy": [None] * (len(papers) + len(classes)) + [fy for _, fy in xg_keys],
+        "value": [*map(paper_community.get, papers), *community_class.values(),
+                  *map(xg_truth.get, xg_keys)]})
 
     summary = {
         "n_papers": next_id - 1,
@@ -646,22 +646,24 @@ def generate(config: SynthConfig, out_dir) -> SynthResult:
 
 
 def load_truth(path):
-    """Parse truth.tsv back into (paper_community, community_class, xg_truth)."""
-    paper_community: dict[int, int] = {}
-    community_class: dict[int, str] = {}
-    xg_truth: dict[tuple[int, int], int] = {}
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "kind\tid\tfy\tvalue":
-            raise SynthError(f"unexpected truth header: {header!r}")
-        for line in fh:
-            kind, key, fy, value = line.rstrip("\n").split("\t")
-            if kind == "paper":
-                paper_community[int(key)] = int(value)
-            elif kind == "class":
-                community_class[int(key)] = value
-            elif kind == "xg":
-                xg_truth[(int(key), int(fy))] = int(value)
-            else:
-                raise SynthError(f"unknown truth row kind {kind!r}")
-    return paper_community, community_class, xg_truth
+    """Parse truth.tsv back into (paper_community, community_class, xg_truth);
+    SynthError naming its first bad line."""
+    truth = {"paper": {}, "class": {}, "xg": {}}
+
+    def file_rows(t: dict):
+        """File each row under its kind; the first row that is not a paper,
+        class or xg row (an fy on xg rows alone, an integer value on all but
+        class rows) or that repeats an earlier key."""
+        for i, (kind, key, fy, value) in enumerate(zip(t["kind"], t["id"].tolist(), t["fy"],
+                                                       t["value"])):
+            if kind not in truth or (fy is None) == (kind == "xg") or not (
+                    kind == "class" or INT_TEXT.fullmatch(value) and is_int64(int(value))):
+                return i, "expected a paper, class or xg row"
+            if (key := key if fy is None else (key, fy)) in truth[kind]:
+                return i, "repeats the key of an earlier {0} row"
+            truth[kind][key] = value if kind == "class" else int(value)
+        return None
+
+    read_tsv(path, "truth", {"kind": "str", "id": "int", "fy": "int | None", "value": "str"},
+             SynthError, file_rows)
+    return truth["paper"], truth["class"], truth["xg"]

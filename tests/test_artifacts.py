@@ -17,8 +17,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcforecast.artifacts import write_tsv
-from rcforecast.cluster import Partition, save_partition
+from rcforecast.artifacts import read_tsv, write_tsv
+from rcforecast.cluster import Partition, load_partition, save_partition
+from rcforecast.corpus import load_corpus
 from rcforecast.evaluate import (
     LifecycleRow,
     TaxonomyMap,
@@ -27,10 +28,20 @@ from rcforecast.evaluate import (
     write_evaluation,
     write_lifecycle_tsv,
 )
-from rcforecast.forecast import CompositeModel, ForecastRecord, write_forecast_tsv
-from rcforecast.indicators import INDICATOR_NAMES, IndicatorTable, write_indicator_tsv
+from rcforecast.forecast import (
+    CompositeModel,
+    ForecastRecord,
+    build_forecasts,
+    read_forecast_tsv,
+    select_top_n,
+    write_forecast_tsv,
+)
+from rcforecast.indicators import INDICATOR_NAMES, IndicatorTable, Panel, write_indicator_tsv
 from rcforecast.manifest import write_manifest
+from rcforecast.pipeline import indicator_table
+from rcforecast.synth import SynthConfig, generate, load_truth
 
+from conftest import assert_same_partition
 from oracles import write_tsv_rows
 
 THIRD = 0.1 + 0.2       # 0.30000000000000004: only its repr round-trips
@@ -295,3 +306,55 @@ def test_column_rule_matches_the_cell_rule(table):
         text = got.read_text()
         assert text == want.read_text()
     assert text.count("\n") == n + 1 and text.startswith("\t".join(columns) + "\n")
+
+
+def test_tables_read_back_as_written_on_a_1k_corpus(tmp_path):
+    """``truth.tsv``, ``partition.tsv`` and a forecast table of a 1k corpus read
+    back to the values they were written from."""
+    res = generate(SynthConfig(rng_seed=1, n_communities=1000), tmp_path)
+    assert load_truth(res.truth_path) == (res.paper_community, res.community_class,
+                                          res.xg_truth)
+    corpus = load_corpus(res.papers_path, res.ranks_path)
+    external = dict(zip(corpus.external_ids.tolist(), range(-3, len(corpus.external_ids))))
+    part = Partition.from_assignment(res.paper_community, external, model_year=2009,
+                                     extended_through=2014, rc_count=1000, quality=THIRD)
+    save_partition(part, tmp_path / "p.tsv", tmp_path / "p.json")
+    assert_same_partition(load_partition(tmp_path / "p.tsv", tmp_path / "p.json"), part)
+    panel = Panel(corpus, part)
+    records = select_top_n(build_forecasts(panel, indicator_table(panel, 2011),
+                                           CompositeModel.default()), None)
+    assert {r.outcome for r in records} == {0, 1} and len(records) > 900
+    write_forecast_tsv(tmp_path / "f.tsv", records)
+    assert read_forecast_tsv(tmp_path / "f.tsv") == records
+
+
+_KINDS = {"int": st.integers(-2**63, 2**63 - 1), "float": st.floats(allow_nan=False),
+          "str": st.text(st.characters(blacklist_categories=("Cs",),
+                                       blacklist_characters="\t\n\r"))}
+
+
+@st.composite
+def _table(draw):
+    kinds = draw(st.lists(st.sampled_from(["int", "int | None", "float", "float | None", "str"]),
+                          min_size=1, max_size=4))
+    n = draw(st.integers(0, 5))
+    columns = {}
+    for j, kind in enumerate(kinds):
+        cell = _KINDS[kind.removesuffix(" | None")]
+        cells = st.one_of(st.none(), cell) if kind.endswith("None") else cell
+        columns[f"c{j}"] = draw(st.lists(cells, min_size=n, max_size=n))
+    return dict(zip(columns, kinds)), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_table())
+def test_read_tsv_reads_what_write_tsv_writes(table):
+    kinds, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tsv(Path(tmp) / "t.tsv", columns)
+        got = read_tsv(Path(tmp) / "t.tsv", "t", kinds)
+    assert list(got) == list(columns)
+    for name, kind in kinds.items():
+        values = got[name].tolist() if kind in ("int", "float") else got[name]
+        assert values == columns[name]
+        assert list(map(type, values)) == list(map(type, columns[name]))

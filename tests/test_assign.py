@@ -219,6 +219,20 @@ def test_best_columns_matches_scan_on_near_ties():
         assert best_columns(scores) == [_scan(r) for r in scores]
 
 
+def test_best_columns_scans_near_ties_that_chain():
+    """Each step of a, a + 0.8e-15, a + 1.6e-15 lies within 1e-15, the whole
+    chain beyond it: the scan takes the third, or keeps the first when that is
+    the middle value, and only a row with a near tie leaves the maximum."""
+    a = 1.0
+    rows = np.array([[a, a + 0.8e-15, a + 1.6e-15],
+                     [a + 0.8e-15, a, a + 1.6e-15],
+                     [a, a + 1.6e-15, a + 0.8e-15],
+                     [a, 0.5, a + 1.6e-15]])
+    assert [_scan(r) for r in rows] == [2, 0, 1, 2]
+    assert best_columns(rows) == [2, 0, 1, 2]
+    assert best_columns(np.empty((2, 0))) == [-1, -1]
+
+
 def _check_extension(corpus, base, years):
     """Both extensions year by year; exact equality, and the scores of every
     BM25 query, as the extension used them, bit-equal to the oracle's."""

@@ -469,6 +469,10 @@ def _broken_model(model_dir, tmp_path, tsv=None, meta=None):
                  "partition line 3: expected paper_id and rc_id", id="tsv-plus"),
     pytest.param(lambda t: _with_line(t, 2, "\u0663\t1"), None,
                  "partition line 3: expected paper_id and rc_id", id="tsv-arabic-indic-digit"),
+    pytest.param(lambda t: t.replace("\t", " ", 1), None,
+                 "bad partition header: 'paper_id rc_id'", id="tsv-header-space"),
+    pytest.param(lambda t: t.replace("\n", " \n", 1), None,
+                 "bad partition header: 'paper_id\\trc_id '", id="tsv-header-trailing-space"),
 ])
 def test_bad_partition_file_exits_2(synth_dir, model_dir, tmp_path, capsys, tsv, meta,
                                     problem):

@@ -233,6 +233,38 @@ def test_forecast_tsv_reads_fields_by_header_name(tmp_path, monkeypatch):
     assert read_forecast_tsv(path) == records
 
 
+_FORECAST_COLUMNS = ("rc_id, fy, ty, ry, papers_in_fy, score, predicted, outcome "
+                     "and growth_rate")
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param("1_000\t2011\t2014\t2\t30\t0.5\t0\t\t", id="rc-underscore"),
+    pytest.param("7\t+2011\t2014\t2\t30\t0.5\t0\t\t", id="fy-plus"),
+    pytest.param("7\t2011\t\u0662\u0660\u0661\u0664\t2\t30\t0.5\t0\t\t",
+                 id="ty-arabic-indic-digits"),
+    pytest.param("7\t2011\t2014\t2\t30\t1_0.5\t0\t\t", id="score-underscore"),
+    pytest.param("7\t2011\t2014\t2\t30\t 0.5\t0\t\t", id="score-space"),
+    pytest.param("7\t2011\t2014\t2\t30\t0.5\t0\t1\t+1.5", id="growth-plus"),
+    pytest.param("7\t2011", id="two-cells"),
+])
+def test_bad_forecast_row_names_its_line(tmp_path, row):
+    path = tmp_path / "f.tsv"
+    write_forecast_tsv(path, [_record(1, 2.5, outcome=1)])
+    path.write_text(path.read_text() + row + "\n" + path.read_text().splitlines()[1] + "\n")
+    with pytest.raises(ValueError) as raised:
+        read_forecast_tsv(path)
+    expected = f"forecast line 3: expected {_FORECAST_COLUMNS}, got {row.strip()!r}"
+    assert str(raised.value) == expected
+
+
+def test_forecast_ints_must_fit_int64(tmp_path):
+    path = tmp_path / "f.tsv"
+    write_forecast_tsv(path, [_record(2 ** 63, 2.5)])
+    with pytest.raises(ValueError, match="forecast line 2: rc_id, fy, ty, ry, papers_in_fy, "
+                                         "predicted and outcome must fit int64, got '9223"):
+        read_forecast_tsv(path)
+
+
 def test_composite_model_json_round_trip(tmp_path):
     model = CompositeModel(("stage", "cvit"), (0.3, 0.5), intercept=-2.0,
                            meta={"n_obs": 10})

@@ -63,6 +63,31 @@ def test_truth_round_trip(small_synth):
     assert xg == res.xg_truth
 
 
+@pytest.mark.parametrize("row,problem", [
+    pytest.param("paper\t1_0\t\t+3", "expected kind, id, fy and value, got 'paper\\t1_0\\t\\t+3'",
+                 id="id-underscore"),
+    pytest.param("paper\t10\t\t+3", "expected a paper, class or xg row", id="value-plus"),
+    pytest.param("paper\t10", "expected kind, id, fy and value, got 'paper\\t10'",
+                 id="two-cells"),
+    pytest.param("paper\t1\t\t4", "repeats the key of an earlier paper row", id="repeated-paper"),
+    pytest.param("xg\t0\t2011\t1", "repeats the key of an earlier xg row", id="repeated-xg"),
+    pytest.param("paper\t10\t2011\t3", "expected a paper, class or xg row", id="paper-fy"),
+    pytest.param("xg\t0\t\t1", "expected a paper, class or xg row", id="xg-without-fy"),
+    pytest.param("community\t0\t\t1", "expected a paper, class or xg row", id="unknown-kind"),
+    pytest.param("paper\t10\t\t99999999999999999999", "expected a paper, class or xg row",
+                 id="value-int64"),
+    pytest.param("paper\t99999999999999999999\t\t3", "id and fy must fit int64, got "
+                 "'paper\\t99999999999999999999\\t\\t3'", id="id-int64"),
+])
+def test_bad_truth_row_names_its_line(tmp_path, row, problem):
+    path = tmp_path / "truth.tsv"
+    path.write_text("kind\tid\tfy\tvalue\npaper\t1\t\t0\nclass\t0\t\tstable\n"
+                    "xg\t0\t2011\t1\n" + row + "\npaper\t2\t\t0\n")
+    with pytest.raises(SynthError) as raised:
+        load_truth(path)
+    assert str(raised.value) == f"truth line 5: {problem}"
+
+
 def test_planted_rate_matches_config(tmp_path):
     cfg = SynthConfig(rng_seed=7, n_communities=2000)
     res = generate(cfg, tmp_path)
