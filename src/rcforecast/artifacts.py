@@ -60,12 +60,12 @@ def _names(names) -> str:
     return f"{', '.join(rest)} and {last}" if rest else last
 
 
-def _column(cells: list[str], kind: str):
+def parse_column(cells: list[str], kind: str):
     """``cells`` as ``kind``: an int64 or float64 array, or a list for an
     optional or ``str`` column; ValueError, or OverflowError for an integer
     outside int64, unless every cell is one."""
     if kind.endswith(" | None"):
-        given = iter(_column([c for c in cells if c], kind.removesuffix(" | None")).tolist())
+        given = iter(parse_column([c for c in cells if c], kind.removesuffix(" | None")).tolist())
         return [next(given) if c else None for c in cells]
     if kind == "int" and not "".join(cells).encode().translate(None, b"0123456789-"):
         return np.fromiter(map(int, cells), np.int64, len(cells))
@@ -90,7 +90,8 @@ def _columns(text: str, kinds: dict) -> dict:
         values = np.fromiter(map(int, text.split()), np.int64, n * k)
         return dict(zip(kinds, values.reshape(n, k).T))
     cells = text.replace("\n", "\t").split("\t")
-    return {name: _column(cells[j:-1:k], kind) for j, (name, kind) in enumerate(kinds.items())}
+    return {name: parse_column(cells[j:-1:k], kind)
+            for j, (name, kind) in enumerate(kinds.items())}
 
 
 def _problem(cells: list[str], kinds: dict) -> str | None:
@@ -98,7 +99,7 @@ def _problem(cells: list[str], kinds: dict) -> str | None:
     faults = set()
     for cell, kind in zip(cells, kinds.values()):
         try:
-            _column([cell], kind)
+            parse_column([cell], kind)
         except (ValueError, OverflowError) as e:
             faults.add(type(e))
     if len(cells) != len(kinds) or ValueError in faults:
@@ -108,7 +109,7 @@ def _problem(cells: list[str], kinds: dict) -> str | None:
 
 
 def read_tsv(path, table: str, kinds: dict, error=ValueError, check=None) -> dict:
-    """The columns of a table that ``write_tsv`` wrote, by name, as ``_column``
+    """The columns of a table that ``write_tsv`` wrote, by name, as ``parse_column``
     reads each of ``kinds`` (``int``, ``int | None``, ``float``, ``float |
     None`` or ``str``). ``error`` names the first bad line of ``table``: its
     header, a row without one cell of its kind per column, or the row that

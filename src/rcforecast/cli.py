@@ -10,6 +10,7 @@ inputs produce byte-identical data artifacts.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from dataclasses import asdict, fields
@@ -19,7 +20,7 @@ from . import __version__, cluster, evaluate, indicators, pipeline, regression
 from .artifacts import INT_TEXT, write_json
 from .cluster import ClusterConfig, ClusterError, load_partition, save_partition
 from .config import has_type, load_config
-from .corpus import CorpusError, load_corpus
+from .corpus import Corpus, CorpusError, load_corpus, load_journal_ranks
 from .evaluate import (
     SLICES,
     TaxonomyMap,
@@ -31,7 +32,7 @@ from .evaluate import (
 )
 from .forecast import HORIZON, CompositeModel, outcome_observed, write_forecast_tsv
 from .indicators import Panel, write_indicator_tsv
-from .manifest import write_manifest
+from .manifest import InputFile, write_manifest
 from .pipeline import (
     PipelineConfig,
     build_model,
@@ -54,9 +55,30 @@ def _model_files(model_dir) -> tuple[Path, Path]:
     return d / "partition.tsv", d / "partition.json"
 
 
+#: the last corpus this process decoded, by its papers file's sha256: commands
+#: run in one process decode a papers file once while its bytes are unchanged
+_last: tuple[str, Corpus] | None = None
+
+
+def _load_corpus(args, name: str = "corpus") -> Corpus:
+    """The corpus of the papers file ``args.<name>``, with the ranks of
+    ``args.journals`` read on every call. The path goes back on ``args`` as an
+    ``InputFile``, so the manifest reuses the digest this lookup takes. A
+    failed load is not kept: a bad file is read and reported on every call."""
+    global _last
+    papers = InputFile(getattr(args, name))
+    setattr(args, name, papers)
+    if _last is None or _last[0] != papers.digest:
+        _last = None        # the old corpus is freed before the new one is decoded
+        _last = papers.digest, load_corpus(papers)
+    corpus = copy.copy(_last[1])
+    corpus.ranks = load_journal_ranks(args.journals)
+    return corpus
+
+
 def _load_panel(args) -> Panel:
     partition = load_partition(*_model_files(args.model))
-    return Panel(load_corpus(args.corpus, args.journals), partition, window=args.window)
+    return Panel(_load_corpus(args), partition, window=args.window)
 
 
 def integer(text: str) -> int:
@@ -77,7 +99,7 @@ def _fy_range(text: str) -> list[int]:
 
 
 def cmd_corpus_validate(args) -> int:
-    corpus = load_corpus(args.papers, args.journals)
+    corpus = _load_corpus(args, "papers")
     print(json.dumps({
         "papers": corpus.meta.paper_count,
         "years": [corpus.meta.first_year, corpus.meta.last_year],
@@ -92,7 +114,7 @@ def cmd_model_build(args) -> int:
                            rng_seed=args.seed, max_iterations=args.max_iterations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)      # a bad --out fails before the clustering
-    corpus = load_corpus(args.corpus, args.journals)
+    corpus = _load_corpus(args)
     partition, graph = build_model(corpus, args.through_year, config,
                                    extended=not args.no_extended,
                                    target_rcs=args.target_rcs)
@@ -111,7 +133,7 @@ def cmd_model_extend(args) -> int:
                                       ("--quality", args.quality)) if value is not None]
     if stray and not args.seeded:
         return _fail(f"clustering flags need --seeded: {', '.join(stray)}")
-    corpus = load_corpus(args.corpus, args.journals)
+    corpus = _load_corpus(args)
     tsv, meta = _model_files(args.model)
     partition = load_partition(tsv, meta)
     config = None

@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy import sparse
 
-from .artifacts import INT_TEXT, is_int64, read_tsv, write_json, write_tsv
+from .artifacts import parse_column, read_tsv, write_json, write_tsv
 from .citegraph import CitationGraph, connected_components
 from .config import check_types, has_type, load_object
 from .corpus import lookup
@@ -80,9 +80,9 @@ class Partition:
     def from_assignment(cls, assignment, external_assignment=None, **meta) -> "Partition":
         """A partition of paper -> rc and external item -> rc mappings."""
         external = external_assignment or {}
-        external_ids, external_rc = _columns(external, external.values())
-        return cls(*_columns(assignment, assignment.values()), external_ids=external_ids,
-                   external_rc=external_rc, **meta)
+        external_ids, external_rc = _columns(list(external), list(external.values()))
+        return cls(*_columns(list(assignment), list(assignment.values())),
+                   external_ids=external_ids, external_rc=external_rc, **meta)
 
     @cached_property
     def assignment(self) -> Mapping[int, int]:
@@ -105,7 +105,7 @@ class Partition:
 def _columns(keys, values) -> tuple[np.ndarray, np.ndarray]:
     """The distinct int ``keys`` in ascending order, and for each the value
     paired with its last occurrence."""
-    keys, values = np.fromiter(keys, np.int64), np.fromiter(values, np.int64)
+    keys, values = np.asarray(keys, np.int64), np.asarray(values, np.int64)
     ids, last = np.unique(keys[::-1], return_index=True)
     return ids, values[::-1][last]
 
@@ -556,11 +556,15 @@ def load_partition(tsv_path, meta_path=None) -> Partition:
              "quality": "float", "config": "dict", "external_assignment": "dict"}
     wrong = [key for key, kind in kinds.items() if key in meta and not has_type(kind, meta[key])]
     external = meta.get("external_assignment", {})
-    if wrong or not all(INT_TEXT.fullmatch(k) and is_int64(int(k)) and is_int64(v)
-                        for k, v in external.items()):
+    try:        # keys by the rule of integer cells, values ints, both within int64
+        if wrong or set(map(type, external.values())) - {int}:
+            raise ValueError
+        external_ids, external_rc = _columns(
+            parse_column(list(external), "int"),
+            np.fromiter(external.values(), np.int64, len(external)))
+    except (ValueError, OverflowError):
         raise ClusterError(f"partition meta {meta_path}: "
-                           f"{(wrong or ['external_assignment'])[0]} has the wrong type")
-    external_ids, external_rc = _columns(map(int, external), external.values())
+                           f"{(wrong or ['external_assignment'])[0]} has the wrong type") from None
     return Partition(rows["paper_id"], rows["rc_id"], model_year=meta.get("model_year"),
                      rc_count=meta["rc_count"] if "rc_count" in meta
                      else len(np.unique(rows["rc_id"])),

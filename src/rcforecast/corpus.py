@@ -94,7 +94,8 @@ class Corpus:
     and ``journal`` the sorted ``journal_ids`` (-1 for none). Row r cites
     ``refs[ref_ptr[r]:ref_ptr[r+1]]`` in stored order; ``ref_row`` is each
     cited paper's row, -1 for an external item. Terms are tokenized on first
-    use of ``term_matrix``. Immutable after load; safe for concurrent reads."""
+    use of ``term_matrix``. Immutable after load, its arrays read-only; safe for
+    concurrent reads."""
 
     def __init__(self, ids, years, doc_types, has_journal, journals, n_refs, refs, terms,
                  ranks):
@@ -122,6 +123,9 @@ class Corpus:
         self.ref_row = np.where(internal, row, -1).take(each)
         self.external_ids = cited[~internal]
         self._terms = [terms[i] for i in order.tolist()]
+        for column in (self.paper_ids, self.year, self.doc_type, self.journal_ids,
+                       self.journal, self.refs, self.ref_ptr, self.ref_row, self.external_ids):
+            column.flags.writeable = False
 
         self.meta = CorpusMeta(first_year=int(self.year.min()), last_year=int(self.year.max()),
                                paper_count=len(ids), yearly_totals=dict(Counter(years)))
@@ -209,7 +213,10 @@ def _parse_rank(val: str, line: int) -> int | None:
 
 
 def load_journal_ranks(path) -> dict[int, JournalRank]:
+    """The ranks of the journal file ``path``: none for no path or a missing file."""
     ranks: dict[int, JournalRank] = {}
+    if path is None or not Path(path).exists():
+        return ranks
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         expected = {"journal_id", "citescore_rank", "eigenfactor_rank"}
@@ -368,10 +375,7 @@ def load_corpus(papers_path, journals_path=None) -> Corpus:
     """
     with open(papers_path) as fh:
         columns = _read_blocks(fh)
-    ranks: dict[int, JournalRank] = {}
-    if journals_path is not None and Path(journals_path).exists():
-        ranks = load_journal_ranks(journals_path)
-    return Corpus(*columns, ranks)
+    return Corpus(*columns, load_journal_ranks(journals_path))
 
 
 def save_corpus(corpus: Corpus, papers_path, journals_path=None) -> None:

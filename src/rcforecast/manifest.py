@@ -20,7 +20,9 @@ from .artifacts import write_json
 def file_digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        # 64 KiB reads: a papers file is hashed before it is loaded, and larger
+        # reads raised the peak RSS of the command that loads it
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 

@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -12,13 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcforecast import cli
+from rcforecast import corpus as corpus_module
 from rcforecast.cli import build_parser, run
 from rcforecast.cluster import ClusterError, Partition, load_partition, save_partition
 from rcforecast.config import has_type
 from rcforecast.forecast import CompositeModel
 from rcforecast.manifest import file_digest
 from rcforecast.pipeline import PipelineConfig, run_pipeline
-from rcforecast.corpus import load_corpus, normalize_terms
+from rcforecast.corpus import load_corpus, load_journal_ranks, normalize_terms
+from rcforecast.indicators import Panel
 from rcforecast.synth import SynthConfig, generate
 
 from conftest import assert_loads_like_oracle, paper, write_papers
@@ -26,6 +30,25 @@ from conftest import assert_loads_like_oracle, paper, write_papers
 # numbers JSON input must not hold: json.dumps writes NaN, Infinity and -Infinity,
 # which json.load reads back, and a 400-digit integer that float() cannot convert
 NAN, INF, BIG = float("nan"), float("inf"), 10**400
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """No corpus kept from an earlier command: the next load reads its papers."""
+    monkeypatch.setattr(cli, "_last", None)
+
+
+@pytest.fixture
+def decodes(monkeypatch, empty_memo):
+    """One entry per papers file decoded from here on."""
+    count, read = [], corpus_module._read_blocks
+
+    def counted(fh):
+        count.append(fh.name)
+        return read(fh)
+
+    monkeypatch.setattr(corpus_module, "_read_blocks", counted)
+    return count
 
 
 @pytest.fixture(scope="module")
@@ -459,6 +482,12 @@ def _broken_model(model_dir, tmp_path, tsv=None, meta=None):
                  "external_assignment", id="external-key-int64"),
     pytest.param(None, lambda m: dict(m, external_assignment={"5": 99999999999999999999}),
                  "external_assignment", id="external-value-int64"),
+    *(pytest.param(None, lambda m, e=external: dict(m, external_assignment=e),
+                   "external_assignment has the wrong type", id=f"external-{name}")
+      for name, external in [("key-plus", {"+5": 1}), ("key-underscore", {"1_0": 1}),
+                             ("key-arabic-indic-digit", {"\u0663": 1}),
+                             ("key-past-int64", {str(2**63): 1}), ("value-true", {"5": True}),
+                             ("value-past-int64", {"5": 2**63})]),
     pytest.param(None, lambda m: dict(m, quality=NAN), "quality", id="quality-nan"),
     pytest.param(None, lambda m: dict(m, quality=INF), "quality", id="quality-inf"),
     pytest.param(None, lambda m: dict(m, quality=-INF), "quality", id="quality--inf"),
@@ -792,7 +821,7 @@ def test_directory_input_exits_2_naming_it(tmp_path, capsys, directory_as):
     assert str(tmp_path) in _one_line_report(capsys)["error"]
 
 
-def test_unreadable_input_exits_2_naming_it(tmp_path, capsys):
+def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, empty_memo):
     papers = write_papers(tmp_path / "p.jsonl", [paper(1, 2010)])
     denied = PermissionError(errno.EACCES, "Permission denied", str(papers))
     with mock.patch("rcforecast.corpus.open", side_effect=denied, create=True):
@@ -816,7 +845,7 @@ def test_out_naming_a_file_exits_2(synth_dir, tmp_path, capsys, command, under_f
     assert blocker.read_text() == "not a directory\n"
 
 
-def test_other_os_errors_are_not_reported_as_bad_input(tmp_path):
+def test_other_os_errors_are_not_reported_as_bad_input(tmp_path, empty_memo):
     papers = write_papers(tmp_path / "p.jsonl", [paper(1, 2010)])
     full = OSError(errno.ENOSPC, "No space left on device")
     with mock.patch("rcforecast.corpus.open", side_effect=full, create=True):
@@ -867,7 +896,8 @@ def test_bad_taxonomy_rows_exit_2(synth_dir, model_dir, tmp_path, capsys, rows, 
     assert problem in _one_line_report(capsys)["error"]
 
 
-def test_model_build_checks_out_before_loading_the_corpus(synth_dir, tmp_path, capsys):
+def test_model_build_checks_out_before_loading_the_corpus(synth_dir, tmp_path, capsys,
+                                                        empty_memo):
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")
     loaded = AssertionError("the corpus was loaded before --out was checked")
@@ -875,3 +905,113 @@ def test_model_build_checks_out_before_loading_the_corpus(synth_dir, tmp_path, c
         assert run(["model", "build", "--corpus", str(synth_dir / "papers.jsonl"),
                     "--through-year", "2009", "--out", str(blocker)]) == 2
     assert _one_line_report(capsys)["error"].startswith(f"cannot open {blocker}: ")
+
+
+def _sweep(synth_dir, model_dir, out, capsys, before=lambda: None) -> tuple[list, str]:
+    """Fit, evaluate and lifecycle over one corpus, as the forecast sweep runs
+    them: their exit codes and stdout. ``before`` runs before each command."""
+    panel = ["--corpus", str(synth_dir / "papers.jsonl"), "--model", str(model_dir)]
+    journals = ["--journals", str(synth_dir / "ranks.csv")]
+    codes = []
+    for argv in (["fit", *panel, *journals, "--fy-range", "2005:2011",
+                  "--out", str(out / "composite.json")],
+                 ["evaluate", *panel, *journals, "--composite", str(out / "composite.json"),
+                  "--fy-range", "2005:2011", "--by", "fy,ry,actionable", "--min-papers", "5",
+                  "--out-json", str(out / "evaluation.json"),
+                  "--out-tsv", str(out / "evaluation.tsv")],
+                 ["lifecycle", *panel, "--fy", "2011", "--min-papers", "5",
+                  "--out", str(out / "lifecycle_2011.tsv")]):
+        before()
+        codes.append(run(argv))
+    return codes, capsys.readouterr().out
+
+
+def test_commands_in_one_process_decode_the_papers_once(synth_dir, model_dir, tmp_path,
+                                                        capsys, decodes):
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir(), fresh.mkdir()
+    codes, stdout = _sweep(synth_dir, model_dir, shared, capsys)
+    assert codes == [0, 0, 0] and len(decodes) == 1
+    # each command starting from an empty memo, as in a process of its own
+    assert _sweep(synth_dir, model_dir, fresh, capsys,
+                  lambda: setattr(cli, "_last", None)) == (codes, stdout)
+    assert len(decodes) == 4
+    names = sorted(p.name for p in shared.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir()) and len(names) == 7
+    for name in names:
+        a, b = (shared / name).read_bytes(), (fresh / name).read_bytes()
+        if name.endswith(".manifest.json"):
+            a, b = (json.loads(x)["inputs"] for x in (a, b))
+        assert a == b, name
+
+
+def test_a_papers_file_rewritten_in_place_is_decoded_again(tmp_path, capsys, decodes):
+    papers = write_papers(tmp_path / "p.jsonl", [paper(1, 2010), paper(2, 2011)])
+    before = papers.stat()
+    assert run(["corpus", "validate", str(papers)]) == 0
+    write_papers(papers, [paper(1, 2010), paper(2, 2012)])
+    os.utime(papers, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = papers.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert run(["corpus", "validate", str(papers)]) == 0
+    assert run(["corpus", "validate", str(papers)]) == 0
+    years = [json.loads(line)["years"] for line in capsys.readouterr().out.splitlines()]
+    assert years == [[2010, 2011], [2010, 2012], [2010, 2012]]
+    assert len(decodes) == 2
+
+
+def test_a_bad_papers_file_is_reported_on_every_call(tmp_path, capsys, decodes):
+    papers = write_papers(tmp_path / "p.jsonl", [paper(1, 2010), paper(2, 2011)])
+    assert run(["corpus", "validate", str(papers)]) == 0
+    write_papers(papers, [paper(1, 2010), paper(1, 2011)])
+    reports = []
+    for _ in range(2):
+        assert run(["corpus", "validate", str(papers)]) == 2
+        reports.append(capsys.readouterr().err)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0]) == {"error": "duplicate paper_id 1", "line": 2, "paper_id": 1}
+    write_papers(papers, [paper(3, 2009), paper(4, 2010), paper(5, 2011)])
+    assert run(["corpus", "validate", str(papers)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["papers"], out["years"]) == (3, [2009, 2011])
+    assert len(decodes) == 4
+
+
+def test_each_command_reads_the_ranks_it_names(synth_dir, model_dir, tmp_path, monkeypatch,
+                                               decodes):
+    seen = []
+
+    def panel(corpus, *args, **kwargs):
+        seen.append(corpus.ranks)
+        return Panel(corpus, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "Panel", panel)
+    corpus = ["--corpus", str(synth_dir / "papers.jsonl"), "--model", str(model_dir)]
+    fit = ["fit", *corpus, "--journals", str(synth_dir / "ranks.csv"), "--fy-range", "2010",
+           "--out", str(tmp_path / "c.json")]
+    assert run(fit) == 0
+    assert run(["lifecycle", *corpus, "--fy", "2010", "--out", str(tmp_path / "lc.tsv")]) == 0
+    assert run(fit) == 0
+    ranks = load_journal_ranks(synth_dir / "ranks.csv")
+    assert ranks and seen == [ranks, {}, ranks]
+    assert len(decodes) == 1
+
+
+def test_each_command_digests_the_papers_once(synth_dir, model_dir, tmp_path, decodes):
+    papers = str(synth_dir / "papers.jsonl")
+    corpus = ["--corpus", papers, "--journals", str(synth_dir / "ranks.csv")]
+    panel = [*corpus, "--model", str(model_dir)]
+    extended = _broken_model(model_dir, tmp_path, meta=lambda m: dict(m, extended_through=2013))
+    for argv in (["corpus", "validate", papers],
+                 ["model", "build", *corpus, "--through-year", "2009", "--resolution", "0.02",
+                  "--out", str(tmp_path / "built")],
+                 ["model", "extend", *corpus, "--model", str(extended), "--through-year", "2014"],
+                 ["indicators", *panel, "--fy", "2010", "--out", str(tmp_path / "i.tsv")],
+                 ["fit", *panel, "--fy-range", "2010", "--out", str(tmp_path / "c.json")],
+                 ["forecast", *panel, "--fy", "2010", "--out", str(tmp_path / "f.tsv")],
+                 ["evaluate", *panel, "--fy-range", "2010", "--out-json", str(tmp_path / "e.json")],
+                 ["lifecycle", *panel, "--fy", "2010", "--out", str(tmp_path / "l.tsv")]):
+        with mock.patch("rcforecast.manifest.file_digest", wraps=file_digest) as digest:
+            assert run(argv) == 0, argv
+        assert [str(call.args[0]) for call in digest.call_args_list].count(papers) == 1, argv
+    assert len(decodes) == 1

@@ -439,3 +439,14 @@ def test_plurality_vote_matches_dict_oracle(synth_corpora):
         want = oracles.plurality_vote(dict_corpus, part, year)
         assert got == want
         assert len(want) > 0
+
+
+def test_corpus_arrays_are_read_only(corpus_factory):
+    corpus = corpus_factory([paper(1, 2010, refs=[99], journal_id=5), paper(2, 2011, refs=[1])],
+                            journals=[(5, 1, 2)])
+    for name in ("paper_ids", "year", "doc_type", "journal_ids", "journal", "refs", "ref_ptr",
+                 "ref_row", "external_ids"):
+        column = getattr(corpus, name)
+        assert len(column), name
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[0]
