@@ -1,7 +1,7 @@
 """Wall time, allocation peak and peak RSS of every stage of one run, for one
 or more versions of the package side by side.
 
-    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_23.json]
+    python bench/stages.py [--variant NAME=SRC ...] [--out BENCH_25.json]
 
 Each ``--variant`` names an ``src`` directory holding an ``rcforecast``
 package (default: this checkout's ``src`` as ``current``). For each size in
@@ -210,7 +210,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--variant", action="append", default=[],
                         help="NAME=SRC; repeatable (default: current=<checkout>/src)")
-    parser.add_argument("--out", default="BENCH_23.json")
+    parser.add_argument("--out", default="BENCH_25.json")
     parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args()
     variants = dict(v.split("=", 1) for v in args.variant) or {"current": str(ROOT / "src")}
