@@ -198,6 +198,9 @@ def cmd_forecast(args) -> int:
 def cmd_evaluate(args) -> int:
     by = tuple(args.by.split(",")) if args.by else SLICES
     check_slices(by)
+    untaxed = [name for name in ("field", "discipline") if name in by]
+    if args.by and untaxed and not args.taxonomy:     # the default slices need none
+        return _fail(f"slices need --taxonomy: {', '.join(untaxed)}")
     fys = _fy_range(args.fy_range)
     panel = _load_panel(args)
     model = (CompositeModel.from_json(args.composite) if args.composite
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="stepwise probit composite")
     _add_panel_args(p_fit)
     p_fit.add_argument("--fy-range", required=True, help="A:B or single year")
-    p_fit.add_argument("--min-papers", type=integer, default=0,
+    p_fit.add_argument("--min-papers", type=integer, default=pipeline.FIT_MIN_PAPERS,
                        help="size filter for fit rows (published fit used all RCs)")
     p_fit.add_argument("--z-threshold", type=float, default=regression.DEFAULT_Z_THRESHOLD)
     p_fit.add_argument("--out", required=True)

@@ -226,15 +226,12 @@ def _earlier_sums(keys, values):
     return out
 
 
-def _local_move(level: _Level, comm: np.ndarray, use_cpm: bool, gamma: float,
-                two_m: float, rng) -> int:
-    """Move nodes to their best neighbouring (or an empty) community, in rounds
-    over a queue that starts with every node, until no move gains. Mutates
-    ``comm``; returns the number of moves."""
-    attr = (level.sizes if use_cpm else level.strengths).astype(np.float64)
-    # stay score / 2m but move scores * (1/2m), as the gains were always rounded
-    scale = 1.0 if use_cpm else 1.0 / two_m
-    div = 1.0 if use_cpm else two_m
+def _local_move(level: _Level, comm: np.ndarray, attr: np.ndarray, gamma: float,
+                scale: float, div: float, rng) -> int:
+    """Move nodes (weighed by ``attr``: size for CPM, strength for modularity) to
+    their best neighbouring (or an empty) community, in rounds over a queue that
+    starts with every node, until no move gains. Mutates ``comm``; returns the
+    number of moves."""
     queue, moves = np.arange(level.n), 0
     while len(queue):
         gains, queue = _move_round(level, comm, queue, attr, gamma, scale, div, rng)
@@ -331,8 +328,8 @@ def _draw_in_segments(gains: np.ndarray, starts: np.ndarray, u: np.ndarray) -> n
     return pick
 
 
-def _refine(level: _Level, comm: np.ndarray, use_cpm: bool, gamma: float,
-            two_m: float, rng) -> np.ndarray:
+def _refine(level: _Level, comm: np.ndarray, attr: np.ndarray, gamma: float,
+            scale: float, rng) -> np.ndarray:
     """Split each community into well-connected pieces for aggregation.
 
     Starts from singletons. In rounds, each node that is still alone draws a
@@ -341,8 +338,6 @@ def _refine(level: _Level, comm: np.ndarray, use_cpm: bool, gamma: float,
     target is not moving itself in that round. Only edges inside a community
     are considered, so every refined community is internally connected.
     """
-    attr = (level.sizes if use_cpm else level.strengths).astype(np.float64)
-    scale = 1.0 if use_cpm else 1.0 / two_m
     rcomm = np.arange(level.n)
     queue = rcomm.copy()
     while len(queue):
@@ -438,19 +433,22 @@ def leiden(graph: CitationGraph, config: ClusterConfig,
     two_m = float(base.strengths.sum())
     if two_m == 0.0:
         two_m = 1.0  # edgeless graph; modularity degenerate, every node stays put
+    # stay score / 2m but move scores * (1/2m), as the gains were always rounded
+    scale, div = (1.0, 1.0) if use_cpm else (1.0 / two_m, two_m)
     membership = np.arange(level.n)
     comm = np.arange(level.n) if seed_partition is None else _node_labels(graph, seed_partition)
 
     prev_q = _level_quality(level, comm, config.quality, gamma)
     for _ in range(config.max_iterations):
-        moved = _local_move(level, comm, use_cpm, gamma, two_m, rng)
+        attr = (level.sizes if use_cpm else level.strengths).astype(np.float64)
+        moved = _local_move(level, comm, attr, gamma, scale, div, rng)
         q = _level_quality(level, comm, config.quality, gamma)
         if q < prev_q - 1e-9:
             raise AssertionError(f"quality decreased across iteration: {prev_q} -> {q}")
         prev_q = q
         if len(np.unique(comm)) == level.n:
             break  # every node is its own community; aggregation cannot help
-        rcomm = _refine(level, comm, use_cpm, gamma, two_m, rng)
+        rcomm = _refine(level, comm, attr, gamma, scale, rng)
         if len(np.unique(rcomm)) == level.n and moved == 0:
             break
         level, inv, comm = _aggregate(level, comm, rcomm)

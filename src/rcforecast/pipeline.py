@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cluster, evaluate, indicators, regression, trace
+from . import evaluate, regression, trace
 from .artifacts import write_json
 from .assign import AssignmentReport, assign_new_papers
 from .citegraph import CitationGraph, build_graph
@@ -35,6 +35,7 @@ from .manifest import InputFile, write_manifest
 from .regression import stepwise_select
 
 DEFAULT_RESOLUTION = 0.05   # CPM resolution of a model build
+FIT_MIN_PAPERS = 0          # the published composite was fitted on all RCs
 
 
 def build_model(corpus: Corpus, model_year: int, cluster_config: ClusterConfig,
@@ -53,15 +54,15 @@ def build_model(corpus: Corpus, model_year: int, cluster_config: ClusterConfig,
 
 
 def extend_model(corpus: Corpus, partition: Partition, through_year: int,
-                 seeded: bool = False, cluster_config: ClusterConfig | None = None,
-                 extended_graph: bool = True
+                 seeded: bool = False, cluster_config: ClusterConfig | None = None
                  ) -> tuple[Partition, list[AssignmentReport]]:
     """Extend assignments one year at a time up to ``through_year``.
 
     Unseeded: reference-plurality then BM25 against the frozen prior partition.
-    Seeded: re-cluster the graph through each year, initialized from the prior
-    partition, so existing papers keep their communities as a starting point;
-    the root model year is preserved for relative-year bookkeeping.
+    Seeded: re-cluster the extended graph through each year, initialized from
+    the prior partition, so existing papers keep their communities as a
+    starting point; the root model year is preserved for relative-year
+    bookkeeping.
     """
     reports: list[AssignmentReport] = []
     root_my = partition.model_year
@@ -70,7 +71,7 @@ def extend_model(corpus: Corpus, partition: Partition, through_year: int,
         if seeded:
             if cluster_config is None:
                 raise ValueError("seeded extension needs a ClusterConfig")
-            graph = build_graph(corpus, extended=extended_graph, year_cutoff=year)
+            graph = build_graph(corpus, year_cutoff=year)
             partition = leiden(graph, cluster_config, partition)
             partition.model_year = root_my
             partition.extended_through = year
@@ -133,19 +134,11 @@ class PipelineConfig:
     model_year: int
     journals: str | None = None
     extend_through: int | None = None     # default: corpus last year
-    seeded_extension: bool = False
-    quality: str = "cpm"
     resolution: float = DEFAULT_RESOLUTION
-    target_rcs: int | None = None
     seed: int = 0
-    max_iterations: int = cluster.DEFAULT_MAX_ITERATIONS
-    extended_graph: bool = True
-    window: int = indicators.DEFAULT_WINDOW
     fit_fys: list[int] = field(default_factory=list)   # empty: published composite
     forecast_fys: list[int] = field(default_factory=list)
     min_papers: int = evaluate.DEFAULT_MIN_PAPERS   # forecast/evaluate size filter
-    fit_min_papers: int = 0   # the published composite was fitted on all RCs
-    z_threshold: float = regression.DEFAULT_Z_THRESHOLD
     oracle_n: bool = True
     top_n: int | None = None
     lifecycle: bool = False
@@ -168,30 +161,26 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     with trace.stage("load_corpus"):
         corpus = load_corpus(cfg.papers, cfg.journals)
 
-    cluster_config = ClusterConfig(quality=cfg.quality, resolution=cfg.resolution,
-                                   rng_seed=cfg.seed, max_iterations=cfg.max_iterations)
-    partition = build_model(corpus, cfg.model_year, cluster_config,  # [0]: free the graph
-                            extended=cfg.extended_graph, target_rcs=cfg.target_rcs)[0]
+    cluster_config = ClusterConfig(resolution=cfg.resolution, rng_seed=cfg.seed)
+    partition = build_model(corpus, cfg.model_year, cluster_config)[0]  # [0]: free the graph
     through = cfg.extend_through if cfg.extend_through is not None \
         else corpus.meta.last_year
     with trace.stage("extend_model"):
-        partition, reports = extend_model(corpus, partition, through,
-                                          seeded=cfg.seeded_extension,
-                                          cluster_config=cluster_config,
-                                          extended_graph=cfg.extended_graph)
+        partition, reports = extend_model(corpus, partition, through)
     save_partition(partition, out / "partition.tsv", out / "partition.json")
     write_json(out / "extension.json", list(map(asdict, reports)))
     manifest(out / "partition.manifest.json", "pipeline:model")
 
     with trace.stage("Panel"):
-        panel = Panel(corpus, partition, window=cfg.window)
+        panel = Panel(corpus, partition)
     with trace.stage("indicator_table"):
         tables = {fy: indicator_table(panel, fy)
                   for fy in sorted(set(cfg.fit_fys) | set(cfg.forecast_fys))}
     with trace.stage("fit_composite"):
         if cfg.fit_fys:
             model = fit_composite(panel, {fy: tables[fy] for fy in cfg.fit_fys},
-                                  min_papers=cfg.fit_min_papers, z_threshold=cfg.z_threshold)
+                                  min_papers=FIT_MIN_PAPERS,
+                                  z_threshold=regression.DEFAULT_Z_THRESHOLD)
         else:
             model = CompositeModel.default()
     model.to_json(out / "composite.json")

@@ -50,6 +50,17 @@ _DEFAULT_SIGNALS = {"rvit": 1.0, "ntopj": 1.0}
 # geometric youth parameter for reference ages, by lifecycle class
 _AGE_P = {"emerging": 0.40, "growing": 0.30, "mature": 0.18, "declining": 0.15}
 
+# community size tiers beside the base one (log-normal; medians in papers): a
+# thin slice of persistently large mature communities, and growth-episode
+# communities, whose small tier carries the per-fy label base rate while a
+# heavy tier is large enough to stay above the 20-papers-in-FY filter while
+# still rising, so filtered slices keep observable events
+LARGE_MATURE_FRACTION = 0.015
+LARGE_SIZE_MEDIAN, LARGE_SIZE_SIGMA = 320.0, 0.4
+XG_SIZE_MEDIAN, XG_SIZE_SIGMA = 25.0, 1.0
+XG_LARGE_FRACTION = 0.18
+XG_LARGE_MEDIAN, XG_LARGE_SIGMA = 350.0, 0.5
+
 
 class SynthError(ValueError):
     pass
@@ -61,7 +72,7 @@ class SynthConfig:
     n_communities: int = 1000
     first_year: int = 2000
     last_year: int = 2014
-    # community total-size distributions (log-normal; medians in papers)
+    # the base tier of community total sizes (log-normal; median in papers)
     size_median: float = 3.0
     size_sigma: float = 1.2
     lifecycle_mix: dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_MIX))
@@ -77,18 +88,6 @@ class SynthConfig:
     refs_mean: float = 6.0
     p_no_refs: float = 0.04
     p_no_terms: float = 0.02
-    # a thin slice of persistently large mature communities
-    large_mature_fraction: float = 0.015
-    large_size_median: float = 320.0
-    large_size_sigma: float = 0.4
-    # growth-episode communities: a small tier carries the per-fy label base
-    # rate; a heavy tier is large enough to stay above the 20-papers-in-FY
-    # filter while still rising, so filtered slices keep observable events
-    xg_size_median: float = 25.0
-    xg_size_sigma: float = 1.0
-    xg_large_fraction: float = 0.18
-    xg_large_median: float = 350.0
-    xg_large_sigma: float = 0.5
     dip_fraction: float = 0.10
     noise_sigma: float = 0.05
     external_pool_size: int = 5
@@ -163,7 +162,7 @@ def _community_specs(config: SynthConfig, rng) -> list[CommunitySpec]:
     probs = np.array([config.lifecycle_mix[c] for c in classes])
     drawn = rng.choice(len(classes), size=n, p=probs)
 
-    n_large = round(config.large_mature_fraction * n)
+    n_large = round(LARGE_MATURE_FRACTION * n)
     large_ids = set(rng.choice(n, size=n_large, replace=False).tolist())
 
     # growth episodes: a rise of R years at rate g registers as exceptional
@@ -181,16 +180,13 @@ def _community_specs(config: SynthConfig, rng) -> list[CommunitySpec]:
         planted = cid in planted_ids
         if cid in large_ids:
             lifecycle = "mature"
-            total = config.large_size_median * math.exp(
-                rng.normal(0.0, config.large_size_sigma))
+            total = LARGE_SIZE_MEDIAN * math.exp(rng.normal(0.0, LARGE_SIZE_SIGMA))
         elif planted:
             lifecycle = "growing"
-            if rng.random() < config.xg_large_fraction:
-                total = config.xg_large_median * math.exp(
-                    rng.normal(0.0, config.xg_large_sigma))
+            if rng.random() < XG_LARGE_FRACTION:
+                total = XG_LARGE_MEDIAN * math.exp(rng.normal(0.0, XG_LARGE_SIGMA))
             else:
-                total = config.xg_size_median * math.exp(
-                    rng.normal(0.0, config.xg_size_sigma))
+                total = XG_SIZE_MEDIAN * math.exp(rng.normal(0.0, XG_SIZE_SIGMA))
         else:
             lifecycle = classes[drawn[cid]]
             total = config.size_median * math.exp(rng.normal(0.0, config.size_sigma))

@@ -204,10 +204,9 @@ def small_graph_fixtures(min_count=50, seed=2024):
 # with ``Generator.choice``; they take and mutate the library's array ``comm``.
 
 
-def local_move(level, comm, use_cpm, gamma, two_m, rng):
+def local_move(level, comm, attr, gamma, scale, div, rng):
     n = level.n
     indptr, indices, weights = level.indptr, level.indices, level.weights
-    attr = level.sizes if use_cpm else level.strengths
     n_comm = max(comm) + 1
     cagg = [0.0] * n_comm
     members = [0] * n_comm
@@ -234,15 +233,12 @@ def local_move(level, comm, use_cpm, gamma, two_m, rng):
         for k in range(lo, hi):
             c = comm[ind_list[k]]
             acc[c] = acc.get(c, 0.0) + wt_list[k]
-        if use_cpm:
-            cur = acc.get(cv, 0.0) - gamma * av * (cagg[cv] - av)
-        else:
-            cur = acc.get(cv, 0.0) - gamma * av * (cagg[cv] - av) / two_m
+        cur = acc.get(cv, 0.0) - gamma * av * (cagg[cv] - av) / div
         best_c, best = cv, cur
         for c, w in acc.items():
             if c == cv:
                 continue
-            score = w - gamma * av * cagg[c] * (1.0 if use_cpm else 1.0 / two_m)
+            score = w - gamma * av * cagg[c] * scale
             if score > best + _EPS:
                 best_c, best = c, score
         if 0.0 > best + _EPS:
@@ -268,10 +264,9 @@ def local_move(level, comm, use_cpm, gamma, two_m, rng):
     return moves
 
 
-def refine(level, comm, use_cpm, gamma, two_m, rng):
+def refine(level, comm, attr, gamma, scale, rng):
     n = level.n
     indptr, indices, weights = level.indptr, level.indices, level.weights
-    attr = level.sizes if use_cpm else level.strengths
     rcomm = list(range(n))
     ragg = [float(a) for a in attr]
     rmembers = [1] * n
@@ -293,7 +288,7 @@ def refine(level, comm, use_cpm, gamma, two_m, rng):
         cands = []
         gains = []
         for r, w in acc.items():
-            score = w - gamma * av * ragg[r] * (1.0 if use_cpm else 1.0 / two_m)
+            score = w - gamma * av * ragg[r] * scale
             if score > _EPS:
                 cands.append(r)
                 gains.append(score)

@@ -13,11 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcforecast import cli
+from rcforecast import cli, indicators, pipeline, regression
 from rcforecast import corpus as corpus_module
+from rcforecast.citegraph import build_graph
 from rcforecast.cli import build_parser, run
-from rcforecast.cluster import ClusterError, Partition, load_partition, save_partition
-from rcforecast.config import has_type
+from rcforecast.cluster import (
+    TUNE_TOLERANCE,
+    ClusterConfig,
+    ClusterError,
+    Partition,
+    leiden,
+    load_partition,
+    save_partition,
+)
+from rcforecast.config import has_type, load_config
 from rcforecast.forecast import CompositeModel
 from rcforecast.manifest import file_digest
 from rcforecast.pipeline import PipelineConfig, run_pipeline
@@ -112,6 +121,59 @@ def test_model_build_artifacts(model_dir):
     meta = json.loads((model_dir / "partition.json").read_text())
     assert meta["model_year"] == 2009
     assert meta["extended_through"] == 2014
+
+
+def test_model_build_records_its_clustering_flags(synth_dir, tmp_path, capsys):
+    out = tmp_path / "model"
+    assert run(["model", "build", "--corpus", str(synth_dir / "papers.jsonl"),
+                "--through-year", "2009", "--resolution", "1.0", "--quality", "modularity",
+                "--max-iterations", "3", "--no-extended", "--dump-graph",
+                "--out", str(out)]) == 0
+    meta = json.loads((out / "partition.json").read_text())
+    assert meta["config"] == {"quality": "modularity", "resolution": 1.0, "rng_seed": 0,
+                              "max_iterations": 3, "seeded": False}
+    assert json.loads(capsys.readouterr().out) == {
+        "model_year": 2009, "quality": meta["quality"], "rc_count": meta["rc_count"]}
+    # without the extended graph no external item takes part, in the graph or the model
+    assert meta["external_assignment"] == {}
+    corpus = load_corpus(synth_dir / "papers.jsonl")
+    edges = np.loadtxt(out / "graph.tsv", dtype=np.int64, usecols=(0, 1), ndmin=2)
+    assert len(edges) and set(edges.ravel().tolist()) <= set(
+        corpus.paper_ids[corpus.year <= 2009].tolist())
+    arguments = json.loads((out / "partition.manifest.json").read_text())["arguments"]
+    assert arguments["no_extended"] is True and arguments["dump_graph"] is True
+
+
+def test_model_build_tunes_toward_target_rcs(synth_dir, tmp_path):
+    out, target = tmp_path / "model", 300
+    assert run(["model", "build", "--corpus", str(synth_dir / "papers.jsonl"),
+                "--through-year", "2009", "--target-rcs", str(target), "--out", str(out)]) == 0
+    meta = json.loads((out / "partition.json").read_text())
+    assert abs(meta["rc_count"] - target) <= TUNE_TOLERANCE * target
+    # config_used holds the tuned resolution: clustering with it gives the same model
+    config = dict(meta["config"])
+    assert config.pop("seeded") is False and config["resolution"] != pipeline.DEFAULT_RESOLUTION
+    graph = build_graph(load_corpus(synth_dir / "papers.jsonl"), year_cutoff=2009)
+    assert leiden(graph, ClusterConfig(**config)).rc_count == meta["rc_count"]
+    arguments = json.loads((out / "partition.manifest.json").read_text())["arguments"]
+    assert arguments["target_rcs"] == target
+
+
+def test_seeded_model_extend_reports_each_year(synth_dir, tmp_path, capsys):
+    papers, out = str(synth_dir / "papers.jsonl"), tmp_path / "model"
+    assert run(["model", "build", "--corpus", papers, "--through-year", "2009",
+                "--resolution", "0.02", "--seed", "3", "--out", str(out)]) == 0
+    assert run(["model", "extend", "--corpus", papers, "--model", str(out),
+                "--through-year", "2012", "--seeded"]) == 0
+    meta = json.loads((out / "partition.json").read_text())
+    assert meta["config"] == {"quality": "cpm", "resolution": 0.02, "rng_seed": 3,
+                              "max_iterations": 10, "seeded": True}
+    assert (meta["model_year"], meta["extended_through"]) == (2009, 2012)
+    corpus = load_corpus(papers)
+    reports = json.loads((out / "extension_2012.json").read_text())
+    assert [(r["year"], r["n_papers"]) for r in reports] == [
+        (year, np.count_nonzero(corpus.year == year)) for year in (2010, 2011, 2012)]
+    assert (out / "extension_2012.manifest.json").exists()
 
 
 def test_indicators_and_forecast_cli(synth_dir, model_dir, tmp_path, capsys):
@@ -274,6 +336,12 @@ def test_synth_cli(tmp_path, capsys):
                  id="no-top-journals"),
     pytest.param({"external_pool_size": -1}, "external_pool_size must be at least 0",
                  id="negative-external-pool"),
+    # the size tiers the generator fixes in code, each named with the value it had
+    *(pytest.param({key: value}, f"unknown config keys: {key}", id=f"removed-{key}")
+      for key, value in [("large_mature_fraction", 0.015), ("large_size_median", 320.0),
+                         ("large_size_sigma", 0.4), ("xg_size_median", 25.0),
+                         ("xg_size_sigma", 1.0), ("xg_large_fraction", 0.18),
+                         ("xg_large_median", 350.0), ("xg_large_sigma", 0.5)]),
 ])
 def test_synth_bad_config_exits_2(tmp_path, capsys, config, problem):
     cfg = tmp_path / "synth.json"
@@ -335,6 +403,39 @@ def test_run_pipeline_hashes_each_input_once(synth_dir, tmp_path):
     for path in manifests:
         assert json.loads(path.read_text())["inputs"] == {
             "journals": file_digest(journals), "papers": file_digest(papers)}, path.name
+
+
+def test_run_pipeline_fixes_the_settings_it_takes_no_key_for(synth_dir, tmp_path,
+                                                            monkeypatch):
+    panels, make_panel = [], pipeline.Panel
+    monkeypatch.setattr(pipeline, "Panel", lambda *a: panels.append(make_panel(*a)) or panels[-1])
+    out = tmp_path / "o"
+    run_pipeline(PipelineConfig(papers=str(synth_dir / "papers.jsonl"),
+                                journals=str(synth_dir / "ranks.csv"), out_dir=str(out),
+                                model_year=2009, extend_through=2014, resolution=0.02,
+                                fit_fys=[2010], forecast_fys=[]))
+    meta = json.loads((out / "partition.json").read_text())
+    assert meta["config"] == {"quality": "cpm", "resolution": 0.02, "rng_seed": 0,
+                              "max_iterations": 10, "seeded": False}
+    assert meta["external_assignment"]              # clustered on the extended graph
+    # extended by reference and BM25 assignment, not by seeded re-clustering
+    reports = json.loads((out / "extension.json").read_text())
+    assert [r["year"] for r in reports] == [2010, 2011, 2012, 2013, 2014]
+    assert all(0 < r["by_references"] + r["by_bm25"] == r["n_papers"] - len(r["unassigned"])
+               for r in reports)
+    assert [panel.window for panel in panels] == [10]
+    composite = json.loads((out / "composite.json").read_text())["meta"]
+    assert (composite["min_papers"], composite["z_threshold"]) == (0, 4.0)
+
+
+def test_readme_pipeline_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("`rcf pipeline --config run.json`", 1)[1]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(example.split("```json\n", 1)[1].split("```", 1)[0])
+    config = load_config(PipelineConfig, cfg_path)
+    assert (config.papers, config.model_year, config.fit_fys) == (
+        "data/papers.jsonl", 2009, [2010, 2011])
 
 
 def test_pipeline_config_unknown_key_exits_2(tmp_path, capsys):
@@ -582,6 +683,20 @@ def test_evaluate_checks_slice_names_before_reading_input(tmp_path, capsys):
     assert "'bogus'" in error and "missing input" not in error
 
 
+@pytest.mark.parametrize("by,named", [
+    ("field", "field"),
+    ("fy,discipline", "discipline"),
+    ("discipline,ry,field", "field, discipline"),
+])
+def test_evaluate_taxonomy_slices_need_taxonomy_before_reading_input(tmp_path, capsys, by,
+                                                                     named):
+    assert run(["evaluate", "--corpus", str(tmp_path / "absent.jsonl"),
+                "--model", str(tmp_path), "--fy-range", "2010:2011", "--by", by,
+                "--out-json", str(tmp_path / "e.json")]) == 2
+    assert _one_line_error(capsys)["error"] == f"slices need --taxonomy: {named}"
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_model_extend_needs_through_year_before_reading_input(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["model", "extend", "--corpus", str(tmp_path / "absent.jsonl"),
@@ -628,6 +743,18 @@ def test_fy_range_takes_only_int_text(tmp_path, capsys, command, fy_range, value
     assert _one_line_error(capsys)["error"] == f"not an integer: {value!r}"
 
 
+#: the value ``run_pipeline`` uses for each setting that a flag also sets: a
+#: ``PipelineConfig`` field's default, or what the pipeline fixes in code
+_PIPELINE_VALUES = {
+    "resolution": PipelineConfig.resolution,
+    "max_iterations": ClusterConfig().max_iterations,
+    "window": indicators.DEFAULT_WINDOW,
+    "fit_min_papers": pipeline.FIT_MIN_PAPERS,
+    "z_threshold": regression.DEFAULT_Z_THRESHOLD,
+    "min_papers": PipelineConfig.min_papers,
+}
+
+
 @pytest.mark.parametrize("argv,dest,field", [
     ("model build --through-year 2009 --out o", "resolution", "resolution"),
     ("model build --through-year 2009 --out o", "max_iterations", "max_iterations"),
@@ -639,7 +766,7 @@ def test_fy_range_takes_only_int_text(tmp_path, capsys, command, fy_range, value
 ], ids=lambda v: v.split(" --")[0])
 def test_flag_default_is_the_pipeline_config_default(argv, dest, field):
     args = build_parser().parse_args(argv.split() + ["--corpus", "c"])
-    assert getattr(args, dest) == getattr(PipelineConfig, field)
+    assert getattr(args, dest) == _PIPELINE_VALUES[field]
 
 
 @pytest.mark.parametrize("flags,named", [
@@ -861,14 +988,16 @@ def test_other_os_errors_are_not_reported_as_bad_input(tmp_path, empty_memo):
     ("forecast_fys", 2010, "forecast_fys must be a list of ints"),
     ("fit_fys", [2010, "2011"], "fit_fys must be a list of ints"),
     ("seed", 1.5, "seed must be an int"),
-    ("window", "10", "window must be an int"),
     ("journals", 3, "journals must be a string or null"),
-    ("target_rcs", False, "target_rcs must be an int or null"),
     ("lifecycle", 1, "lifecycle must be a bool"),
     pytest.param("resolution", NAN, "resolution must be a number", id="resolution-nan"),
     pytest.param("resolution", INF, "resolution must be a number", id="resolution-inf"),
-    pytest.param("z_threshold", -INF, "z_threshold must be a number", id="z_threshold--inf"),
     pytest.param("resolution", BIG, "resolution must be a number", id="resolution-400-digit"),
+    # settings the pipeline fixes in code, each named with the value it had
+    *(pytest.param(key, value, f"unknown config keys: {key}", id=f"removed-{key}")
+      for key, value in [("seeded_extension", False), ("quality", "cpm"), ("target_rcs", None),
+                         ("max_iterations", 10), ("extended_graph", True), ("window", 10),
+                         ("fit_min_papers", 0), ("z_threshold", 4.0)]),
 ])
 def test_pipeline_config_wrong_type_exits_2(synth_dir, tmp_path, capsys, key, value,
                                             problem):

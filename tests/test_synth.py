@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from itertools import chain
@@ -44,6 +45,16 @@ def test_determinism_byte_identical(tmp_path):
                    (r1.ranks_path, r2.ranks_path),
                    (r1.truth_path, r2.truth_path)):
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_generate_keeps_its_recorded_digests(tmp_path):
+    # the first 16 hex digits of each file's sha256 for the 1k corpus of seed 1,
+    # unchanged since the generator's draws were last rewritten (CHANGES.md)
+    res = generate(SynthConfig(rng_seed=1, n_communities=1000), tmp_path)
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+            for path in (res.papers_path, res.ranks_path, res.truth_path)} == {
+        "papers.jsonl": "de5556e82552e496", "ranks.csv": "7c37066a2f734e72",
+        "truth.tsv": "a28a013873097a5e"}
 
 
 def test_generated_corpus_loads_clean(small_synth):
